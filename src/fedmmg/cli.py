@@ -14,9 +14,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, assemble_run, build_graph, parse_config
-from .federation import (FederationAborted, RoundHistory, fedavg_zero_baseline,
-                         run_federation)
+from .config import ConfigError, ExperimentConfig, assemble_run, build_data, parse_config
+from .federation import FederationAborted, RoundHistory, run_federation
 from .graphdata import GraphFileError, save_graph
 from .verify import run_gradcheck_suite, run_metrics_oracle, run_theory_check
 
@@ -116,19 +115,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _overrides_from_args(args))
     out = cfg.out or "graph.json"
-    graph = build_graph(cfg)
-    if cfg.data.kind == "sbm":
-        from .graphdata import (MissingnessConfig, apply_natural_missingness,
-                                partition_dirichlet)
-        partition = partition_dirichlet(graph, cfg.federation.clients,
-                                        cfg.federation.alpha, cfg.seed)
-        mcfg = MissingnessConfig(rate=cfg.missingness.rate,
-                                 mode=cfg.missingness.mode, seed=cfg.seed,
-                                 per_client_rates=cfg.missingness.per_client_rates)
-        mask = apply_natural_missingness(graph, mcfg, partition)
-        graph.natural_mask[:] = mask
-        for m, mod in enumerate(graph.modalities):
-            mod.features[mask[:, m] == 0] = 0.0
+    graph, _partition = build_data(cfg)
     target = out if out.endswith(".json") else os.path.join(out, "graph.json")
     if os.path.dirname(target):
         os.makedirs(os.path.dirname(target), exist_ok=True)
@@ -141,15 +128,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _overrides_from_args(args))
     assembly = assemble_run(cfg)
     try:
-        if assembly.baseline:
-            history = fedavg_zero_baseline(assembly.setup)
-        else:
-            history = run_federation(assembly.setup)
+        history = run_federation(assembly.setup)
         out_dir = cfg.out or "out"
         write_outputs(out_dir, cfg, history, assembly.missing_fraction)
     except FederationAborted as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
+    for rec, ms in zip(history.records, history.timings_ms):
+        print(f"round {rec.round_index}: {ms:.1f} ms", file=sys.stderr)
     if history.timings_ms:
         total = sum(history.timings_ms)
         print(f"completed {len(history.records)} rounds in {total:.0f} ms "

@@ -1,22 +1,24 @@
 """Experiment configuration: defaults, validation, file/flag parsing.
 
-Config files are JSON with nested sections. Every value is range-checked
-before a run starts; unknown keys are rejected by name. CLI flags override
-file values. A parsed config serializes back to an equal config.
+Config files are JSON with nested sections. Every value is type-checked,
+then range-checked, before a run starts; unknown keys are rejected by name.
+CLI flags override file values. A parsed config serializes back to an equal
+config.
 """
 
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .federation import (FederationSetup, ServerConfig, TrainConfig,
-                         make_client_states)
-from .graphdata import (MISSING_MODES, MissingnessConfig, MultimodalGraph,
-                        apply_natural_missingness, empirical_missing_fraction,
-                        generate_sbm_multimodal, load_graph, partition_dirichlet)
+                         fedavg_zero_setup, make_client_states)
+from .graphdata import (MISSING_MODES, ClientPartition, MissingnessConfig,
+                        MultimodalGraph, apply_natural_missingness,
+                        empirical_missing_fraction, generate_sbm_multimodal,
+                        load_graph, partition_dirichlet)
 from .model import ModelConfig
 from .tasks import TASK_KINDS, TaskSpec
 
@@ -78,10 +80,6 @@ class ModelSection:
     lambda_align: float = 0.01
     lambda_route: float = 0.01
     lambda_bal: float = 0.5
-    gamma_clamp: list[float] | None = None
-    entropy_anchor_weights: bool = False
-    uncertainty_clamp: float | None = None
-    uniform_floor: float = 0.0
 
 
 @dataclass
@@ -122,21 +120,48 @@ def _fill_section(target, doc: dict, where: str) -> None:
             setattr(target, key, value)
 
 
+def _type_ok(value, hint) -> bool:
+    """isinstance against a field annotation. A bool is no number, and an
+    int is accepted where a float is expected."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_type_ok(value, h) for h in args)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_type_ok(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_types(target, where: str = "") -> None:
+    for key, hint in typing.get_type_hints(type(target)).items():
+        value = getattr(target, key)
+        if not _type_ok(value, hint):
+            raise ConfigError(f"wrong type for {where + key!r}: expected "
+                              f"{getattr(hint, '__name__', hint)}, "
+                              f"got {type(value).__name__}")
+        if key in _SECTIONS:
+            _check_types(value, f"{key}.")
+
+
 def _check(name: str, ok: bool) -> None:
     if not ok:
         raise ConfigError(f"value out of range for {name!r}")
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    _check("seed", isinstance(cfg.seed, int) and 0 <= cfg.seed < 2 ** 64)
+    _check_types(cfg)
+    _check("seed", 0 <= cfg.seed < 2 ** 64)
     _check("task", cfg.task in TASK_KINDS)
 
     d = cfg.data
     _check("data.kind", d.kind in ("sbm", "file"))
     if d.kind == "file":
-        _check("data.path", isinstance(d.path, str) and len(d.path) > 0)
-    _check("data.blocks", isinstance(d.blocks, int) and d.blocks >= 1)
-    _check("data.nodes_per_block", isinstance(d.nodes_per_block, int) and d.nodes_per_block >= 2)
+        _check("data.path", bool(d.path))
+    _check("data.blocks", d.blocks >= 1)
+    _check("data.nodes_per_block", d.nodes_per_block >= 2)
     _check("data.p_in", 0.0 <= d.p_out <= d.p_in <= 1.0)
     _check("data.d_img", d.d_img >= 1)
     _check("data.d_txt", d.d_txt >= 1)
@@ -152,16 +177,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
                all(0.0 <= r < 1.0 for r in m.per_client_rates))
 
     f = cfg.federation
-    _check("federation.clients", isinstance(f.clients, int) and f.clients >= 1)
+    _check("federation.clients", f.clients >= 1)
     _check("federation.alpha", f.alpha > 0.0)
-    _check("federation.rounds", isinstance(f.rounds, int) and f.rounds >= 0)
+    _check("federation.rounds", f.rounds >= 0)
     _check("federation.fraction", 0.0 < f.fraction <= 1.0)
     _check("federation.mode", f.mode in RUN_MODES)
     _check("federation.eta_u", f.eta_u >= 0.0)
     _check("federation.eta_e", f.eta_e >= 0.0)
     _check("federation.eta_rho", f.eta_rho >= 0.0)
     _check("federation.eps", f.eps > 0.0)
-    _check("federation.workers", isinstance(f.workers, int) and f.workers >= 1)
+    _check("federation.workers", f.workers >= 1)
 
     mo = cfg.model
     _check("model.hidden_dim", mo.hidden_dim >= 4)
@@ -171,19 +196,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check("model.router_temperature", mo.router_temperature > 0.0)
     _check("model.gnn_layers", mo.gnn_layers in (1, 2))
     _check("model.lr", mo.lr >= 0.0)
-    _check("model.local_epochs", isinstance(mo.local_epochs, int) and mo.local_epochs >= 0)
+    _check("model.local_epochs", mo.local_epochs >= 0)
     _check("model.clip_norm", mo.clip_norm > 0.0)
     if mo.lambda_rec is not None:
         _check("model.lambda_rec", mo.lambda_rec >= 0.0)
     _check("model.lambda_align", mo.lambda_align >= 0.0)
     _check("model.lambda_route", mo.lambda_route >= 0.0)
     _check("model.lambda_bal", mo.lambda_bal >= 0.0)
-    if mo.gamma_clamp is not None:
-        _check("model.gamma_clamp", len(mo.gamma_clamp) == 2
-               and 0.0 <= mo.gamma_clamp[0] <= mo.gamma_clamp[1] <= 1.0)
-    if mo.uncertainty_clamp is not None:
-        _check("model.uncertainty_clamp", 0.0 <= mo.uncertainty_clamp <= 1.0)
-    _check("model.uniform_floor", 0.0 <= mo.uniform_floor < 0.5)
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None
@@ -228,33 +247,37 @@ def _apply_override(cfg: ExperimentConfig, dotted: str, value) -> None:
 @dataclass
 class RunAssembly:
     setup: FederationSetup
-    graph: MultimodalGraph
-    natural_mask: np.ndarray
     missing_fraction: float
-    baseline: bool
 
 
-def build_graph(cfg: ExperimentConfig) -> MultimodalGraph:
-    d = cfg.data
+def build_data(cfg: ExperimentConfig) -> tuple[MultimodalGraph, ClientPartition]:
+    """The graph with its natural mask applied, and its client partition.
+
+    A graph file brings its own mask; an SBM graph draws one here. Both
+    ``gen-data`` and ``assemble_run`` build their data through this."""
+    d, m = cfg.data, cfg.missingness
     if d.kind == "file":
-        return load_graph(d.path)
-    return generate_sbm_multimodal(
-        blocks=d.blocks, nodes_per_block=d.nodes_per_block, p_in=d.p_in,
-        p_out=d.p_out, d_img=d.d_img, d_txt=d.d_txt, noise=d.noise,
-        seed=cfg.seed, latent_dim=d.latent_dim)
+        graph = load_graph(d.path)
+    else:
+        graph = generate_sbm_multimodal(
+            blocks=d.blocks, nodes_per_block=d.nodes_per_block, p_in=d.p_in,
+            p_out=d.p_out, d_img=d.d_img, d_txt=d.d_txt, noise=d.noise,
+            seed=cfg.seed, latent_dim=d.latent_dim)
+    partition = partition_dirichlet(graph, cfg.federation.clients,
+                                    cfg.federation.alpha, cfg.seed)
+    if d.kind == "sbm":
+        mcfg = MissingnessConfig(rate=m.rate, mode=m.mode, seed=cfg.seed,
+                                 per_client_rates=m.per_client_rates)
+        graph.set_natural_mask(apply_natural_missingness(graph, mcfg, partition))
+    return graph, partition
 
 
 def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
-    graph = build_graph(cfg)
-    partition = partition_dirichlet(graph, cfg.federation.clients,
-                                    cfg.federation.alpha, cfg.seed)
-    if cfg.data.kind == "file":
-        natural = graph.natural_mask.copy()
-    else:
-        mcfg = MissingnessConfig(rate=cfg.missingness.rate,
-                                 mode=cfg.missingness.mode, seed=cfg.seed,
-                                 per_client_rates=cfg.missingness.per_client_rates)
-        natural = apply_natural_missingness(graph, mcfg, partition)
+    graph, partition = build_data(cfg)
+    if cfg.task == "mr" and graph.num_modalities < 2:
+        raise ConfigError("task 'mr' needs a graph with at least two modalities")
+    if cfg.task == "nc" and graph.labels is None:
+        raise ConfigError("task 'nc' needs a graph with node labels")
 
     labels = graph.labels
     num_classes = int(labels.max()) + 1 if labels is not None else None
@@ -266,11 +289,7 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         warmup_rounds=cfg.model.warmup_rounds,
         router_temperature=cfg.model.router_temperature,
         gnn_layers=cfg.model.gnn_layers, num_classes=num_classes,
-        bypass_generation=baseline, lambda_bal=cfg.model.lambda_bal,
-        gamma_clamp=tuple(cfg.model.gamma_clamp) if cfg.model.gamma_clamp else None,
-        entropy_anchor_weights=cfg.model.entropy_anchor_weights,
-        uncertainty_clamp=cfg.model.uncertainty_clamp,
-        uniform_floor=cfg.model.uniform_floor)
+        lambda_bal=cfg.model.lambda_bal)
     task_spec = TaskSpec.for_kind(cfg.task, cfg.model.lambda_rec,
                                   cfg.model.lambda_align, cfg.model.lambda_route)
     server_cfg = ServerConfig(
@@ -281,12 +300,12 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         workers=cfg.federation.workers)
     train_cfg = TrainConfig(lr=cfg.model.lr, local_epochs=cfg.model.local_epochs,
                             clip_norm=cfg.model.clip_norm,
-                            p_mask=0.0 if baseline else cfg.missingness.p_mask)
-    clients = make_client_states(graph, partition, natural, model_cfg,
-                                 cfg.task, cfg.seed)
+                            p_mask=cfg.missingness.p_mask)
+    clients = make_client_states(graph, partition, model_cfg, cfg.task, cfg.seed)
     setup = FederationSetup(clients=clients, model_cfg=model_cfg,
                             task_spec=task_spec, server_cfg=server_cfg,
                             train_cfg=train_cfg, seed=cfg.seed)
-    return RunAssembly(setup=setup, graph=graph, natural_mask=natural,
-                       missing_fraction=empirical_missing_fraction(natural),
-                       baseline=baseline)
+    if baseline:
+        setup = fedavg_zero_setup(setup)
+    return RunAssembly(setup=setup,
+                       missing_fraction=empirical_missing_fraction(graph.natural_mask))

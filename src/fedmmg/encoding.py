@@ -34,14 +34,13 @@ def encode_modalities(params: ParamStore, graph, natural: np.ndarray) -> list[Te
             for m, mod in enumerate(graph.modalities)]
 
 
-def anchor_coefficients(adjacency: list[list[int]], eff_col: np.ndarray,
-                        degrees: np.ndarray, entropy_weights: bool = False
+def anchor_coefficients(adjacency: list[list[int]], eff_col: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Constant mixing matrix C and no-visible-neighbor flags for one modality.
 
-    Row i of C holds a_ij * eff_j / (sum_j a_ij * eff_j + eps) over the
-    neighbors of i, with uniform a_ij = 1/|N(i)| by default or the optional
-    degree-suppressing variant. Rows are (sub-)convex combinations.
+    Row i of C holds eff_j / (sum_j eff_j + eps) over the neighbors j of i:
+    the uniform mean of the visible neighbors. Rows are (sub-)convex
+    combinations.
     """
     n = len(adjacency)
     coeff = np.zeros((n, n))
@@ -50,11 +49,7 @@ def anchor_coefficients(adjacency: list[list[int]], eff_col: np.ndarray,
         if not neigh:
             flags[i] = 1.0
             continue
-        if entropy_weights:
-            raw = 1.0 / (1.0 + np.log1p(degrees[neigh]))
-        else:
-            raw = np.ones(len(neigh))
-        a = raw / raw.sum()
+        a = np.ones(len(neigh)) / len(neigh)
         vis = eff_col[neigh]
         denom = float((a * vis).sum()) + ANCHOR_EPS
         if (a * vis).sum() == 0.0:
@@ -66,10 +61,12 @@ def anchor_coefficients(adjacency: list[list[int]], eff_col: np.ndarray,
 
 def structural_anchor(params: ParamStore, name: str, raw_embed: Tensor,
                       adjacency: list[list[int]], eff_col: np.ndarray,
-                      degrees: np.ndarray, entropy_weights: bool = False
+                      degrees: np.ndarray | None = None
                       ) -> tuple[Tensor, np.ndarray]:
-    """Visibility-weighted neighbor mean; learnable null token as fallback."""
-    coeff, flags = anchor_coefficients(adjacency, eff_col, degrees, entropy_weights)
+    """Visibility-weighted neighbor mean; learnable null token as fallback.
+
+    ``degrees`` is accepted for positional callers and not used."""
+    coeff, flags = anchor_coefficients(adjacency, eff_col)
     anchor = nx.matmul(const(coeff), raw_embed)
     if flags.any():
         null_row = nx.reshape(params[f"anchor.null.{name}"], (1, -1))

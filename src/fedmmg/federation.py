@@ -18,7 +18,7 @@ from . import numerics as nx
 from . import tasks as task_ops
 from .fusion import relative_recon_error
 from .graphdata import (ClientPartition, MaskSet, MultimodalGraph,
-                        induced_subgraph)
+                        induced_subgraph, sample_artificial_mask)
 from .metrics import MetricsRow, evaluate_metrics
 from .model import ForwardBundle, GraphCaches, ModelConfig, forward_pass, init_params
 from .numerics import AdamState, GradientError, ParamStore, Tape
@@ -106,16 +106,14 @@ class TrainConfig:
 
 @dataclass
 class ClientData:
-    """A client's induced graph plus its frozen evaluation splits."""
+    """A client's induced graph plus its frozen train/test splits."""
 
     cid: int
     graph: MultimodalGraph
     caches: GraphCaches
     train_nodes: np.ndarray
-    val_nodes: np.ndarray
     test_nodes: np.ndarray
     train_edges: np.ndarray
-    val_edges: np.ndarray
     test_edges: np.ndarray
     edge_set: set[tuple[int, int]]
 
@@ -150,23 +148,24 @@ def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) -> ClientData:
     rng = np.random.default_rng([seed & 0xFFFFFFFF, cid, 0x5714])
     edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
-    train_n, val_n, test_n = _node_splits(graph.n, rng)
+    # the validation share stays held out, unused, so train and test keep
+    # their sizes
+    train_n, _val_n, test_n = _node_splits(graph.n, rng)
     if task == "lp" and edges.shape[0] >= 1:
         perm = rng.permutation(edges.shape[0])
         a = max(1, int(0.7 * edges.shape[0]))
         b = max(a, int(0.85 * edges.shape[0]))
-        train_e, val_e, test_e = edges[perm[:a]], edges[perm[a:b]], edges[perm[b:]]
+        train_e, test_e = edges[perm[:a]], edges[perm[b:]]
         message_edges = [tuple(e) for e in train_e]
     else:
         train_e = edges
-        val_e = test_e = np.empty((0, 2), dtype=np.intp)
+        test_e = np.empty((0, 2), dtype=np.intp)
         message_edges = graph.edges
     caches = GraphCaches.build(graph, message_edges)
     edge_set = {(min(u, v), max(u, v)) for u, v in graph.edges}
     return ClientData(cid=cid, graph=graph, caches=caches,
-                      train_nodes=train_n, val_nodes=val_n, test_nodes=test_n,
-                      train_edges=train_e, val_edges=val_e, test_edges=test_e,
-                      edge_set=edge_set)
+                      train_nodes=train_n, test_nodes=test_n,
+                      train_edges=train_e, test_edges=test_e, edge_set=edge_set)
 
 
 def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
@@ -187,8 +186,7 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
 
 def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
                        model_cfg: ModelConfig, spec: TaskSpec, round_t: int,
-                       train_cfg: TrainConfig, seed: int,
-                       artificial_masks: bool = True) -> ClientRoundResult:
+                       train_cfg: TrainConfig, seed: int) -> ClientRoundResult:
     """Load the broadcast model, run the local epochs, return update + stats."""
     data = state.data
     store = state.store
@@ -199,16 +197,14 @@ def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
     last_masks: MaskSet | None = None
     breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    from .graphdata import sample_artificial_mask
-
     for epoch in range(max(1, train_cfg.local_epochs)):
         rng = np.random.default_rng(
             [seed & 0xFFFFFFFF, data.cid, round_t, epoch, _EPOCH_TAG])
-        if artificial_masks and not model_cfg.bypass_generation:
+        if model_cfg.bypass_generation:
+            masks = MaskSet.full_visibility(data.graph.natural_mask)
+        else:
             masks = sample_artificial_mask(data.graph.natural_mask,
                                            train_cfg.p_mask, rng)
-        else:
-            masks = MaskSet.full_visibility(data.graph.natural_mask)
 
         with Tape() as tape:
             bundle = forward_pass(store, model_cfg, data.graph, masks, round_t,
@@ -407,12 +403,9 @@ class FederationSetup:
 
 
 def make_client_states(graph: MultimodalGraph, partition: ClientPartition,
-                       natural_mask: np.ndarray, model_cfg: ModelConfig,
-                       task: str, seed: int) -> list[ClientState]:
+                       model_cfg: ModelConfig, task: str, seed: int
+                       ) -> list[ClientState]:
     states = []
-    graph.natural_mask[:] = natural_mask
-    for m, mod in enumerate(graph.modalities):
-        mod.features[natural_mask[:, m] == 0] = 0.0
     for cid, nodes in enumerate(partition.node_lists):
         sub = induced_subgraph(graph, nodes)
         data = build_client_data(cid, sub, task, seed)
@@ -425,7 +418,8 @@ def make_client_states(graph: MultimodalGraph, partition: ClientPartition,
 def run_federation(setup: FederationSetup) -> RoundHistory:
     """Synchronous rounds: broadcast, local training, aggregate, evaluate."""
     server = setup.server_cfg
-    history = RoundHistory(mode=server.mode, task=setup.task_spec.kind)
+    mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
+    history = RoundHistory(mode=mode, task=setup.task_spec.kind)
     global_params = init_params(setup.model_cfg, setup.seed).snapshot()
     num_clients = len(setup.clients)
 
@@ -500,8 +494,6 @@ def _collect_calibration(setup: FederationSetup,
     """Uncertainty vs normalized reconstruction error of the final global
     model. Masks are resampled every epoch during training, so the natural
     population is pooled over several fresh mask draws per client."""
-    from .graphdata import sample_artificial_mask
-
     cal_u: list[np.ndarray] = []
     cal_e: list[np.ndarray] = []
     if setup.model_cfg.bypass_generation:
@@ -560,6 +552,4 @@ def fedavg_zero_setup(setup: FederationSetup) -> FederationSetup:
 
 
 def fedavg_zero_baseline(setup: FederationSetup) -> RoundHistory:
-    history = run_federation(fedavg_zero_setup(setup))
-    history.mode = "fedavg-zero"
-    return history
+    return run_federation(fedavg_zero_setup(setup))

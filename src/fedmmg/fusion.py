@@ -34,12 +34,11 @@ def estimate_uncertainty(params: ParamStore, generated: Tensor, excl_flat: Tenso
 
 def route(params: ParamStore, eff_flat: np.ndarray, uncertainty: Tensor,
           rho_nodes: np.ndarray, rho_client: float, temperature: float,
-          m_count: int, uniform_floor: float = 0.0) -> Tensor:
+          m_count: int) -> Tensor:
     """Observed/recovered weights from visibility, uncertainty, missing ratios."""
     if temperature <= 0:
         raise ValueError("router temperature must be positive")
     g_count = eff_flat.size
-    n = g_count // m_count
     rho_tiled = np.tile(rho_nodes.reshape(-1, 1), (m_count, 1))
     feats = nx.concat([
         const(eff_flat.reshape(-1, 1)),
@@ -47,13 +46,8 @@ def route(params: ParamStore, eff_flat: np.ndarray, uncertainty: Tensor,
         const(rho_tiled),
         const(np.full((g_count, 1), rho_client)),
     ], axis=1)
-    weights = nx.softmax(_mlp2(params, "router", feats), axis=-1,
-                         temperature=temperature)
-    if uniform_floor > 0.0:
-        # keep the simplex: w' = (1 - E*floor) * w + floor
-        weights = nx.add(nx.scale(weights, 1.0 - 2.0 * uniform_floor),
-                         const(np.full((g_count, 2), uniform_floor)))
-    return weights
+    return nx.softmax(_mlp2(params, "router", feats), axis=-1,
+                      temperature=temperature)
 
 
 def expert_mix(params: ParamStore, raw_flat: Tensor, generated: Tensor,
@@ -128,8 +122,7 @@ def routing_loss(uncertainty: Tensor, norm_err_flat: np.ndarray,
 
 
 def fuse(params: ParamStore, expert_flat: Tensor, uncertainty: Tensor,
-         rho_nodes: np.ndarray, struct_repr: Tensor, m_count: int,
-         uncertainty_clamp: float | None = None
+         rho_nodes: np.ndarray, struct_repr: Tensor, m_count: int
          ) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Reliability-weighted modality fusion with a structural fallback gate.
 
@@ -147,11 +140,7 @@ def fuse(params: ParamStore, expert_flat: Tensor, uncertainty: Tensor,
     combined = nx.sum_axis(nx.mul(rel, f3), 0)                 # [N, d]
 
     mean_u = nx.scale(nx.sum_axis(u3, 0), 1.0 / m_count)       # [N, 1]
-    gate_u = mean_u
-    if uncertainty_clamp is not None:
-        # optional cap on the uncertainty penalty entering the gate
-        gate_u = const(np.minimum(mean_u.data, uncertainty_clamp))
-    gate_in = nx.concat([const(rho_nodes.reshape(-1, 1)), gate_u], axis=1)
+    gate_in = nx.concat([const(rho_nodes.reshape(-1, 1)), mean_u], axis=1)
     alpha = nx.sigmoid(nx.linear(gate_in, params["fallback.w"], params["fallback.b"]))
 
     e_struct = nx.relu(nx.linear(struct_repr, params["expert.struct.w"],

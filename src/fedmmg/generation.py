@@ -100,23 +100,17 @@ def build_query(params: ParamStore, excl_flat: Tensor, eff: np.ndarray,
     return nx.linear(q_in, params["gen.query.w"], params["gen.query.b"])
 
 
-def warmup_coefficient(round_t: int, warmup_rounds: int,
-                       clamp: tuple[float, float] | None = None) -> float:
-    """Linear schedule min(1, t / T_w); optional clamping is off by default."""
+def warmup_coefficient(round_t: int, warmup_rounds: int) -> float:
+    """Linear schedule min(1, t / T_w)."""
     if warmup_rounds <= 0:
-        gamma = 1.0
-    else:
-        gamma = min(1.0, round_t / warmup_rounds)
-    if clamp is not None:
-        gamma = min(max(gamma, clamp[0]), clamp[1])
-    return gamma
+        return 1.0
+    return min(1.0, round_t / warmup_rounds)
 
 
 def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                         contexts: list[Tensor], excl_flat: Tensor,
                         anchor_flat: Tensor, round_t: int, warmup_rounds: int,
-                        heads: int, gamma_clamp: tuple[float, float] | None = None
-                        ) -> tuple[Tensor, float, np.ndarray]:
+                        heads: int) -> tuple[Tensor, float, np.ndarray]:
     """Gated mixture of attended evidence, self context, and anchors.
 
     Empty banks force the gate to zero so those cells use the pure
@@ -138,7 +132,7 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     usable = const((1.0 - banks.empty).reshape(-1, 1))
     gate = nx.mul(gate, usable)
 
-    gamma = warmup_coefficient(round_t, warmup_rounds, gamma_clamp)
+    gamma = warmup_coefficient(round_t, warmup_rounds)
     one = const(np.ones((1, 1)))
     warmed = nx.add(nx.mul(gate, evidence), nx.mul(nx.sub(one, gate), self_ctx))
     anchored = nx.matmul(anchor_flat, params["gen.anchor_proj.w"])

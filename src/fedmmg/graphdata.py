@@ -46,40 +46,34 @@ class MultimodalGraph:
     pairs: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
+        seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise ValueError(f"edge ({u}, {v}) listed twice")
+            seen.add(key)
         if self.natural_mask.shape != (self.n, self.num_modalities):
             raise ValueError("natural mask shape mismatch")
-        for m, mod in enumerate(self.modalities):
+        for mod in self.modalities:
             if mod.features.shape != (self.n, mod.dim):
                 raise ValueError(f"feature shape mismatch for modality {mod.name}")
             if not np.isfinite(mod.features).all():
                 raise ValueError(f"non-finite features in modality {mod.name}")
-            absent = self.natural_mask[:, m] == 0
-            mod.features[absent] = 0.0
+        self.set_natural_mask(self.natural_mask)
 
     @property
     def num_modalities(self) -> int:
         return len(self.modalities)
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+    def set_natural_mask(self, mask: np.ndarray) -> None:
+        """Install ``mask`` as the natural mask and zero the absent rows."""
+        self.natural_mask[:] = mask
+        for m, mod in enumerate(self.modalities):
+            mod.features[self.natural_mask[:, m] == 0] = 0.0
 
 
 @dataclass
@@ -114,10 +108,9 @@ class MaskSet:
 
 @dataclass
 class ClientPartition:
-    """Disjoint node cover plus the induced per-client edge lists."""
+    """Disjoint node cover: one sorted node list per client."""
 
     node_lists: list[list[int]]
-    edge_lists: list[list[tuple[int, int]]]
 
     @property
     def num_clients(self) -> int:
@@ -227,12 +220,8 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
     else:
         raise RuntimeError("could not draw a partition covering every client")
 
-    node_lists = [sorted(np.flatnonzero(assign == k).tolist()) for k in range(clients)]
-    edge_lists: list[list[tuple[int, int]]] = []
-    for nodes in node_lists:
-        members = set(nodes)
-        edge_lists.append([(u, v) for u, v in graph.edges if u in members and v in members])
-    return ClientPartition(node_lists=node_lists, edge_lists=edge_lists)
+    return ClientPartition(
+        node_lists=[sorted(np.flatnonzero(assign == k).tolist()) for k in range(clients)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +284,10 @@ def sample_artificial_mask(natural: np.ndarray, p_mask: float,
     return MaskSet(natural=natural, keep=keep)
 
 
-def missing_ratios(masks: MaskSet, partition: ClientPartition | None = None
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-node and (optionally) per-client fractions of invisible modalities."""
+def missing_ratios(masks: MaskSet) -> np.ndarray:
+    """Per-node fraction of modalities invisible under the effective mask."""
     m = masks.effective.shape[1]
-    rho_nodes = (m - masks.effective.sum(axis=1)) / m
-    rho_clients = None
-    if partition is not None:
-        rho_clients = np.array([rho_nodes[nodes].mean() for nodes in partition.node_lists])
-    return rho_nodes, rho_clients
+    return (m - masks.effective.sum(axis=1)) / m
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +359,9 @@ def load_graph(path: str) -> MultimodalGraph:
         pairs = None if doc.get("pairs") is None else [(int(a), int(b)) for a, b in doc["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFileError(f"malformed graph file {path!r}: {exc}") from exc
+    if mask.shape != (n, len(mods)):
+        raise GraphFileError(f"natural_mask in {path!r} has shape {mask.shape}, "
+                             f"expected ({n}, {len(mods)})")
     for m_idx, mod in enumerate(mods):
         bad = (mask[:, m_idx] == 0) & np.any(mod.features != 0.0, axis=1)
         if bad.any():

@@ -9,13 +9,13 @@ conv stack, mean fusion, refinement, task heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import encoding, fusion, generation
 from . import numerics as nx
-from .graphdata import MaskSet, MultimodalGraph
+from .graphdata import MaskSet, MultimodalGraph, missing_ratios
 from .numerics import ParamStore, Tensor, const, glorot, param_rng
 
 
@@ -33,10 +33,6 @@ class ModelConfig:
     num_classes: int | None = None
     bypass_generation: bool = False
     lambda_bal: float = 0.5
-    gamma_clamp: tuple[float, float] | None = None
-    entropy_anchor_weights: bool = False
-    uncertainty_clamp: float | None = None
-    uniform_floor: float = 0.0
 
     def __post_init__(self):
         if self.hidden_dim % self.heads:
@@ -79,7 +75,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
         _add_linear(store, seed, f"adapter.{name}", d, d)
         store.add(f"anchor.null.{name}", np.zeros(d))
 
-    for layer in (1, 2):
+    for layer in range(1, cfg.gnn_layers + 1):
         for prefix in ("gnn", "strenc"):
             rng = param_rng(seed, f"{prefix}.l{layer}")
             store.add(f"{prefix}.l{layer}.w_self", glorot(rng, d, d))
@@ -174,14 +170,12 @@ class ForwardBundle:
     rec_loss: Tensor
     align_loss: Tensor
     route_loss: Tensor
-    unc_loss_value: float
-    bal_loss_value: float
     gamma: float
     cell_errors: np.ndarray | None
     norm_err: np.ndarray | None
+    rho_nodes: np.ndarray
+    rho_client: float
     raw_cells: np.ndarray | None = None
-    rho_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    rho_client: float = 0.0
     reliability: np.ndarray | None = None
     alpha_fb: np.ndarray | None = None
 
@@ -205,8 +199,7 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     anchors, contexts = [], []
     for m, (name, _dim) in enumerate(cfg.modalities):
         anchor, _flags = encoding.structural_anchor(
-            params, name, raw[m], caches.adjacency, eff[:, m], caches.degrees,
-            cfg.entropy_anchor_weights)
+            params, name, raw[m], caches.adjacency, eff[:, m])
         anchors.append(anchor)
         contexts.append(encoding.graph_context(
             params, name, raw[m], anchor, eff[:, m], caches.neigh_mat,
@@ -225,29 +218,28 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     queries = generation.build_query(params, excl_flat, eff, m_count)
     generated, gamma, _att = generation.generate_modalities(
         params, queries, banks, contexts, excl_flat, anchor_flat,
-        round_t, cfg.warmup_rounds, cfg.heads, cfg.gamma_clamp)
+        round_t, cfg.warmup_rounds, cfg.heads)
 
     cell_err = generation.squared_cell_errors(
         generated, raw_flat, frozen.raw_targets if frozen else None)
     rec_loss = generation.reconstruction_loss(cell_err, recon_flat)
     align_loss = generation.alignment_loss(params, raw_flat, generated, eff)
 
-    rho_nodes = (m_count - eff.sum(axis=1)) / m_count
+    rho_nodes = missing_ratios(masks)
     rho_client = float(rho_nodes.mean())
 
     uncertainty = fusion.estimate_uncertainty(params, generated, excl_flat,
                                               anchor_flat, eff_flat)
     weights = fusion.route(params, eff_flat, uncertainty, rho_nodes, rho_client,
-                           cfg.router_temperature, m_count, cfg.uniform_floor)
+                           cfg.router_temperature, m_count)
     norm_err = frozen.norm_err if frozen else fusion.normalized_errors(
         cell_err.data.reshape(-1), recon_flat, m_count)
-    route_loss, unc_loss, bal_loss = fusion.routing_loss(
+    route_loss, _unc_loss, _bal_loss = fusion.routing_loss(
         uncertainty, norm_err, recon_flat, weights, cfg.lambda_bal)
 
     expert_flat = fusion.expert_mix(params, raw_flat, generated, weights, eff_flat)
     fused, reliability, alpha_fb = fusion.fuse(
-        params, expert_flat, uncertainty, rho_nodes, struct_repr, m_count,
-        cfg.uncertainty_clamp)
+        params, expert_flat, uncertainty, rho_nodes, struct_repr, m_count)
 
     from .tasks import refine  # local import avoids a module cycle
     refined = refine(params, fused, caches.neigh_mat)
@@ -256,7 +248,6 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
         refined=refined, expert_flat=expert_flat, generated=generated,
         uncertainty=uncertainty, route_weights=weights,
         rec_loss=rec_loss, align_loss=align_loss, route_loss=route_loss,
-        unc_loss_value=float(unc_loss.data), bal_loss_value=float(bal_loss.data),
         gamma=gamma, cell_errors=cell_err.data.reshape(-1).copy(),
         norm_err=norm_err, raw_cells=raw_flat.data.copy(),
         rho_nodes=rho_nodes, rho_client=rho_client,
@@ -284,11 +275,10 @@ def _forward_bypass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph
     refined = refine(params, fused, caches.neigh_mat)
 
     zero = const(np.asarray(0.0))
-    rho_nodes = (m_count - eff.sum(axis=1)) / m_count
+    rho_nodes = missing_ratios(masks)
     return ForwardBundle(
         refined=refined, expert_flat=_flat_cells(contexts), generated=None,
         uncertainty=None, route_weights=None,
-        rec_loss=zero, align_loss=zero, route_loss=zero,
-        unc_loss_value=0.0, bal_loss_value=0.0, gamma=0.0,
+        rec_loss=zero, align_loss=zero, route_loss=zero, gamma=0.0,
         cell_errors=None, norm_err=None,
         rho_nodes=rho_nodes, rho_client=float(rho_nodes.mean()))

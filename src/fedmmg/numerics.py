@@ -107,9 +107,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -277,16 +274,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - data * data))
-
-    return _result(data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:

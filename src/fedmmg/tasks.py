@@ -147,18 +147,11 @@ def sample_hard_negatives(refined_detached: np.ndarray, n_nodes: int,
     return pool[np.sort(order)]
 
 
-def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
-                 edge_set: set[tuple[int, int]], n_nodes: int,
-                 spec: TaskSpec, rng: np.random.Generator) -> Tensor:
-    """Composite of BCE, pairwise-rank, and margin losses over hard negatives."""
-    if pos_pairs.shape[0] == 0:
-        raise ValueError("link prediction batch contains no positive edges")
+def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
+                 spec: TaskSpec) -> Tensor:
+    """Composite of BCE, pairwise-rank, and margin losses; row b of
+    ``neg_pairs`` is ranked against row b of ``pos_pairs``."""
     batch = pos_pairs.shape[0]
-    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, edge_set, spec, rng)
-    if neg_pairs.shape[0] < batch:
-        reps = -(-batch // neg_pairs.shape[0])
-        neg_pairs = np.tile(neg_pairs, (reps, 1))[:batch]
-
     s_pos = lp_scores(refined, pos_pairs)
     s_neg = lp_scores(refined, neg_pairs)
     targets = const(np.concatenate([np.ones((batch, 1)), np.zeros((batch, 1))]))
@@ -172,6 +165,20 @@ def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
     total = nx.scale(bce, spec.lp_bce_weight)
     total = nx.add(total, nx.scale(bpr, spec.lp_bpr_weight))
     return nx.add(total, nx.scale(margin, spec.lp_margin_weight))
+
+
+def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
+                 edge_set: set[tuple[int, int]], n_nodes: int,
+                 spec: TaskSpec, rng: np.random.Generator) -> Tensor:
+    """``lp_pair_loss`` against one hard negative per positive edge."""
+    if pos_pairs.shape[0] == 0:
+        raise ValueError("link prediction batch contains no positive edges")
+    batch = pos_pairs.shape[0]
+    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, edge_set, spec, rng)
+    if neg_pairs.shape[0] < batch:
+        reps = -(-batch // neg_pairs.shape[0])
+        neg_pairs = np.tile(neg_pairs, (reps, 1))[:batch]
+    return lp_pair_loss(refined, pos_pairs, neg_pairs, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import metrics as metrics_impl
-from . import numerics as nx
 from . import tasks as task_ops
 from .fusion import monte_carlo_bound_check
 from .graphdata import MaskSet, Modality, MultimodalGraph
@@ -76,19 +75,7 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
         else:
             pos = np.asarray(graph.edges[:3], dtype=np.intp)
             neg = np.array([[0, 4], [1, 5], [2, 5]], dtype=np.intp)
-            s_pos = task_ops.lp_scores(bundle.refined, pos)
-            s_neg = task_ops.lp_scores(bundle.refined, neg)
-            diff = nx.sub(s_pos, s_neg)
-            task = nx.add(
-                nx.scale(nx.mean(nx.sub(nx.softplus(nx.concat([s_pos, s_neg], 0)),
-                                        nx.mul(nx.const(np.concatenate(
-                                            [np.ones((3, 1)), np.zeros((3, 1))])),
-                                            nx.concat([s_pos, s_neg], 0)))),
-                         spec.lp_bce_weight),
-                nx.add(nx.scale(nx.mean(nx.softplus(nx.neg(diff))), spec.lp_bpr_weight),
-                       nx.scale(nx.mean(nx.relu(nx.sub(
-                           nx.const(np.full((3, 1), spec.lp_margin)), diff))),
-                           spec.lp_margin_weight)))
+            task = task_ops.lp_pair_loss(bundle.refined, pos, neg, spec)
         total, _ = task_ops.local_objective(spec, task, bundle.rec_loss,
                                             bundle.align_loss, bundle.route_loss)
         return total

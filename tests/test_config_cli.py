@@ -1,14 +1,43 @@
 """Config parsing/validation and the command-line surface."""
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmmg.cli import main
-from fedmmg.config import (ConfigError, ExperimentConfig, parse_config,
-                           validate_config)
+from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
+                           FederationSection, MissingnessSection, ModelSection,
+                           assemble_run, parse_config, validate_config)
+from fedmmg.graphdata import load_graph
+
+# JSON values of every shape, plus values of the right type near the ranges
+# validate_config checks, so documents reach both the type and range checks.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_VALUE = (st.integers(-3, 300) | st.floats(-1.0, 2.0)
+          | st.sampled_from(["sbm", "file", "node", "mixed", "fedavg", "nc", "mr"])
+          | st.lists(st.floats(0.0, 1.0), max_size=4) | _JSON)
+
+
+def _section_docs(cls):
+    keys = st.sampled_from([f.name for f in dataclasses.fields(cls)])
+    return st.dictionaries(keys, _VALUE, max_size=4) | _JSON
+
+
+_DOCS = _JSON | st.fixed_dictionaries({}, optional={
+    "seed": _VALUE, "task": _VALUE, "out": _VALUE,
+    "data": _section_docs(DataSection),
+    "missingness": _section_docs(MissingnessSection),
+    "federation": _section_docs(FederationSection),
+    "model": _section_docs(ModelSection)})
 
 
 class TestConfigDefaults:
@@ -33,13 +62,6 @@ class TestConfigDefaults:
 
     def test_no_file_same_as_empty(self):
         assert parse_config(None).to_dict() == ExperimentConfig().to_dict()
-
-    def test_optional_hooks_off_by_default(self):
-        cfg = parse_config(None)
-        assert cfg.model.gamma_clamp is None
-        assert cfg.model.entropy_anchor_weights is False
-        assert cfg.model.uncertainty_clamp is None
-        assert cfg.model.uniform_floor == 0.0
 
 
 class TestConfigValidation:
@@ -76,6 +98,29 @@ class TestConfigValidation:
         path.write_text(json.dumps(cfg.to_dict()))
         again = parse_config(str(path))
         assert again.to_dict() == cfg.to_dict()
+
+    def test_wrong_type_rejected_before_range(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"hidden_dim": "32"}}))
+        with pytest.raises(ConfigError, match="model.hidden_dim"):
+            parse_config(str(path))
+
+    def test_bool_is_not_a_number_but_int_is_a_float(self):
+        with pytest.raises(ConfigError, match="federation.clients"):
+            parse_config(None, {"federation.clients": True})
+        assert parse_config(None, {"data.p_in": 1}).data.p_in == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCS)
+    def test_any_json_document_parses_or_raises_config_error(
+            self, doc, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = parse_config(str(path))
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
     def test_invalid_mode_strings(self):
         cfg = ExperimentConfig()
@@ -157,6 +202,96 @@ class TestCli:
         for row in rows:
             for field in row.split(","):
                 assert np.isfinite(float(field))
+
+    def test_per_round_timings_on_stderr(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        doc = _small_cfg_doc()
+        doc["federation"]["rounds"] = 3
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        rounds = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("round ")]
+        assert [line.split(":")[0] for line in rounds] == \
+            ["round 0", "round 1", "round 2"]
+        assert all(line.endswith(" ms") for line in rounds)
+
+    def test_wrong_type_exits_one_without_traceback(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"model": {"hidden_dim": "32"}}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "model.hidden_dim" in err
+
+    @staticmethod
+    def _graph_file(tmp_path, edit):
+        """A generated graph file changed by ``edit``, and a config using it."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        target = tmp_path / "graph.json"
+        assert main(["gen-data", "--config", str(cfg_path),
+                     "--out", str(target)]) == 0
+        doc = json.loads(target.read_text())
+        edit(doc)
+        target.write_text(json.dumps(doc))
+        run_doc = _small_cfg_doc()
+        run_doc["data"] = {"kind": "file", "path": str(target)}
+        cfg_path.write_text(json.dumps(run_doc))
+        return cfg_path
+
+    def test_one_dimensional_mask_file_exits_one(self, tmp_path, capsys):
+        def flatten(doc):
+            doc["natural_mask"] = [row[0] for row in doc["natural_mask"]]
+        cfg_path = self._graph_file(tmp_path, flatten)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "natural_mask" in err
+
+    def test_retrieval_on_one_modality_exits_one(self, tmp_path, capsys):
+        def drop_txt(doc):
+            doc["modalities"] = doc["modalities"][:1]
+            doc["natural_mask"] = [row[:1] for row in doc["natural_mask"]]
+        cfg_path = self._graph_file(tmp_path, drop_txt)
+        assert main(["run", "--config", str(cfg_path), "--task", "mr",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "two modalities" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_classification_without_labels_exits_one(self, tmp_path, capsys):
+        def drop_labels(doc):
+            doc["labels"] = None
+        cfg_path = self._graph_file(tmp_path, drop_labels)
+        assert main(["run", "--config", str(cfg_path), "--task", "nc"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "labels" in err
+
+    def test_gen_data_and_run_build_the_same_data(self, tmp_path):
+        # one graph, mask and zeroed features, whether run builds them from
+        # the config or reads the file gen-data wrote from the same config
+        doc = _small_cfg_doc()
+        doc["missingness"] = {"mode": "mixed", "rate": 0.5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        target = tmp_path / "graph.json"
+        assert main(["gen-data", "--config", str(cfg_path),
+                     "--out", str(target)]) == 0
+        saved = load_graph(str(target))
+        assert (saved.natural_mask == 0).any()
+        doc["data"] = {"kind": "file", "path": str(target)}
+        file_path = tmp_path / "cfg-file.json"
+        file_path.write_text(json.dumps(doc))
+        built = assemble_run(parse_config(str(cfg_path))).setup.clients
+        loaded = assemble_run(parse_config(str(file_path))).setup.clients
+        assert len(built) == len(loaded) == 2
+        for a, b in zip(built, loaded):
+            ga, gb = a.data.graph, b.data.graph
+            assert ga.edges == gb.edges
+            np.testing.assert_array_equal(ga.natural_mask, gb.natural_mask)
+            for m, (ma, mb) in enumerate(zip(ga.modalities, gb.modalities)):
+                np.testing.assert_array_equal(ma.features, mb.features)
+                assert (ma.features[ga.natural_mask[:, m] == 0] == 0).all()
 
     def test_validation_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -65,8 +65,7 @@ class TestStructuralAnchor:
     def test_uniform_mean_of_visible_neighbors(self):
         adjacency = [[1, 2], [0], [0]]
         embed = const(np.array([[9.0, 9.0], [1.0, 0.0], [3.0, 0.0]]))
-        coeff, flags = encoding.anchor_coefficients(adjacency, np.array([1.0, 1.0, 1.0]),
-                                                    np.array([2, 1, 1]))
+        coeff, flags = encoding.anchor_coefficients(adjacency, np.array([1.0, 1.0, 1.0]))
         anchor = (coeff @ embed.data)
         np.testing.assert_allclose(anchor[0], [2.0, 0.0], atol=1e-9)
         assert flags[0] == 0.0
@@ -87,7 +86,7 @@ class TestStructuralAnchor:
         eff[0] = 0.0  # hub invisible => leaves have no visible neighbor
         raw = const(np.random.default_rng(3).normal(size=(graph.n, 8)))
         anchor, flags = encoding.structural_anchor(
-            params, "img", raw, graph.adjacency(), eff, graph.degrees())
+            params, "img", raw, GraphCaches.build(graph).adjacency, eff)
         assert flags[1] == 1.0
         np.testing.assert_allclose(anchor.data[1], np.arange(8.0))
 
@@ -96,19 +95,18 @@ class TestStructuralAnchor:
         graph = star_graph()
         raw = rng.normal(size=(graph.n, 3))
         eff = np.ones(graph.n)
-        coeff, flags = encoding.anchor_coefficients(graph.adjacency(), eff,
-                                                    graph.degrees())
+        adjacency = GraphCaches.build(graph).adjacency
+        coeff, flags = encoding.anchor_coefficients(adjacency, eff)
         anchor = coeff @ raw
         for i in range(graph.n):
             if flags[i]:
                 continue
-            neigh = graph.adjacency()[i]
+            neigh = adjacency[i]
             lo, hi = raw[neigh].min(axis=0), raw[neigh].max(axis=0)
             assert (anchor[i] >= lo - 1e-9).all() and (anchor[i] <= hi + 1e-9).all()
 
     def test_isolated_node_is_flagged(self):
-        coeff, flags = encoding.anchor_coefficients([[1], [0], []],
-                                                    np.ones(3), np.array([1, 1, 0]))
+        coeff, flags = encoding.anchor_coefficients([[1], [0], []], np.ones(3))
         assert flags[2] == 1.0
         np.testing.assert_array_equal(coeff[2], 0.0)
 

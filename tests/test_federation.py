@@ -141,10 +141,10 @@ class TestClientRound:
             np.testing.assert_array_equal(value, global_params[name])
 
     @staticmethod
-    def _missing_ratio_and_hand_count(artificial_masks):
+    def _missing_ratio_and_hand_count(p_mask):
         cfg = small_experiment(rounds=1)
         cfg.missingness.rate = 0.4
-        cfg.missingness.p_mask = 0.3
+        cfg.missingness.p_mask = p_mask
         asm = assemble_run(cfg)
         from fedmmg.federation import client_local_round
         from fedmmg.model import init_params
@@ -152,17 +152,16 @@ class TestClientRound:
         global_params = init_params(asm.setup.model_cfg, cfg.seed).snapshot()
         result = client_local_round(state, global_params, asm.setup.model_cfg,
                                     asm.setup.task_spec, 0,
-                                    asm.setup.train_cfg, cfg.seed,
-                                    artificial_masks=artificial_masks)
+                                    asm.setup.train_cfg, cfg.seed)
         natural = state.data.graph.natural_mask
         return result.stats.missing_ratio, (natural == 0).sum() / natural.size
 
     def test_missing_ratio_matches_hand_count(self):
-        rho, hand = self._missing_ratio_and_hand_count(artificial_masks=False)
+        rho, hand = self._missing_ratio_and_hand_count(p_mask=0.0)
         np.testing.assert_allclose(rho, hand, atol=1e-12)
 
     def test_missing_ratio_ignores_artificial_masking(self):
-        rho, hand = self._missing_ratio_and_hand_count(artificial_masks=True)
+        rho, hand = self._missing_ratio_and_hand_count(p_mask=0.3)
         np.testing.assert_allclose(rho, hand, atol=1e-12)
 
     def test_stats_in_unit_interval(self):
@@ -276,6 +275,17 @@ class TestFedAvgZero:
         for name in h_bypass.final_params:
             np.testing.assert_allclose(h_bypass.final_params[name],
                                        h_zero.final_params[name], atol=1e-9)
+
+    @pytest.mark.parametrize("task", ["nc", "lp"])
+    def test_config_mode_matches_baseline_function(self, task):
+        cfg_zero = small_experiment(rounds=2, **{"federation.mode": "fedavg-zero"})
+        cfg_rel = small_experiment(rounds=2)
+        cfg_zero.task = cfg_rel.task = task
+        h_cfg = run_federation(assemble_run(cfg_zero).setup)
+        h_fn = fedavg_zero_baseline(assemble_run(cfg_rel).setup)
+        assert h_cfg.mode == h_fn.mode == "fedavg-zero"
+        assert [r.to_json_dict() for r in h_cfg.records] == \
+            [r.to_json_dict() for r in h_fn.records]
 
     def test_deterministic(self):
         cfg = small_experiment(rounds=2)

@@ -84,11 +84,6 @@ class TestWarmup:
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_optional_clamp(self):
-        assert warmup_coefficient(0, 30, clamp=(0.55, 0.78)) == 0.55
-        assert warmup_coefficient(90, 30, clamp=(0.55, 0.78)) == 0.78
-        assert warmup_coefficient(0, 30) == 0.0  # off by default
-
 
 def _forward(graph, masks, cfg, seed, round_t, rng_seed=99):
     params = init_params(cfg, seed)
@@ -111,8 +106,7 @@ class TestGeneration:
         for m, (name, _d) in enumerate(cfg.modalities):
             anc, _ = encoding.structural_anchor(params, name, raw[m],
                                                 GraphCaches.build(graph).adjacency,
-                                                masks.effective[:, m],
-                                                graph.degrees())
+                                                masks.effective[:, m])
             expected.append(anc.data @ params["gen.anchor_proj.w"].data)
         np.testing.assert_allclose(bundle.generated.data,
                                    np.vstack(expected), atol=1e-12)
@@ -215,11 +209,12 @@ class TestSelfLeakage:
 
     def test_bank_has_no_target_tag_for_any_cell(self):
         graph = star_graph(seed=24)
+        adjacency = GraphCaches.build(graph).adjacency
         eff = np.ones((graph.n, 2))
         rng = np.random.default_rng(24)
         for m in range(2):
             for i in range(graph.n):
-                bank = build_context_bank(i, m, graph.adjacency(), eff, 16, rng)
+                bank = build_context_bank(i, m, adjacency, eff, 16, rng)
                 assert all(tag != (i, m) for tag in bank.tokens)
 
 

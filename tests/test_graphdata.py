@@ -12,6 +12,7 @@ from fedmmg.graphdata import (GraphFileError, MaskSet, MissingnessConfig,
                               generate_sbm_multimodal, induced_subgraph,
                               load_graph, missing_ratios, partition_dirichlet,
                               sample_artificial_mask, save_graph)
+from fedmmg.model import GraphCaches
 
 
 class TestMaskAlgebra:
@@ -49,7 +50,7 @@ class TestSBM:
     def test_two_isolated_cliques(self):
         g = generate_sbm_multimodal(2, 5, p_in=1.0, p_out=0.0, d_img=8,
                                     d_txt=6, noise=0.1, seed=3)
-        adj = g.adjacency()
+        adj = GraphCaches.build(g).adjacency
         for i in range(10):
             block = set(range(5)) if i < 5 else set(range(5, 10))
             assert set(adj[i]) == block - {i}
@@ -102,7 +103,7 @@ class TestPartition:
         g = generate_sbm_multimodal(2, 6, 0.4, 0.1, d_img=4, d_txt=4, seed=0)
         part = partition_dirichlet(g, 1, alpha=0.5, seed=0)
         assert part.node_lists[0] == list(range(g.n))
-        assert len(part.edge_lists[0]) == len(g.edges)
+        assert len(induced_subgraph(g, part.node_lists[0]).edges) == len(g.edges)
 
     def test_disjoint_cover(self):
         g = generate_sbm_multimodal(4, 25, 0.3, 0.05, d_img=4, d_txt=4, seed=1)
@@ -126,9 +127,11 @@ class TestPartition:
     def test_induced_edges_stay_internal(self):
         g = generate_sbm_multimodal(3, 20, 0.3, 0.1, d_img=4, d_txt=4, seed=3)
         part = partition_dirichlet(g, 3, alpha=0.5, seed=3)
-        for nodes, edges in zip(part.node_lists, part.edge_lists):
+        for nodes in part.node_lists:
             members = set(nodes)
-            assert all(u in members and v in members for u, v in edges)
+            internal = [(u, v) for u, v in g.edges if u in members and v in members]
+            sub = induced_subgraph(g, nodes)
+            assert sorted((nodes[u], nodes[v]) for u, v in sub.edges) == internal
 
     def test_too_many_clients_rejected(self):
         g = generate_sbm_multimodal(2, 2, 0.5, 0.1, d_img=4, d_txt=4, seed=4)
@@ -174,12 +177,8 @@ class TestMissingness:
     def test_missing_ratio_hand_cases(self):
         natural = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         masks = MaskSet.full_visibility(natural)
-        rho_nodes, _ = missing_ratios(masks)
+        rho_nodes = missing_ratios(masks)
         np.testing.assert_allclose(rho_nodes, [0.0, 0.5, 1.0])
-        from fedmmg.graphdata import ClientPartition
-        part = ClientPartition(node_lists=[[0, 1, 2]], edge_lists=[[]])
-        _, rho_clients = missing_ratios(masks, part)
-        np.testing.assert_allclose(rho_clients, [0.5])
         assert ((rho_nodes >= 0) & (rho_nodes <= 1)).all()
 
     def test_artificial_mask_resamples_between_draws(self):
@@ -194,10 +193,7 @@ class TestGraphIO:
     def _graph(self):
         g = generate_sbm_multimodal(2, 4, 0.5, 0.1, d_img=3, d_txt=2,
                                     noise=0.7, seed=9)
-        mask = apply_natural_missingness(g, MissingnessConfig(rate=0.4, seed=9))
-        g.natural_mask[:] = mask
-        for m, mod in enumerate(g.modalities):
-            mod.features[mask[:, m] == 0] = 0.0
+        g.set_natural_mask(apply_natural_missingness(g, MissingnessConfig(rate=0.4, seed=9)))
         return g
 
     def test_round_trip_is_exact(self, tmp_path):
@@ -244,6 +240,30 @@ class TestGraphIO:
         with pytest.raises(GraphFileError, match="missing"):
             load_graph(path)
 
+    def test_one_dimensional_mask_rejected(self, tmp_path):
+        g = self._graph()
+        path = str(tmp_path / "graph.json")
+        save_graph(g, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["natural_mask"] = [row[0] for row in doc["natural_mask"]]
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(GraphFileError, match="natural_mask"):
+            load_graph(path)
+
+    def test_duplicate_edge_rejected(self, tmp_path):
+        g = self._graph()
+        path = str(tmp_path / "graph.json")
+        save_graph(g, path)
+        with open(path) as fh:
+            doc = json.load(fh)
+        doc["edges"].append(doc["edges"][0])
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(GraphFileError, match="listed twice"):
+            load_graph(path)
+
     def test_empty_edge_list_is_legal(self, tmp_path):
         g = MultimodalGraph(
             n=3, edges=[],
@@ -253,6 +273,27 @@ class TestGraphIO:
         path = str(tmp_path / "empty.json")
         save_graph(g, path)
         assert load_graph(path).edges == []
+
+
+class TestDuplicateEdges:
+    @staticmethod
+    def _graph(edges):
+        return MultimodalGraph(
+            n=3, edges=edges,
+            modalities=[Modality("img", 2, np.ones((3, 2)))],
+            labels=None, natural_mask=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 2), (1, 0)]])
+    def test_pair_listed_twice_rejected(self, edges):
+        with pytest.raises(ValueError, match="listed twice"):
+            self._graph(edges)
+
+    def test_adjacency_agrees_with_neighbor_matrix(self):
+        caches = GraphCaches.build(self._graph([(0, 1), (2, 0)]))
+        assert caches.adjacency == [[1, 2], [0], [0]]
+        np.testing.assert_array_equal(caches.degrees, [2, 1, 1])
+        np.testing.assert_array_equal((caches.neigh_mat.data != 0).sum(axis=1),
+                                      caches.degrees)
 
 
 class TestInducedSubgraph:
