@@ -131,7 +131,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         history = run_federation(assembly.setup)
         out_dir = cfg.out or "out"
         write_outputs(out_dir, cfg, history, assembly.missing_fraction)
-    except FederationAborted as exc:
+    except (FederationAborted, ValueError) as exc:
+        # the configuration was accepted above; anything raised now is the
+        # run's own failure
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
     for rec, ms in zip(history.records, history.timings_ms):

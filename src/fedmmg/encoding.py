@@ -34,47 +34,35 @@ def encode_modalities(params: ParamStore, graph, natural: np.ndarray) -> list[Te
             for m, mod in enumerate(graph.modalities)]
 
 
-def anchor_coefficients(adjacency: list[list[int]], eff_col: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Constant mixing matrix C and no-visible-neighbor flags for one modality.
+def anchor_coefficients(neigh_mat: nx.CSRMatrix, eff_col: np.ndarray
+                        ) -> tuple[nx.CSRMatrix, np.ndarray]:
+    """Constant mixing weights C and no-visible-neighbor flags for one modality.
 
-    Row i of C holds eff_j / (sum_j eff_j + eps) over the neighbors j of i:
-    the uniform mean of the visible neighbors. Rows are (sub-)convex
-    combinations.
+    C has the pattern of ``neigh_mat``: entry (i, j) holds
+    a_ij eff_j / (sum_j a_ij eff_j + eps) with a_ij the uniform neighbor
+    weight, i.e. the mean of the visible neighbors. Rows are (sub-)convex
+    combinations; flagged rows (no neighbor, or none visible) are zero.
     """
-    n = len(adjacency)
-    coeff = np.zeros((n, n))
-    flags = np.zeros(n)
-    for i, neigh in enumerate(adjacency):
-        if not neigh:
-            flags[i] = 1.0
-            continue
-        a = np.ones(len(neigh)) / len(neigh)
-        vis = eff_col[neigh]
-        denom = float((a * vis).sum()) + ANCHOR_EPS
-        if (a * vis).sum() == 0.0:
-            flags[i] = 1.0
-            continue
-        coeff[i, neigh] = a * vis / denom
-    return coeff, flags
+    weighted = neigh_mat.with_data(neigh_mat.data * eff_col[neigh_mat.indices])
+    totals = weighted.row_sums()
+    flags = (totals == 0.0).astype(np.float64)
+    denom = totals[neigh_mat.pattern.row_of] + ANCHOR_EPS
+    return weighted.with_data(weighted.data / denom), flags
 
 
 def structural_anchor(params: ParamStore, name: str, raw_embed: Tensor,
-                      adjacency: list[list[int]], eff_col: np.ndarray,
-                      degrees: np.ndarray | None = None
+                      neigh_mat: nx.CSRMatrix, eff_col: np.ndarray
                       ) -> tuple[Tensor, np.ndarray]:
-    """Visibility-weighted neighbor mean; learnable null token as fallback.
-
-    ``degrees`` is accepted for positional callers and not used."""
-    coeff, flags = anchor_coefficients(adjacency, eff_col)
-    anchor = nx.matmul(const(coeff), raw_embed)
+    """Visibility-weighted neighbor mean; learnable null token as fallback."""
+    coeff, flags = anchor_coefficients(neigh_mat, eff_col)
+    anchor = nx.spmm(coeff, raw_embed)
     if flags.any():
         null_row = nx.reshape(params[f"anchor.null.{name}"], (1, -1))
         anchor = nx.add(anchor, nx.matmul(const(flags.reshape(-1, 1)), null_row))
     return anchor, flags
 
 
-def _conv_stack(params: ParamStore, prefix: str, x: Tensor, neigh_mat: Tensor,
+def _conv_stack(params: ParamStore, prefix: str, x: Tensor, neigh_mat: nx.CSRMatrix,
                 layers: int) -> Tensor:
     out = x
     for layer in range(1, layers + 1):
@@ -88,7 +76,7 @@ def _conv_stack(params: ParamStore, prefix: str, x: Tensor, neigh_mat: Tensor,
 
 
 def graph_context(params: ParamStore, name: str, raw_embed: Tensor,
-                  anchor: Tensor, eff_col: np.ndarray, neigh_mat: Tensor,
+                  anchor: Tensor, eff_col: np.ndarray, neigh_mat: nx.CSRMatrix,
                   layers: int = 2) -> Tensor:
     """Mix visible embedding with the anchor, adapt, then run the shared conv."""
     vis = const(eff_col.reshape(-1, 1))
@@ -116,7 +104,7 @@ def target_exclusive_context(contexts: list[Tensor], eff: np.ndarray,
 
 
 def structure_only_repr(params: ParamStore, degrees: np.ndarray,
-                        neigh_mat: Tensor, layers: int = 2) -> Tensor:
+                        neigh_mat: nx.CSRMatrix, layers: int = 2) -> Tensor:
     """Topology-only node representation from log-degree features."""
     feats = np.log1p(degrees.astype(np.float64)).reshape(-1, 1)
     x = nx.linear(const(feats), params["strenc.in.w"], params["strenc.in.b"])

@@ -115,7 +115,7 @@ class ClientData:
     test_nodes: np.ndarray
     train_edges: np.ndarray
     test_edges: np.ndarray
-    edge_set: set[tuple[int, int]]
+    edge_keys: np.ndarray  # tasks.edge_keys of every graph edge
 
 
 @dataclass
@@ -162,10 +162,10 @@ def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) ->
         test_e = np.empty((0, 2), dtype=np.intp)
         message_edges = graph.edges
     caches = GraphCaches.build(graph, message_edges)
-    edge_set = {(min(u, v), max(u, v)) for u, v in graph.edges}
     return ClientData(cid=cid, graph=graph, caches=caches,
                       train_nodes=train_n, test_nodes=test_n,
-                      train_edges=train_e, test_edges=test_e, edge_set=edge_set)
+                      train_edges=train_e, test_edges=test_e,
+                      edge_keys=task_ops.edge_keys(edges, graph.n))
 
 
 def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
@@ -176,7 +176,7 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
                                      data.train_nodes)
     if spec.kind == "lp":
         return task_ops.lp_task_loss(bundle.refined, data.train_edges,
-                                     data.edge_set, graph.n, spec, rng)
+                                     data.edge_keys, graph.n, spec, rng)
     if spec.kind == "mr":
         return task_ops.mr_task_loss(params, bundle.expert_flat, graph.n,
                                      graph.num_modalities, data.train_nodes, spec,
@@ -320,15 +320,17 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
         return evaluate_metrics("nc", logits.data, graph.labels[data.test_nodes]), \
             int(data.test_nodes.size)
     if spec.kind == "lp":
-        if data.test_edges.shape[0] == 0:
+        if data.test_edges.shape[0] == 0 or \
+                not task_ops.has_non_edge(graph.n, data.edge_keys):
             return None, 0
         pos = task_ops.lp_scores(bundle.refined, data.test_edges).data.reshape(-1)
-        negs = []
-        while len(negs) < pos.size:
-            u, v = rng.integers(0, graph.n, size=2)
-            if u != v and (min(u, v), max(u, v)) not in data.edge_set:
-                negs.append((u, v))
-        neg_pairs = np.asarray(negs, dtype=np.intp)
+        # uniform non-edges, the first pos.size accepted from a stream of draws
+        negs, found = [], 0
+        while found < pos.size:
+            draw = rng.integers(0, graph.n, size=(pos.size, 2))
+            negs.append(task_ops.non_edge_pairs(draw, graph.n, data.edge_keys))
+            found += negs[-1].shape[0]
+        neg_pairs = np.concatenate(negs)[:pos.size].astype(np.intp)
         neg = task_ops.lp_scores(bundle.refined, neg_pairs).data.reshape(-1)
         row = evaluate_metrics("lp", (pos, neg), None)
         return (row, pos.size) if row.valid else (None, 0)

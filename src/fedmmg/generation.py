@@ -32,17 +32,20 @@ class ContextBank:
     empty: bool
 
 
-def build_context_bank(node: int, target: int, adjacency: list[list[int]],
+def build_context_bank(node: int, target: int, neigh_mat: nx.CSRMatrix,
                        eff: np.ndarray, cap: int,
                        rng: np.random.Generator) -> ContextBank:
     """Enumerate bank tokens for one cell: own other-modality tokens plus at
-    most ``cap`` visible neighbor tokens sampled without replacement."""
+    most ``cap`` visible neighbor tokens sampled without replacement.
+
+    This is the per-cell definition that ``build_bank_batch`` vectorizes."""
     if cap < 0:
         raise ValueError("neighbor cap must be nonnegative")
     m_count = eff.shape[1]
     tokens = [(node, m) for m in range(m_count)
               if m != target and eff[node, m] == 1.0]
-    candidates = [(j, m) for j in adjacency[node]
+    neighbors = neigh_mat.indices[neigh_mat.indptr[node]:neigh_mat.indptr[node + 1]]
+    candidates = [(int(j), m) for j in neighbors
                   for m in range(m_count) if eff[j, m] == 1.0]
     if len(candidates) > cap:
         picks = rng.choice(len(candidates), size=cap, replace=False)
@@ -63,26 +66,51 @@ class BankBatch:
     width: int
 
 
-def build_bank_batch(adjacency: list[list[int]], eff: np.ndarray, cap: int,
+def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
                      rng: np.random.Generator) -> BankBatch:
-    """Build every cell's bank; slot indices point into vstack(contexts) with
-    one extra all-zero row appended at index N * M for padding."""
+    """Build every cell's bank, as ``build_context_bank`` does cell by cell in
+    g order (same tokens, same random draws); slot indices point into
+    vstack(contexts) with one extra all-zero row appended at index N * M for
+    padding."""
+    if cap < 0:
+        raise ValueError("neighbor cap must be nonnegative")
     n, m_count = eff.shape
-    banks = [build_context_bank(i, m, adjacency, eff, cap, rng)
-             for m in range(m_count) for i in range(n)]
-    width = max(1, max(len(b.tokens) for b in banks))
-    pad_row = n * m_count
     g_count = n * m_count
+    visible = eff == 1.0
+    # own tokens of cell (m, i): the other visible modalities m' of node i
+    own = (visible & ~np.eye(m_count, dtype=bool)[:, None, :]).reshape(g_count, m_count)
+    own_count = own.sum(axis=1)
+    own_g, own_m = np.nonzero(own)
+    own_cols = np.cumsum(own, axis=1)[own_g, own_m] - 1
+
+    # neighbor candidates of node i, ordered by (neighbor, modality); they
+    # do not depend on the target modality
+    neigh_vis = visible[neigh_mat.indices]
+    cand_tokens = (np.arange(m_count) * n + neigh_mat.indices[:, None])[neigh_vis]
+    entry_ptr = np.zeros(neigh_vis.shape[0] + 1, dtype=np.intp)
+    np.cumsum(neigh_vis.sum(axis=1), out=entry_ptr[1:])
+    cand_ptr = entry_ptr[neigh_mat.indptr]
+    cand_count = np.concatenate((np.diff(cand_ptr),) * m_count)
+    taken = np.minimum(cand_count, cap)
+    total = own_count + taken
+
+    # slot s of cell g's candidate part takes candidate offsets[...] of its node
+    starts = np.cumsum(taken) - taken
+    cand_g = np.repeat(np.arange(g_count), taken)
+    rank = np.arange(cand_g.size) - starts[cand_g]
+    offsets = rank.copy()
+    for g in np.flatnonzero(cand_count > cap):
+        picks = rng.choice(cand_count[g], size=cap, replace=False)
+        offsets[starts[g]:starts[g] + cap] = np.sort(picks)
+
+    width = max(1, int(total.max(initial=0)))
+    pad_row = g_count
     index = np.full((g_count, width), pad_row, dtype=np.intp)
-    mask = np.full((g_count, width), MASK_NEG)
-    empty = np.zeros(g_count)
-    for g, bank in enumerate(banks):
-        if bank.empty:
-            empty[g] = 1.0
-            continue
-        for s, (j, m) in enumerate(bank.tokens):
-            index[g, s] = m * n + j
-            mask[g, s] = 0.0
+    index[own_g, own_cols] = own_m * n + own_g % n
+    index[cand_g, own_count[cand_g] + rank] = \
+        cand_tokens[cand_ptr[cand_g % n] + offsets]
+    mask = np.where(index == pad_row, MASK_NEG, 0.0)
+    empty = (total == 0).astype(np.float64)
     return BankBatch(token_index=index, additive_mask=mask, empty=empty, width=width)
 
 

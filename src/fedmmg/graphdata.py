@@ -58,6 +58,12 @@ class MultimodalGraph:
             seen.add(key)
         if self.natural_mask.shape != (self.n, self.num_modalities):
             raise ValueError("natural mask shape mismatch")
+        if self.labels is not None:
+            if self.labels.shape != (self.n,) or self.labels.dtype.kind not in "iu":
+                raise ValueError(f"labels must be {self.n} integers, got "
+                                 f"shape {self.labels.shape} of {self.labels.dtype}")
+            if self.n and self.labels.min() < 0:
+                raise ValueError("labels must be nonnegative")
         for mod in self.modalities:
             if mod.features.shape != (self.n, mod.dim):
                 raise ValueError(f"feature shape mismatch for modality {mod.name}")
@@ -338,6 +344,14 @@ def save_graph(graph: MultimodalGraph, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _int_list(value, what: str) -> np.ndarray:
+    """A JSON list of integers (not booleans) as an int64 array."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return np.asarray(value, dtype=np.int64)
+
+
 def load_graph(path: str) -> MultimodalGraph:
     try:
         with open(path) as fh:
@@ -354,21 +368,29 @@ def load_graph(path: str) -> MultimodalGraph:
                          np.asarray(m["features"], dtype=np.float64))
                 for m in doc["modalities"]]
         edges = [(int(u), int(v)) for u, v in doc["edges"]]
-        labels = None if doc["labels"] is None else np.asarray(doc["labels"], dtype=np.int64)
+        labels = None if doc["labels"] is None else _int_list(doc["labels"], "labels")
         mask = np.asarray(doc["natural_mask"], dtype=np.float64)
         pairs = None if doc.get("pairs") is None else [(int(a), int(b)) for a, b in doc["pairs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFileError(f"malformed graph file {path!r}: {exc}") from exc
     if mask.shape != (n, len(mods)):
         raise GraphFileError(f"natural_mask in {path!r} has shape {mask.shape}, "
                              f"expected ({n}, {len(mods)})")
     for m_idx, mod in enumerate(mods):
+        if mod.features.shape != (n, mod.dim):
+            raise GraphFileError(f"features of modality {mod.name!r} in {path!r} have "
+                                 f"shape {mod.features.shape}, expected ({n}, {mod.dim})")
         bad = (mask[:, m_idx] == 0) & np.any(mod.features != 0.0, axis=1)
         if bad.any():
             raise GraphFileError(
                 f"modality {mod.name!r} has nonzero features at naturally missing cells")
     try:
-        return MultimodalGraph(n=n, edges=edges, modalities=mods, labels=labels,
-                               natural_mask=mask, pairs=pairs)
+        graph = MultimodalGraph(n=n, edges=edges, modalities=mods, labels=labels,
+                                natural_mask=mask, pairs=pairs)
     except ValueError as exc:
         raise GraphFileError(f"invalid graph in {path!r}: {exc}") from exc
+    # the classifier head has max(label) + 1 outputs, so bound the class ids
+    if labels is not None and n and labels.max() >= n:
+        raise GraphFileError(f"labels in {path!r} must be class ids below n = {n}, "
+                             f"got {labels.max()}")
+    return graph

@@ -128,24 +128,15 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
 class GraphCaches:
     """Per-graph constants reused across epochs and rounds."""
 
-    adjacency: list[list[int]]
-    neigh_mat: Tensor
+    neigh_mat: nx.CSRMatrix
     degrees: np.ndarray
 
     @classmethod
     def build(cls, graph: MultimodalGraph, edges: list[tuple[int, int]] | None = None
               ) -> "GraphCaches":
-        edges = graph.edges if edges is None else edges
-        adj: list[list[int]] = [[] for _ in range(graph.n)]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        deg = np.array([len(lst) for lst in adj], dtype=np.int64)
-        return cls(adjacency=adj,
-                   neigh_mat=const(nx.neighbor_mean_matrix(graph.n, edges)),
-                   degrees=deg)
+        neigh_mat = nx.neighbor_mean_matrix(
+            graph.n, graph.edges if edges is None else edges)
+        return cls(neigh_mat=neigh_mat, degrees=np.diff(neigh_mat.indptr))
 
 
 @dataclass
@@ -199,7 +190,7 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     anchors, contexts = [], []
     for m, (name, _dim) in enumerate(cfg.modalities):
         anchor, _flags = encoding.structural_anchor(
-            params, name, raw[m], caches.adjacency, eff[:, m])
+            params, name, raw[m], caches.neigh_mat, eff[:, m])
         anchors.append(anchor)
         contexts.append(encoding.graph_context(
             params, name, raw[m], anchor, eff[:, m], caches.neigh_mat,
@@ -214,7 +205,7 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     eff_flat = eff.T.reshape(-1)
     recon_flat = masks.recon.T.reshape(-1)
 
-    banks = generation.build_bank_batch(caches.adjacency, eff, cfg.neighbor_cap, rng)
+    banks = generation.build_bank_batch(caches.neigh_mat, eff, cfg.neighbor_cap, rng)
     queries = generation.build_query(params, excl_flat, eff, m_count)
     generated, gamma, _att = generation.generate_modalities(
         params, queries, banks, contexts, excl_flat, anchor_flat,

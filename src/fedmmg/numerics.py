@@ -2,10 +2,11 @@
 
 The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
-normalization, row gathers, concatenation, and a mean-aggregating graph
-convolution. Gradient tapes are confined to the thread that created them;
-tensor values are never mutated in place, so published tensors and
-parameter snapshots are safe to share across threads.
+normalization, row gathers, concatenation, products with a constant sparse
+(CSR) matrix, and a mean-aggregating graph convolution. Gradient tapes are
+confined to the thread that created them; tensor values are never mutated
+in place, so published tensors and parameter snapshots are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -470,21 +471,128 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def neighbor_mean_matrix(n: int, edges) -> np.ndarray:
-    """Dense row-normalized adjacency; isolated nodes get an all-zero row."""
-    mat = np.zeros((n, n))
-    for u, v in edges:
-        mat[u, v] = 1.0
-        mat[v, u] = 1.0
-    deg = mat.sum(axis=1, keepdims=True)
-    np.divide(mat, deg, out=mat, where=deg > 0)
-    return mat
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values begins in sorted ``keys``."""
+    change = np.empty(keys.size, dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    return np.flatnonzero(change)
 
 
-def sage_conv(x: Tensor, neigh_mat: Tensor, w_self: Tensor, w_neigh: Tensor,
+def _segment_sum(values: np.ndarray, starts: np.ndarray, targets: np.ndarray,
+                 shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with row targets[s] holding the sum of ``values``
+    rows starts[s]:starts[s+1] (the last segment runs to the end), added in
+    order. Every segment must be non-empty and ``targets`` must ascend."""
+    out = np.zeros(shape)
+    if starts.size:
+        out[targets] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _CSRPattern:
+    """Sparsity pattern of a square matrix, with its transpose.
+
+    Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
+    columns ascend. ``t_perm`` lists the entries in transposed (column-major)
+    order. The ``*_starts``/``*_targets`` pairs name the non-empty segments
+    that ``_segment_sum`` reduces."""
+
+    n: int
+    indptr: np.ndarray
+    row_of: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+    targets: np.ndarray
+    t_perm: np.ndarray
+    t_indices: np.ndarray
+    t_starts: np.ndarray
+    t_targets: np.ndarray
+
+    @classmethod
+    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "_CSRPattern":
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        t_perm = np.argsort(cols, kind="stable")
+        t_cols = cols[t_perm]
+        starts = _run_starts(rows)
+        t_starts = _run_starts(t_cols)
+        return cls(n=n, indptr=indptr, row_of=rows, indices=cols, starts=starts,
+                   targets=rows[starts], t_perm=t_perm, t_indices=rows[t_perm],
+                   t_starts=t_starts, t_targets=t_cols[t_starts])
+
+
+class CSRMatrix:
+    """Constant n x n sparse matrix in compressed-row form.
+
+    Row i holds the entries indptr[i]:indptr[i+1] at columns indices[...],
+    ascending, with values data[...]. An empty row multiplies to a zero row.
+    ``with_data`` puts new values on the same pattern and shares its
+    transpose, which is computed once per pattern."""
+
+    __slots__ = ("pattern", "data")
+
+    def __init__(self, pattern: _CSRPattern, data: np.ndarray):
+        if data.shape != pattern.indices.shape:
+            raise ValueError("CSR values and pattern sizes disagree")
+        self.pattern = pattern
+        self.data = data
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
+
+    def with_data(self, data: np.ndarray) -> "CSRMatrix":
+        return CSRMatrix(self.pattern, np.asarray(data, dtype=np.float64))
+
+    def row_sums(self) -> np.ndarray:
+        p = self.pattern
+        return _segment_sum(self.data, p.starts, p.targets, (p.n,))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
+        p = self.pattern
+        return _segment_sum(self.data[:, None] * x[p.indices], p.starts,
+                            p.targets, x.shape)
+
+    def tdot(self, g: np.ndarray) -> np.ndarray:
+        """S^T g for g [n, d], segment-summed over the transposed pattern."""
+        p = self.pattern
+        return _segment_sum(self.data[p.t_perm, None] * g[p.t_indices],
+                            p.t_starts, p.t_targets, g.shape)
+
+
+def neighbor_mean_matrix(n: int, edges) -> CSRMatrix:
+    """Row-normalized undirected adjacency: row i averages the neighbors of i.
+
+    Repeated edges count once; isolated nodes get an empty row."""
+    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                     pairs[:, 1] * n + pairs[:, 0]]))
+    rows, cols = keys // n, keys % n
+    pattern = _CSRPattern.from_sorted(n, rows, cols)
+    deg = np.diff(pattern.indptr)
+    return CSRMatrix(pattern, 1.0 / deg[rows])
+
+
+def spmm(s: CSRMatrix, x: Tensor) -> Tensor:
+    """Product of a constant sparse matrix and a tensor; backward is S^T g."""
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate(s.tdot(g))
+
+    return _result(s.dot(x.data), (x,), backward)
+
+
+def sage_conv(x: Tensor, neigh_mat: CSRMatrix, w_self: Tensor, w_neigh: Tensor,
               bias: Tensor | None = None) -> Tensor:
     """Mean-aggregating graph convolution: W_self x_i + W_neigh mean_j x_j."""
-    out = add(matmul(x, w_self), matmul(matmul(neigh_mat, x), w_neigh))
+    out = add(matmul(x, w_self), matmul(spmm(neigh_mat, x), w_neigh))
     if bias is not None:
         out = add(out, bias)
     return out

@@ -68,7 +68,7 @@ class LossBreakdown:
         return cls(task=task, rec=rec, align=align, route=route, total=total)
 
 
-def refine(params: ParamStore, fused: Tensor, neigh_mat: Tensor) -> Tensor:
+def refine(params: ParamStore, fused: Tensor, neigh_mat: nx.CSRMatrix) -> Tensor:
     """Residual graph smoothing: LN(r + sigmoid(conv(r)))."""
     conv = nx.sage_conv(fused, neigh_mat, params["refine.w_self"],
                         params["refine.w_neigh"], params["refine.b"])
@@ -125,23 +125,40 @@ def lp_scores(refined: Tensor, pairs: np.ndarray) -> Tensor:
     return nx.sum_axis(nx.mul(left, right), -1, keepdims=True)
 
 
+def edge_keys(edges, n_nodes: int) -> np.ndarray:
+    """Sorted keys min(u, v) * n + max(u, v) of undirected edges."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.unique(pairs.min(axis=1) * n_nodes + pairs.max(axis=1))
+
+
+def has_non_edge(n_nodes: int, keys: np.ndarray) -> bool:
+    """Whether some pair of distinct nodes is not an edge."""
+    return keys.size < n_nodes * (n_nodes - 1) // 2
+
+
+def non_edge_pairs(pairs: np.ndarray, n_nodes: int, keys: np.ndarray) -> np.ndarray:
+    """The rows of ``pairs`` [B, 2] that join two distinct non-adjacent nodes."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    pair_keys = np.minimum(u, v) * n_nodes + np.maximum(u, v)
+    at = np.minimum(np.searchsorted(keys, pair_keys), max(keys.size - 1, 0))
+    is_edge = keys[at] == pair_keys if keys.size else np.zeros(u.shape, dtype=bool)
+    return pairs[(u != v) & ~is_edge]
+
+
 def sample_hard_negatives(refined_detached: np.ndarray, n_nodes: int,
-                          batch: int, edge_set: set[tuple[int, int]],
+                          batch: int, keys: np.ndarray,
                           spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """Top-scoring non-edges from a random pool of size max(min_pool, scale*B)."""
+    """Top-scoring non-edges from a random pool of size max(min_pool, scale*B).
+
+    ``keys`` are the graph's ``edge_keys``; raises ValueError when every
+    pair of distinct nodes is an edge."""
+    if not has_non_edge(n_nodes, keys):
+        raise ValueError("the graph has no non-edge to sample negatives from")
     pool_size = max(spec.hard_negative_min_pool, int(spec.hard_negative_scale * batch))
     cand = rng.integers(0, n_nodes, size=(pool_size * 2, 2))
-    keep = []
-    for u, v in cand:
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edge_set:
-            continue
-        keep.append((u, v))
-        if len(keep) == pool_size:
-            break
-    pool = np.asarray(keep if keep else [(0, min(1, n_nodes - 1))], dtype=np.intp)
+    pool = non_edge_pairs(cand, n_nodes, keys)[:pool_size].astype(np.intp)
+    if pool.shape[0] == 0:
+        pool = np.array([(0, min(1, n_nodes - 1))], dtype=np.intp)
     scores = (refined_detached[pool[:, 0]] * refined_detached[pool[:, 1]]).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:batch]
     return pool[np.sort(order)]
@@ -168,13 +185,13 @@ def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
 
 
 def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
-                 edge_set: set[tuple[int, int]], n_nodes: int,
+                 keys: np.ndarray, n_nodes: int,
                  spec: TaskSpec, rng: np.random.Generator) -> Tensor:
     """``lp_pair_loss`` against one hard negative per positive edge."""
     if pos_pairs.shape[0] == 0:
         raise ValueError("link prediction batch contains no positive edges")
     batch = pos_pairs.shape[0]
-    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, edge_set, spec, rng)
+    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, keys, spec, rng)
     if neg_pairs.shape[0] < batch:
         reps = -(-batch // neg_pairs.shape[0])
         neg_pairs = np.tile(neg_pairs, (reps, 1))[:batch]

@@ -186,9 +186,8 @@ def test_criterion_5_self_leakage():
         anchors, contexts = [], []
         for m, (name, _dim) in enumerate(cfg.modalities):
             anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                caches.adjacency,
-                                                masks.effective[:, m],
-                                                caches.degrees)
+                                                caches.neigh_mat,
+                                                masks.effective[:, m])
             anchors.append(anc)
             contexts.append(encoding.graph_context(params, name, raw[m], anc,
                                                    masks.effective[:, m],

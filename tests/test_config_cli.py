@@ -267,6 +267,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "labels" in err
 
+    @pytest.mark.parametrize("labels", [lambda n: [-1] * n,
+                                        lambda n: [[0]] * n,
+                                        lambda n: [0] * (n - 1),
+                                        lambda n: [0.5] * n,
+                                        lambda n: [True] * n,
+                                        lambda n: [0] * (n - 1) + [n],
+                                        lambda n: [10 ** 10] * n])
+    def test_bad_labels_file_exits_one(self, tmp_path, capsys, labels):
+        def set_labels(doc):
+            doc["labels"] = labels(doc["n"])
+        cfg_path = self._graph_file(tmp_path, set_labels)
+        assert main(["run", "--config", str(cfg_path), "--task", "nc"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "labels" in err
+
+    def test_value_error_inside_run_exits_two(self, tmp_path, capsys, monkeypatch):
+        def failing_run(setup):
+            raise ValueError("simulated failure inside the run")
+        monkeypatch.setattr("fedmmg.cli.run_federation", failing_run)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "run failed: simulated failure inside the run\n"
+
     def test_gen_data_and_run_build_the_same_data(self, tmp_path):
         # one graph, mask and zeroed features, whether run builds them from
         # the config or reads the file gen-data wrote from the same config

@@ -63,10 +63,10 @@ class TestEncoder:
 
 class TestStructuralAnchor:
     def test_uniform_mean_of_visible_neighbors(self):
-        adjacency = [[1, 2], [0], [0]]
+        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2)])
         embed = const(np.array([[9.0, 9.0], [1.0, 0.0], [3.0, 0.0]]))
-        coeff, flags = encoding.anchor_coefficients(adjacency, np.array([1.0, 1.0, 1.0]))
-        anchor = (coeff @ embed.data)
+        coeff, flags = encoding.anchor_coefficients(neigh_mat, np.array([1.0, 1.0, 1.0]))
+        anchor = coeff.dot(embed.data)
         np.testing.assert_allclose(anchor[0], [2.0, 0.0], atol=1e-9)
         assert flags[0] == 0.0
 
@@ -86,7 +86,7 @@ class TestStructuralAnchor:
         eff[0] = 0.0  # hub invisible => leaves have no visible neighbor
         raw = const(np.random.default_rng(3).normal(size=(graph.n, 8)))
         anchor, flags = encoding.structural_anchor(
-            params, "img", raw, GraphCaches.build(graph).adjacency, eff)
+            params, "img", raw, GraphCaches.build(graph).neigh_mat, eff)
         assert flags[1] == 1.0
         np.testing.assert_allclose(anchor.data[1], np.arange(8.0))
 
@@ -95,20 +95,21 @@ class TestStructuralAnchor:
         graph = star_graph()
         raw = rng.normal(size=(graph.n, 3))
         eff = np.ones(graph.n)
-        adjacency = GraphCaches.build(graph).adjacency
-        coeff, flags = encoding.anchor_coefficients(adjacency, eff)
-        anchor = coeff @ raw
+        neigh_mat = GraphCaches.build(graph).neigh_mat
+        coeff, flags = encoding.anchor_coefficients(neigh_mat, eff)
+        anchor = coeff.dot(raw)
         for i in range(graph.n):
             if flags[i]:
                 continue
-            neigh = adjacency[i]
+            neigh = neigh_mat.indices[neigh_mat.indptr[i]:neigh_mat.indptr[i + 1]]
             lo, hi = raw[neigh].min(axis=0), raw[neigh].max(axis=0)
             assert (anchor[i] >= lo - 1e-9).all() and (anchor[i] <= hi + 1e-9).all()
 
     def test_isolated_node_is_flagged(self):
-        coeff, flags = encoding.anchor_coefficients([[1], [0], []], np.ones(3))
+        coeff, flags = encoding.anchor_coefficients(
+            nx.neighbor_mean_matrix(3, [(0, 1)]), np.ones(3))
         assert flags[2] == 1.0
-        np.testing.assert_array_equal(coeff[2], 0.0)
+        np.testing.assert_array_equal(coeff.dot(np.ones((3, 2)))[2], 0.0)
 
 
 class TestGraphContext:
@@ -187,8 +188,8 @@ class TestTargetExclusiveContext:
             anchors, contexts = [], []
             for m, (name, _d) in enumerate(cfg.modalities):
                 anc, _ = encoding.structural_anchor(
-                    params, name, raw[m], caches.adjacency,
-                    masks.effective[:, m], caches.degrees)
+                    params, name, raw[m], caches.neigh_mat,
+                    masks.effective[:, m])
                 anchors.append(anc)
                 contexts.append(encoding.graph_context(
                     params, name, raw[m], anc, masks.effective[:, m],

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from fedmmg.config import ExperimentConfig, assemble_run
-from fedmmg.federation import (ReliabilityStats, ServerConfig, aggregate,
-                               fedavg_zero_baseline, fedavg_zero_setup,
-                               reliability_score, run_federation)
+from fedmmg.federation import (ClientRoundError, ClientState, ReliabilityStats,
+                               ServerConfig, TrainConfig, aggregate,
+                               build_client_data, client_local_round,
+                               evaluate_client, fedavg_zero_baseline,
+                               fedavg_zero_setup, reliability_score,
+                               run_federation)
+from fedmmg.graphdata import Modality, MultimodalGraph
+from fedmmg.model import ModelConfig, init_params
+from fedmmg.numerics import AdamState
+from fedmmg.tasks import TaskSpec
 
 
 def small_experiment(seed=0, rounds=2, **kw):
@@ -171,6 +178,37 @@ class TestClientRound:
         rec = history.records[-1]
         assert all(0 < w for w in rec.omega.values())
         np.testing.assert_allclose(sum(rec.omega.values()), 1.0, atol=1e-9)
+
+
+class TestLinkPredictionWithoutNonEdges:
+    """A complete client graph has no pair to draw a negative from."""
+
+    @staticmethod
+    def _triangle_client():
+        rng = np.random.default_rng(0)
+        graph = MultimodalGraph(
+            n=3, edges=[(0, 1), (1, 2), (0, 2)],
+            modalities=[Modality("img", 4, rng.normal(size=(3, 4))),
+                        Modality("txt", 3, rng.normal(size=(3, 3)))],
+            labels=None, natural_mask=np.ones((3, 2)))
+        cfg = ModelConfig(modalities=[("img", 4), ("txt", 3)], hidden_dim=8,
+                          warmup_rounds=5)
+        data = build_client_data(0, graph, "lp", seed=0)
+        assert data.test_edges.shape[0] > 0
+        store = init_params(cfg, 0)
+        return ClientState(data=data, store=store,
+                           adam=AdamState.for_params(store)), cfg
+
+    def test_evaluation_reports_no_metrics(self):
+        state, cfg = self._triangle_client()
+        assert evaluate_client(state.store, cfg, TaskSpec.for_kind("lp"),
+                               state.data, 0, 0) == (None, 0)
+
+    def test_training_fails_the_client_round(self):
+        state, cfg = self._triangle_client()
+        with pytest.raises(ClientRoundError, match="non-edge"):
+            client_local_round(state, state.store.snapshot(), cfg,
+                               TaskSpec.for_kind("lp"), 0, TrainConfig(), 0)
 
 
 class TestRunFederation:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmmg import generation
 from fedmmg import numerics as nx
@@ -18,25 +20,25 @@ from test_encoding import small_cfg, star_graph
 class TestContextBank:
     def test_self_tokens_only_when_no_neighbors(self):
         eff = np.ones((1, 2))
-        bank = build_context_bank(0, 0, [[]], eff, cap=4,
+        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(1, []), eff, cap=4,
                                   rng=np.random.default_rng(0))
         assert bank.tokens == [(0, 1)]
         assert not bank.empty
 
     def test_target_token_never_included(self):
         rng = np.random.default_rng(1)
-        adjacency = [[1, 2], [0, 2], [0, 1]]
+        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2), (1, 2)])
         eff = np.ones((3, 2))
         for node in range(3):
             for target in range(2):
-                bank = build_context_bank(node, target, adjacency, eff, 8, rng)
+                bank = build_context_bank(node, target, neigh_mat, eff, 8, rng)
                 assert (node, target) not in bank.tokens
 
     def test_cap_enforced_on_high_degree_node(self):
         n = 41
-        adjacency = [[j for j in range(1, n)]] + [[0]] * (n - 1)
+        neigh_mat = nx.neighbor_mean_matrix(n, [(0, j) for j in range(1, n)])
         eff = np.ones((n, 2))
-        bank = build_context_bank(0, 0, adjacency, eff, cap=16,
+        bank = build_context_bank(0, 0, neigh_mat, eff, cap=16,
                                   rng=np.random.default_rng(2))
         neighbor_tokens = [t for t in bank.tokens if t[0] != 0]
         assert len(neighbor_tokens) <= 16
@@ -44,32 +46,65 @@ class TestContextBank:
 
     def test_empty_bank_flagged(self):
         eff = np.zeros((2, 2))
-        bank = build_context_bank(0, 0, [[1], [0]], eff, 4,
+        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(2, [(0, 1)]), eff, 4,
                                   np.random.default_rng(3))
         assert bank.empty and bank.tokens == []
 
     def test_invisible_tokens_excluded(self):
         eff = np.array([[1.0, 0.0], [0.0, 1.0]])
-        bank = build_context_bank(0, 0, [[1], [0]], eff, 4,
+        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(2, [(0, 1)]), eff, 4,
                                   np.random.default_rng(4))
         assert bank.tokens == [(1, 1)]
 
     def test_batch_layout_matches_per_cell_banks(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        adjacency = [[1, 2], [0], [0]]
+        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2)])
         eff = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         n = 3
-        batch = build_bank_batch(adjacency, eff, cap=4, rng=rng_a)
+        batch = build_bank_batch(neigh_mat, eff, cap=4, rng=rng_a)
         for m in range(2):
             for i in range(n):
-                bank = build_context_bank(i, m, adjacency, eff, 4, rng_b)
+                bank = build_context_bank(i, m, neigh_mat, eff, 4, rng_b)
                 g = m * n + i
                 got = [idx for idx, mk in zip(batch.token_index[g],
                                               batch.additive_mask[g]) if mk == 0.0]
                 expect = [mm * n + jj for jj, mm in bank.tokens]
                 assert got == expect
                 assert bool(batch.empty[g]) == bank.empty
+
+
+_BANK_CASES = st.tuples(st.integers(1, 14), st.integers(1, 3)).flatmap(
+    lambda nm: st.tuples(
+        st.just(nm[0]), st.just(nm[1]),
+        st.lists(st.tuples(st.integers(0, nm[0] - 1), st.integers(0, nm[0] - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=40),
+        st.integers(0, 6), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1)))
+
+
+class TestBankBatchMatchesPerCellBanks:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_BANK_CASES)
+    def test_identical_arrays_and_rng_state(self, case):
+        n, m_count, edges, cap, p_visible, seed = case
+        eff = (np.random.default_rng(seed).random((n, m_count)) < p_visible
+               ).astype(np.float64)
+        neigh_mat = nx.neighbor_mean_matrix(n, edges)
+        rng_batch, rng_cells = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = build_bank_batch(neigh_mat, eff, cap, rng_batch)
+        banks = [build_context_bank(i, m, neigh_mat, eff, cap, rng_cells)
+                 for m in range(m_count) for i in range(n)]
+        width = max(1, max(len(b.tokens) for b in banks))
+        index = np.full((n * m_count, width), n * m_count, dtype=np.intp)
+        for g, bank in enumerate(banks):
+            for s, (j, m) in enumerate(bank.tokens):
+                index[g, s] = m * n + j
+        assert batch.width == width
+        np.testing.assert_array_equal(batch.token_index, index)
+        np.testing.assert_array_equal(batch.additive_mask,
+                                      np.where(index == n * m_count, nx.MASK_NEG, 0.0))
+        np.testing.assert_array_equal(batch.empty, [float(b.empty) for b in banks])
+        assert rng_batch.random() == rng_cells.random()
 
 
 class TestWarmup:
@@ -105,7 +140,7 @@ class TestGeneration:
         expected = []
         for m, (name, _d) in enumerate(cfg.modalities):
             anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                GraphCaches.build(graph).adjacency,
+                                                GraphCaches.build(graph).neigh_mat,
                                                 masks.effective[:, m])
             expected.append(anc.data @ params["gen.anchor_proj.w"].data)
         np.testing.assert_allclose(bundle.generated.data,
@@ -132,9 +167,8 @@ class TestGeneration:
         anchors, contexts = [], []
         for m, (name, _d) in enumerate(cfg.modalities):
             anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                caches.adjacency,
-                                                masks.effective[:, m],
-                                                caches.degrees)
+                                                caches.neigh_mat,
+                                                masks.effective[:, m])
             anchors.append(anc)
             contexts.append(encoding.graph_context(params, name, raw[m], anc,
                                                    masks.effective[:, m],
@@ -142,7 +176,7 @@ class TestGeneration:
         excl = [encoding.target_exclusive_context(contexts, masks.effective, m)
                 for m in range(2)]
         excl_flat = nx.concat(excl, axis=0)
-        banks = generation.build_bank_batch(caches.adjacency, masks.effective,
+        banks = generation.build_bank_batch(caches.neigh_mat, masks.effective,
                                             cfg.neighbor_cap,
                                             np.random.default_rng(99))
         queries = generation.build_query(params, excl_flat, masks.effective, 2)
@@ -209,12 +243,12 @@ class TestSelfLeakage:
 
     def test_bank_has_no_target_tag_for_any_cell(self):
         graph = star_graph(seed=24)
-        adjacency = GraphCaches.build(graph).adjacency
+        neigh_mat = GraphCaches.build(graph).neigh_mat
         eff = np.ones((graph.n, 2))
         rng = np.random.default_rng(24)
         for m in range(2):
             for i in range(graph.n):
-                bank = build_context_bank(i, m, adjacency, eff, 16, rng)
+                bank = build_context_bank(i, m, neigh_mat, eff, 16, rng)
                 assert all(tag != (i, m) for tag in bank.tokens)
 
 

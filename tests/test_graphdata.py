@@ -1,9 +1,13 @@
 """Graph data model, generators, partitioning, masks, file round trip."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmmg.graphdata import (GraphFileError, MaskSet, MissingnessConfig,
                               MultimodalGraph, Modality,
@@ -13,6 +17,8 @@ from fedmmg.graphdata import (GraphFileError, MaskSet, MissingnessConfig,
                               load_graph, missing_ratios, partition_dirichlet,
                               sample_artificial_mask, save_graph)
 from fedmmg.model import GraphCaches
+
+from test_config_cli import _JSON
 
 
 class TestMaskAlgebra:
@@ -50,10 +56,11 @@ class TestSBM:
     def test_two_isolated_cliques(self):
         g = generate_sbm_multimodal(2, 5, p_in=1.0, p_out=0.0, d_img=8,
                                     d_txt=6, noise=0.1, seed=3)
-        adj = GraphCaches.build(g).adjacency
+        neigh_mat = GraphCaches.build(g).neigh_mat
         for i in range(10):
             block = set(range(5)) if i < 5 else set(range(5, 10))
-            assert set(adj[i]) == block - {i}
+            row = neigh_mat.indices[neigh_mat.indptr[i]:neigh_mat.indptr[i + 1]]
+            assert set(row.tolist()) == block - {i}
 
     def test_zero_noise_gives_identical_block_features(self):
         g = generate_sbm_multimodal(3, 4, 0.5, 0.1, d_img=8, d_txt=6,
@@ -275,6 +282,61 @@ class TestGraphIO:
         assert load_graph(path).edges == []
 
 
+# JSON values of every shape, and values near a valid three-node graph
+# document, so fuzzed documents reach every check in load_graph.
+_INTS = st.lists(st.integers(-2, 4) | st.booleans() | st.floats(-1, 4), max_size=4)
+_MATRIX = st.lists(st.lists(st.integers(0, 1) | st.floats(-1, 2), min_size=0,
+                            max_size=3), max_size=4)
+_MODALITY = st.fixed_dictionaries({"name": st.text(max_size=3) | _JSON,
+                                   "dim": st.integers(-1, 3) | _JSON,
+                                   "features": _MATRIX | _JSON})
+_VALID_DOC = {"schema": 1, "n": 3,
+              "modalities": [{"name": "img", "dim": 2, "features": [[1, 0], [0, 1], [1, 1]]}],
+              "edges": [[0, 1], [1, 2]], "labels": [0, 1, 0],
+              "natural_mask": [[1], [1], [1]], "pairs": None}
+_GRAPH_DOCS = _JSON | st.fixed_dictionaries({}, optional={
+    "schema": st.just(1) | _JSON,
+    "n": st.integers(-1, 4) | _JSON,
+    "modalities": st.lists(_MODALITY, max_size=2) | _JSON,
+    "edges": st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2)
+                      | _JSON, max_size=4) | _JSON,
+    "labels": _INTS | st.lists(_INTS, max_size=3) | _JSON,
+    "natural_mask": _MATRIX | _JSON,
+    "pairs": st.lists(st.lists(st.integers(-1, 4), max_size=3), max_size=3) | _JSON,
+}).map(lambda partial: {**_VALID_DOC, **partial})
+
+
+class TestGraphDocuments:
+    @staticmethod
+    def _load(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "graph.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            return load_graph(path)
+
+    def test_valid_document_loads(self):
+        g = self._load(_VALID_DOC)
+        assert g.n == 3 and g.labels.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("labels", [[-1, 0, 1], [[0], [1], [0]], [0, 1],
+                                        [0.0, 1.0, 0.0], [True, False, True],
+                                        ["0", "1", "0"], 7, [0, 3, 0],
+                                        [0, 10 ** 10, 0]])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(GraphFileError, match="labels"):
+            self._load({**_VALID_DOC, "labels": labels})
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_GRAPH_DOCS)
+    def test_any_document_loads_or_raises_graph_file_error(self, doc):
+        try:
+            graph = self._load(doc)
+        except GraphFileError:
+            return
+        assert isinstance(graph, MultimodalGraph)
+
+
 class TestDuplicateEdges:
     @staticmethod
     def _graph(edges):
@@ -290,9 +352,10 @@ class TestDuplicateEdges:
 
     def test_adjacency_agrees_with_neighbor_matrix(self):
         caches = GraphCaches.build(self._graph([(0, 1), (2, 0)]))
-        assert caches.adjacency == [[1, 2], [0], [0]]
+        np.testing.assert_array_equal(caches.neigh_mat.indptr, [0, 2, 3, 4])
+        np.testing.assert_array_equal(caches.neigh_mat.indices, [1, 2, 0, 0])
         np.testing.assert_array_equal(caches.degrees, [2, 1, 1])
-        np.testing.assert_array_equal((caches.neigh_mat.data != 0).sum(axis=1),
+        np.testing.assert_array_equal(np.diff(caches.neigh_mat.indptr),
                                       caches.degrees)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmmg import numerics as nx
 from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
@@ -128,19 +130,19 @@ class TestSoftmax:
 class TestSageConv:
     def test_identity_self_weights(self):
         x = np.random.default_rng(7).normal(size=(4, 3))
-        mat = const(neighbor_mean_matrix(4, [(0, 1), (1, 2)]))
+        mat = neighbor_mean_matrix(4, [(0, 1), (1, 2)])
         out = sage_conv(const(x), mat, const(np.eye(3)), const(np.zeros((3, 3))))
         np.testing.assert_allclose(out.data, x)
 
     def test_neighbor_mean(self):
         x = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
-        mat = const(neighbor_mean_matrix(3, [(2, 0), (2, 1)]))
+        mat = neighbor_mean_matrix(3, [(2, 0), (2, 1)])
         out = sage_conv(const(x), mat, const(np.zeros((2, 2))), const(np.eye(2)))
         np.testing.assert_allclose(out.data[2], [2.0, 0.0])
 
     def test_isolated_node_gets_zero_neighbor_term(self):
         x = np.random.default_rng(8).normal(size=(3, 2))
-        mat = const(neighbor_mean_matrix(3, [(0, 1)]))
+        mat = neighbor_mean_matrix(3, [(0, 1)])
         out = sage_conv(const(x), mat, const(np.zeros((2, 2))), const(np.eye(2)))
         np.testing.assert_allclose(out.data[2], 0.0)
 
@@ -150,15 +152,80 @@ class TestSageConv:
         x = rng.normal(size=(n, d))
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]
         w_self, w_neigh = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        out = sage_conv(const(x), const(neighbor_mean_matrix(n, edges)),
+        out = sage_conv(const(x), neighbor_mean_matrix(n, edges),
                         const(w_self), const(w_neigh)).data
 
         perm = rng.permutation(n)
         p_edges = [(perm[u], perm[v]) for u, v in edges]
         p_out = sage_conv(const(x[np.argsort(perm)]),
-                          const(neighbor_mean_matrix(n, p_edges)),
+                          neighbor_mean_matrix(n, p_edges),
                           const(w_self), const(w_neigh)).data
         np.testing.assert_allclose(p_out[perm], out, atol=1e-12)
+
+
+def dense_neighbor_mean(n, edges):
+    mat = np.zeros((n, n))
+    for u, v in edges:
+        mat[u, v] = mat[v, u] = 1.0
+    deg = mat.sum(axis=1, keepdims=True)
+    return np.divide(mat, deg, out=np.zeros_like(mat), where=deg > 0)
+
+
+# random graphs: repeated edges and self-loops included, isolated nodes likely
+_GRAPHS = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30),
+    st.integers(0, 2 ** 32 - 1)))
+
+
+class TestSparseOps:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_GRAPHS, d=st.integers(1, 4))
+    def test_spmm_matches_dense_forward_and_transpose(self, graph, d):
+        n, edges, seed = graph
+        rng = np.random.default_rng(seed)
+        mat = neighbor_mean_matrix(n, edges)
+        dense = dense_neighbor_mean(n, edges)
+        x = rng.normal(size=(n, d))
+        np.testing.assert_allclose(nx.spmm(mat, const(x)).data, dense @ x,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mat.tdot(x), dense.T @ x, rtol=0, atol=1e-12)
+        # arbitrary values on the same pattern, as the anchor weights use it
+        weights = mat.with_data(rng.normal(size=mat.data.shape))
+        dense_w = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), np.diff(mat.indptr))
+        dense_w[rows, mat.indices] = weights.data
+        np.testing.assert_allclose(weights.dot(x), dense_w @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights.tdot(x), dense_w.T @ x, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=_GRAPHS)
+    def test_spmm_gradients(self, graph):
+        n, edges, seed = graph
+        rng = np.random.default_rng(seed)
+        mat = neighbor_mean_matrix(n, edges)
+        mat = mat.with_data(rng.normal(size=mat.data.shape))
+        store = ParamStore()
+        store.add("x", rng.normal(size=(n, 3)))
+        probe = const(rng.normal(size=(n, 3)))
+
+        def f(s):
+            return nx.total_sum(nx.mul(nx.spmm(mat, s["x"]), probe))
+
+        assert grad_check(f, store, h=1e-5).max_rel_err < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_backward_matches_one_hot_product(self, n, picks, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array([p % n for p in picks], dtype=np.intp)
+        a = nx.Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        g = rng.normal(size=(idx.size, 3))
+        with Tape() as tape:
+            tape.backward(nx.total_sum(nx.mul(nx.rows(a, idx), const(g))))
+        expected = np.eye(n)[idx].T @ g  # repeated picks add up
+        np.testing.assert_allclose(a.grad, expected, rtol=0, atol=1e-12)
 
 
 class TestAdam:
