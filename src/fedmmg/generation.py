@@ -144,14 +144,12 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     Empty banks force the gate to zero so those cells use the pure
     self-context branch inside the warmed-up term.
     """
-    n, d = contexts[0].shape
-    g_count = queries.shape[0]
+    d = contexts[0].shape[1]
     stacked = nx.concat(list(contexts) + [const(np.zeros((1, d)))], axis=0)
-    tokens = nx.reshape(nx.rows(stacked, banks.token_index.reshape(-1)),
-                        (g_count, banks.width, d))
     att = AttentionParams(wq=params["gen.att.wq"], wk=params["gen.att.wk"],
                           wv=params["gen.att.wv"], wo=params["gen.att.wo"])
-    evidence, att_weights = nx.attention_batched(queries, tokens, tokens,
+    evidence, att_weights = nx.attention_batched(queries, stacked, stacked,
+                                                 banks.token_index,
                                                  banks.additive_mask, heads, att)
 
     self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])

@@ -56,6 +56,9 @@ class MultimodalGraph:
             if key in seen:
                 raise ValueError(f"edge ({u}, {v}) listed twice")
             seen.add(key)
+        for a, b in self.pairs or ():
+            if not (0 <= a < self.n and 0 <= b < self.n):
+                raise ValueError(f"pair ({a}, {b}) out of range")
         if self.natural_mask.shape != (self.n, self.num_modalities):
             raise ValueError("natural mask shape mismatch")
         if self.labels is not None:

@@ -11,6 +11,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 import threading
 import zlib
 from dataclasses import dataclass, field
@@ -104,9 +105,13 @@ class Tensor:
         return self.data.ndim
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient slot. The first gradient is stored as
+        it is and later ones are added out of place, so a stored array that
+        aliases another tensor's gradient is never mutated."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad = self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -411,16 +416,18 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def rows(a: Tensor, index) -> Tensor:
-    """Gather rows along axis 0. Backward scatter-adds (deterministic)."""
+    """Gather rows along axis 0 (``index`` of any shape). Backward
+    scatter-adds, in index order (deterministic)."""
     idx = np.asarray(index, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros(shape)
-            np.add.at(full, idx, g)
-            a.accumulate(full)
+            width = math.prod(shape[1:])
+            flat = scatter_index(idx.reshape(-1), width)
+            a.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
+                                     shape[0]).reshape(shape))
 
     return _result(data, (a,), backward)
 
@@ -471,56 +478,52 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Positions where a run of equal values begins in sorted ``keys``."""
-    change = np.empty(keys.size, dtype=bool)
-    change[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=change[1:])
-    return np.flatnonzero(change)
+def scatter_index(targets: np.ndarray, width: int) -> np.ndarray:
+    """Flat index that scatters a [K, width] array onto rows ``targets``:
+    entry (k, j) goes to targets[k] * width + j."""
+    return (targets[:, None] * width + np.arange(width)).reshape(-1)
 
 
-def _segment_sum(values: np.ndarray, starts: np.ndarray, targets: np.ndarray,
-                 shape: tuple) -> np.ndarray:
-    """Zeros of ``shape`` with row targets[s] holding the sum of ``values``
-    rows starts[s]:starts[s+1] (the last segment runs to the end), added in
-    order. Every segment must be non-empty and ``targets`` must ascend."""
-    out = np.zeros(shape)
-    if starts.size:
-        out[targets] = np.add.reduceat(values, starts, axis=0)
-    return out
+def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
+    """out[t] = sum of values[k] over targets[k] == t, added in k order.
+
+    ``values`` is [K] or [K, w] and ``flat`` its ``scatter_index`` (for [K]
+    values, the targets themselves); rows no target names are zero. One
+    ``np.bincount``, so the sums are those of a sequential loop."""
+    shape = (n,) + values.shape[1:]
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
 class _CSRPattern:
-    """Sparsity pattern of a square matrix, with its transpose.
+    """Sparsity pattern of a square matrix.
 
     Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
-    columns ascend. ``t_perm`` lists the entries in transposed (column-major)
-    order. The ``*_starts``/``*_targets`` pairs name the non-empty segments
-    that ``_segment_sum`` reduces."""
+    columns ascend. ``scatter_indices`` caches, per target array and row
+    width, the flat index that ``scatter_sum`` takes."""
 
     n: int
     indptr: np.ndarray
     row_of: np.ndarray
     indices: np.ndarray
-    starts: np.ndarray
-    targets: np.ndarray
-    t_perm: np.ndarray
-    t_indices: np.ndarray
-    t_starts: np.ndarray
-    t_targets: np.ndarray
+    scatter_indices: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "_CSRPattern":
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        t_perm = np.argsort(cols, kind="stable")
-        t_cols = cols[t_perm]
-        starts = _run_starts(rows)
-        t_starts = _run_starts(t_cols)
-        return cls(n=n, indptr=indptr, row_of=rows, indices=cols, starts=starts,
-                   targets=rows[starts], t_perm=t_perm, t_indices=rows[t_perm],
-                   t_starts=t_starts, t_targets=t_cols[t_starts])
+        return cls(n=n, indptr=indptr, row_of=rows, indices=cols)
+
+    def scatter(self, values: np.ndarray, onto_columns: bool) -> np.ndarray:
+        """Sum the entry rows ``values`` [nnz, w] onto each entry's row, or
+        with ``onto_columns`` onto each entry's column: [n, w]."""
+        key = (onto_columns, values.shape[1])
+        flat = self.scatter_indices.get(key)
+        if flat is None:
+            targets = self.indices if onto_columns else self.row_of
+            flat = self.scatter_indices[key] = scatter_index(targets, values.shape[1])
+        return scatter_sum(values, flat, self.n)
 
 
 class CSRMatrix:
@@ -528,8 +531,9 @@ class CSRMatrix:
 
     Row i holds the entries indptr[i]:indptr[i+1] at columns indices[...],
     ascending, with values data[...]. An empty row multiplies to a zero row.
-    ``with_data`` puts new values on the same pattern and shares its
-    transpose, which is computed once per pattern."""
+    ``with_data`` puts new values on the same pattern. Products with S and
+    S^T are both scatter-sums over the entries (onto rows or onto columns),
+    so no transposed copy is kept."""
 
     __slots__ = ("pattern", "data")
 
@@ -552,19 +556,17 @@ class CSRMatrix:
 
     def row_sums(self) -> np.ndarray:
         p = self.pattern
-        return _segment_sum(self.data, p.starts, p.targets, (p.n,))
+        return scatter_sum(self.data, p.row_of, p.n)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
-        p = self.pattern
-        return _segment_sum(self.data[:, None] * x[p.indices], p.starts,
-                            p.targets, x.shape)
+        return self.pattern.scatter(self.data[:, None] * x[self.pattern.indices],
+                                    onto_columns=False)
 
     def tdot(self, g: np.ndarray) -> np.ndarray:
-        """S^T g for g [n, d], segment-summed over the transposed pattern."""
-        p = self.pattern
-        return _segment_sum(self.data[p.t_perm, None] * g[p.t_indices],
-                            p.t_starts, p.t_targets, g.shape)
+        """S^T g for g [n, d]: column j sums data_k g[row_of_k] over its entries."""
+        return self.pattern.scatter(self.data[:, None] * g[self.pattern.row_of],
+                                    onto_columns=True)
 
 
 def neighbor_mean_matrix(n: int, edges) -> CSRMatrix:
@@ -608,13 +610,15 @@ class AttentionParams:
 
 
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
-                      add_mask: np.ndarray, heads: int,
+                      token_index: np.ndarray, add_mask: np.ndarray, heads: int,
                       params: AttentionParams) -> tuple[Tensor, np.ndarray]:
-    """Batched masked multi-head attention.
+    """Batched masked multi-head attention over banks of shared memory rows.
 
-    query [G, dq], keys [G, S, dk], values [G, S, dv], add_mask [G, S]
-    holding 0 for usable tokens and MASK_NEG for excluded ones. Returns the
-    attended output [G, dout] and detached per-head weights [G, H, S].
+    query [G, dq]; keys [T, dk] and values [T, dv] are the memories, which
+    are projected once and then gathered: slot s of bank g attends to row
+    token_index[g, s]. add_mask [G, S] holds 0 for usable slots and MASK_NEG
+    for excluded ones. Returns the attended output [G, dout] and detached
+    per-head weights [G, H, S].
     """
     g_count, s_count = add_mask.shape
     d_attn = params.wq.shape[1]
@@ -627,8 +631,8 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
         return swapaxes(reshape(t, (g_count, -1, heads, dh)), 1, 2)
 
     qh = split(reshape(matmul(query, params.wq), (g_count, 1, d_attn)))
-    kh = split(matmul(keys, params.wk))
-    vh = split(matmul(values, params.wv))
+    kh = split(rows(matmul(keys, params.wk), token_index))
+    vh = split(rows(matmul(values, params.wv), token_index))
 
     logits = scale(matmul(qh, swapaxes(kh, 2, 3)), 1.0 / np.sqrt(dh))
     logits = add(logits, const(add_mask.reshape(g_count, 1, 1, s_count)))
@@ -654,9 +658,8 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
         raise ValueError("bank and mask sizes disagree")
     if np.all(mask <= MASK_NEG / 2):
         raise EmptyAttentionError("every attention token is masked out")
-    keys3 = reshape(bank, (1,) + tuple(bank.shape))
-    vals3 = reshape(values, (1,) + tuple(values.shape))
-    out, weights = attention_batched(query, keys3, vals3,
+    out, weights = attention_batched(query, bank, values,
+                                     np.arange(s_count).reshape(1, -1),
                                      mask.reshape(1, -1), heads, params)
     return out, weights[0]
 

@@ -282,6 +282,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "labels" in err
 
+    def test_out_of_range_pairs_file_exits_one(self, tmp_path, capsys):
+        def set_pairs(doc):
+            doc["pairs"] = [[0, 99], [-5, 1]]
+        cfg_path = self._graph_file(tmp_path, set_pairs)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "pair" in err
+        assert err.count("\n") == 1
+
     def test_value_error_inside_run_exits_two(self, tmp_path, capsys, monkeypatch):
         def failing_run(setup):
             raise ValueError("simulated failure inside the run")

@@ -180,12 +180,9 @@ class TestGeneration:
                                             cfg.neighbor_cap,
                                             np.random.default_rng(99))
         queries = generation.build_query(params, excl_flat, masks.effective, 2)
+        stacked = nx.concat(contexts + [const(np.zeros((1, 8)))], 0)
         evidence, _ = nx.attention_batched(
-            queries,
-            nx.reshape(nx.rows(nx.concat(contexts + [const(np.zeros((1, 8)))], 0),
-                               banks.token_index.reshape(-1)), (4, banks.width, 8)),
-            nx.reshape(nx.rows(nx.concat(contexts + [const(np.zeros((1, 8)))], 0),
-                               banks.token_index.reshape(-1)), (4, banks.width, 8)),
+            queries, stacked, stacked, banks.token_index,
             banks.additive_mask, cfg.heads,
             nx.AttentionParams(params["gen.att.wq"], params["gen.att.wk"],
                                params["gen.att.wv"], params["gen.att.wo"]))

@@ -327,6 +327,14 @@ class TestGraphDocuments:
         with pytest.raises(GraphFileError, match="labels"):
             self._load({**_VALID_DOC, "labels": labels})
 
+    @pytest.mark.parametrize("pairs", [[[0, 99], [-5, 1]], [[0, 3]], [[-1, 2]]])
+    def test_out_of_range_pairs_rejected(self, pairs):
+        with pytest.raises(GraphFileError, match="pair"):
+            self._load({**_VALID_DOC, "pairs": pairs})
+
+    def test_pairs_in_range_load(self):
+        assert self._load({**_VALID_DOC, "pairs": [[0, 2], [1, 1]]}).pairs == [(0, 2), (1, 1)]
+
     @settings(max_examples=400, deadline=None)
     @given(doc=_GRAPH_DOCS)
     def test_any_document_loads_or_raises_graph_file_error(self, doc):
@@ -369,3 +377,15 @@ class TestInducedSubgraph:
             assert (min(nodes[u], nodes[v]), max(nodes[u], nodes[v])) in {
                 (min(a, b), max(a, b)) for a, b in g.edges}
         np.testing.assert_array_equal(sub.labels, g.labels[nodes])
+
+    def test_pairs_are_remapped_and_out_of_range_pairs_rejected(self):
+        def graph(pairs):
+            return MultimodalGraph(n=4, edges=[(0, 1)],
+                                   modalities=[Modality("img", 2, np.ones((4, 2)))],
+                                   labels=None, natural_mask=np.ones((4, 1)),
+                                   pairs=pairs)
+        # a pair with a node outside the subset leaves with that node
+        assert induced_subgraph(graph([(0, 3), (3, 2)]), [3, 0]).pairs == [(1, 0)]
+        for bad in ([(0, 4)], [(-1, 2)]):
+            with pytest.raises(ValueError, match="pair"):
+                graph(bad)

@@ -97,6 +97,109 @@ class TestAttention:
         assert report.max_rel_err < 1e-6
 
 
+def gathered_attention(query, keys, values, token_index, mask, heads, params):
+    """Gather-then-project reference in plain numpy: every bank slot's
+    memory row is gathered first and projected on its own."""
+    g_count, s_count = token_index.shape
+    q = query @ params.wq.data
+    k = keys[token_index] @ params.wk.data            # [G, S, d_attn]
+    v = values[token_index] @ params.wv.data
+    dh = q.shape[1] // heads
+    ctx = np.zeros_like(q)
+    weights = np.zeros((g_count, heads, s_count))
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        logits = np.einsum("gd,gsd->gs", q[:, cols], k[:, :, cols]) / np.sqrt(dh) + mask
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights[:, h] = e / e.sum(axis=1, keepdims=True)
+        ctx[:, cols] = np.einsum("gs,gsd->gd", weights[:, h], v[:, :, cols])
+    return ctx @ params.wo.data, weights
+
+
+def shared_memory_banks(rng, t_count, g_count, s_count):
+    """Banks over T memory rows plus a zero padding row at index T: slots
+    repeat tokens, and every bank has at least one usable slot."""
+    index = rng.integers(0, t_count, size=(g_count, s_count))
+    index[:, 0] = rng.integers(0, 2, size=g_count)     # repeats across banks
+    pad = rng.random((g_count, s_count)) < 0.4
+    pad[:, 0] = False
+    index[pad] = t_count
+    return index, np.where(pad, MASK_NEG, 0.0)
+
+
+class TestSharedMemoryAttention:
+    def test_matches_gather_then_project(self):
+        rng = np.random.default_rng(11)
+        store = ParamStore()
+        params = random_attention(store, rng, 5, 6, 6, 8)
+        memory = np.vstack([rng.normal(size=(7, 6)), np.zeros((1, 6))])
+        index, mask = shared_memory_banks(rng, 7, 9, 5)
+        query = rng.normal(size=(9, 5))
+        out, weights = nx.attention_batched(const(query), const(memory),
+                                            const(memory), index, mask, 2, params)
+        ref_out, ref_weights = gathered_attention(query, memory, memory, index,
+                                                  mask, 2, params)
+        np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
+        assert (weights[np.broadcast_to(mask[:, None, :] < 0, weights.shape)] == 0.0).all()
+
+    def test_gradients_of_projections_and_memory_rows(self):
+        rng = np.random.default_rng(12)
+        store = ParamStore()
+        params = random_attention(store, rng, 5, 6, 6, 8)
+        memory = store.add("memory", rng.normal(size=(7, 6)))
+        pad_row = const(np.zeros((1, 6)))
+        index, mask = shared_memory_banks(rng, 7, 9, 5)
+        query = const(rng.normal(size=(9, 5)))
+        probe = const(rng.normal(size=(9, 6)))
+
+        def f(s):
+            stacked = nx.concat([s["memory"], pad_row], axis=0)
+            out, _ = nx.attention_batched(query, stacked, stacked, index, mask, 2,
+                                          params)
+            return nx.total_sum(nx.mul(out, probe))
+
+        report = grad_check(f, store, h=1e-5)
+        assert set(report.per_param) == {"wq", "wk", "wv", "wo", "memory"}
+        assert report.max_rel_err < 1e-6
+
+
+class TestAliasedGradients:
+    """A first gradient is stored as it is, so it may alias another tensor's
+    gradient; later ones must be added without mutating it."""
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = nx.Tensor(np.array([[1.5, -2.0], [0.25, 3.0]]), requires_grad=True)
+        c = np.array([[0.1, 0.7], [-1.3, 2.9]])
+        with Tape() as tape:
+            y = nx.add(x, x)
+            tape.backward(nx.total_sum(nx.mul(y, const(c))))
+        assert np.array_equal(x.grad, c + c)
+        assert np.array_equal(y.grad, c)
+
+    def test_mul_of_a_tensor_by_itself(self):
+        x = nx.Tensor(np.array([[1.5, -2.0], [0.25, 3.0]]), requires_grad=True)
+        c = np.array([[0.1, 0.7], [-1.3, 2.9]])
+        with Tape() as tape:
+            y = nx.mul(x, x)
+            tape.backward(nx.total_sum(nx.mul(y, const(c))))
+        assert np.array_equal(x.grad, c * x.data + c * x.data)
+        assert np.array_equal(y.grad, c)
+
+    def test_reshape_view_with_two_consumers(self):
+        x = nx.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        c1, c2 = np.linspace(-1, 1, 6), np.linspace(0.3, 2.2, 6)
+        with Tape() as tape:
+            v = nx.reshape(x, (6,))
+            z1 = nx.add(v, const(np.ones(6)))     # passes its gradient through
+            z2 = nx.add(v, const(np.ones(6)))
+            tape.backward(nx.add(nx.total_sum(nx.mul(z1, const(c1))),
+                                 nx.total_sum(nx.mul(z2, const(c2)))))
+        assert np.array_equal(x.grad, (c1 + c2).reshape(3, 2))
+        assert np.array_equal(z1.grad, c1) and np.array_equal(z2.grad, c2)
+        assert np.array_equal(v.grad, c1 + c2)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(5)
@@ -226,6 +329,48 @@ class TestSparseOps:
             tape.backward(nx.total_sum(nx.mul(nx.rows(a, idx), const(g))))
         expected = np.eye(n)[idx].T @ g  # repeated picks add up
         np.testing.assert_allclose(a.grad, expected, rtol=0, atol=1e-12)
+
+
+def varied_normal(rng, shape):
+    """Normal draws spread over many magnitudes, so the order in which
+    they are added shows in the rounding."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+
+
+class TestScatterKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=40),
+           width=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scatter_sum_is_a_sequential_loop(self, n, picks, width, seed):
+        rng = np.random.default_rng(seed)
+        targets = np.array([p % n for p in picks], dtype=np.intp)
+        values = varied_normal(rng, (targets.size, width))
+        expected = np.zeros((n, width))
+        for k, t in enumerate(targets):
+            for j in range(width):
+                expected[t, j] = float(expected[t, j]) + float(values[k, j])
+        got = nx.scatter_sum(values, nx.scatter_index(targets, width), n)
+        assert got.shape == (n, width) and got.tobytes() == expected.tobytes()
+        flat = nx.scatter_sum(values[:, 0].copy(), targets, n)
+        assert flat.tobytes() == expected[:, 0].copy().tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=24),
+           two_d=st.booleans(), trailing=st.sampled_from([(), (3,), (2, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_backward_is_add_at(self, n, picks, two_d, trailing, seed):
+        rng = np.random.default_rng(seed)
+        idx = np.array([p % n for p in picks], dtype=np.intp)
+        if two_d and idx.size % 2 == 0:
+            idx = idx.reshape(2, -1)
+        a = nx.Tensor(rng.normal(size=(n,) + trailing), requires_grad=True)
+        g = varied_normal(rng, idx.shape + trailing)
+        with Tape() as tape:
+            tape.backward(nx.total_sum(nx.mul(nx.rows(a, idx), const(g))))
+        expected = np.zeros((n,) + trailing)
+        np.add.at(expected, idx, g)
+        assert a.grad.shape == expected.shape
+        assert a.grad.tobytes() == expected.tobytes()
 
 
 class TestAdam:
