@@ -51,15 +51,14 @@ def anchor_coefficients(neigh_mat: nx.CSRMatrix, eff_col: np.ndarray
 
 
 def structural_anchor(params: ParamStore, name: str, raw_embed: Tensor,
-                      neigh_mat: nx.CSRMatrix, eff_col: np.ndarray
-                      ) -> tuple[Tensor, np.ndarray]:
-    """Visibility-weighted neighbor mean; learnable null token as fallback."""
-    coeff, flags = anchor_coefficients(neigh_mat, eff_col)
+                      coeff: nx.CSRMatrix, flags: np.ndarray) -> Tensor:
+    """Visibility-weighted neighbor mean; learnable null token as fallback.
+    ``coeff`` and ``flags`` are the modality's ``anchor_coefficients``."""
     anchor = nx.spmm(coeff, raw_embed)
     if flags.any():
         null_row = nx.reshape(params[f"anchor.null.{name}"], (1, -1))
         anchor = nx.add(anchor, nx.matmul(const(flags.reshape(-1, 1)), null_row))
-    return anchor, flags
+    return anchor
 
 
 def _conv_stack(params: ParamStore, prefix: str, x: Tensor, neigh_mat: nx.CSRMatrix,

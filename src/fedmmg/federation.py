@@ -1,15 +1,14 @@
 """Federated round loop: client training, reliability stats, aggregation.
 
-The simulation is single-process. Clients within a round may run on worker
-threads; every client draws from its own (seed, client, round, epoch) RNG
-stream and owns a private parameter copy, and the server reduces results in
-ascending client order, so outputs are identical for any worker count.
+The simulation is single-process and runs the selected clients of a round
+one after another in ascending client order. Every client draws from its own
+(seed, client, round, epoch) RNG stream and owns a private parameter copy,
+and the server reduces results in ascending client order.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,8 @@ from .fusion import relative_recon_error
 from .graphdata import (ClientPartition, MaskSet, MultimodalGraph,
                         induced_subgraph, sample_artificial_mask)
 from .metrics import MetricsRow, evaluate_metrics
-from .model import ForwardBundle, GraphCaches, ModelConfig, forward_pass, init_params
+from .model import (ForwardBundle, ForwardPlan, GraphCaches, ModelConfig,
+                    forward_pass, init_params, make_plan)
 from .numerics import AdamState, GradientError, ParamStore, Tape
 from .tasks import LossBreakdown, TaskSpec
 
@@ -81,7 +81,6 @@ class ServerConfig:
     eta_e: float = 1.0
     eta_rho: float = 1.0
     eps: float = 1e-12
-    workers: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.fraction <= 1.0):
@@ -194,7 +193,7 @@ def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
     store.zero_grads()
 
     last_bundle: ForwardBundle | None = None
-    last_masks: MaskSet | None = None
+    last_plan: ForwardPlan | None = None
     breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
     for epoch in range(max(1, train_cfg.local_epochs)):
@@ -205,10 +204,10 @@ def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
         else:
             masks = sample_artificial_mask(data.graph.natural_mask,
                                            train_cfg.p_mask, rng)
+        plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
 
         with Tape() as tape:
-            bundle = forward_pass(store, model_cfg, data.graph, masks, round_t,
-                                  rng, data.caches)
+            bundle = forward_pass(store, model_cfg, plan, round_t)
             try:
                 task_loss = _task_loss(store, bundle, data, spec, rng)
             except ValueError as exc:
@@ -231,15 +230,14 @@ def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
                 nx.adam_step(store, state.adam, train_cfg.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
-        last_bundle, last_masks = bundle, masks
+        last_bundle, last_plan = bundle, plan
 
-    assert last_bundle is not None and last_masks is not None
+    assert last_bundle is not None and last_plan is not None
     # Uploaded stats (see ReliabilityStats): u over effective-mask hidden
     # cells, e as relative error over recon cells, rho from the natural mask.
     # The calibration pair keeps the per-batch normalized error the
     # uncertainty head is trained toward.
-    eff_flat = last_masks.effective.T.reshape(-1)
-    recon_flat = last_masks.recon.T.reshape(-1)
+    eff_flat, recon_flat = last_plan.eff_flat, last_plan.recon_flat
     if last_bundle.uncertainty is not None:
         u_vals = last_bundle.uncertainty.data.reshape(-1)
         hidden = eff_flat == 0.0
@@ -310,8 +308,8 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
     """Held-out metrics under natural visibility (no artificial masking)."""
     rng = np.random.default_rng([seed & 0xFFFFFFFF, data.cid, round_t, _EVAL_TAG])
     masks = MaskSet.full_visibility(data.graph.natural_mask)
-    bundle = forward_pass(store, model_cfg, data.graph, masks, round_t, rng,
-                          data.caches)
+    plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
+    bundle = forward_pass(store, model_cfg, plan, round_t)
     graph = data.graph
     if spec.kind == "nc":
         if data.test_nodes.size == 0:
@@ -434,27 +432,15 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
         else:
             selected = list(range(num_clients))
 
-        def run_one(cid: int) -> ClientRoundResult:
-            return client_local_round(setup.clients[cid], global_params,
-                                      setup.model_cfg, setup.task_spec, round_t,
-                                      setup.train_cfg, setup.seed)
-
         results: dict[int, ClientRoundResult] = {}
         errors: dict[int, str] = {}
-        if server.workers > 1:
-            with ThreadPoolExecutor(max_workers=server.workers) as pool:
-                futures = {cid: pool.submit(run_one, cid) for cid in selected}
-            for cid in selected:
-                try:
-                    results[cid] = futures[cid].result()
-                except ClientRoundError as exc:
-                    errors[cid] = str(exc)
-        else:
-            for cid in selected:
-                try:
-                    results[cid] = run_one(cid)
-                except ClientRoundError as exc:
-                    errors[cid] = str(exc)
+        for cid in selected:
+            try:
+                results[cid] = client_local_round(
+                    setup.clients[cid], global_params, setup.model_cfg,
+                    setup.task_spec, round_t, setup.train_cfg, setup.seed)
+            except ClientRoundError as exc:
+                errors[cid] = str(exc)
         if not results:
             raise FederationAborted(
                 f"every client failed in round {round_t}: {errors}")
@@ -508,10 +494,11 @@ def _collect_calibration(setup: FederationSetup,
                  setup.server_cfg.rounds, draw, _CAL_TAG])
             masks = sample_artificial_mask(state.data.graph.natural_mask,
                                            setup.train_cfg.p_mask, rng)
-            bundle = forward_pass(state.store, setup.model_cfg, state.data.graph,
-                                  masks, setup.server_cfg.rounds, rng,
-                                  state.data.caches)
-            cells = masks.recon.T.reshape(-1) == 1.0
+            plan = make_plan(state.data.graph, state.data.caches, masks,
+                             setup.model_cfg, rng)
+            bundle = forward_pass(state.store, setup.model_cfg, plan,
+                                  setup.server_cfg.rounds)
+            cells = plan.recon_flat == 1.0
             if bundle.uncertainty is not None and cells.any():
                 cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
                 cal_e.append(bundle.norm_err[cells])

@@ -19,59 +19,22 @@ REC_EPS = 1e-12
 
 
 @dataclass
-class ContextBank:
-    """Token sources for one (node, target modality) cell.
-
-    ``tokens`` lists (node, modality) pairs; the additive mask is 0 at every
-    included slot. ``empty`` marks a bank with no usable token at all, in
-    which case generation falls back to the anchor/self-context branch.
-    """
-
-    tokens: list[tuple[int, int]]
-    additive_mask: np.ndarray
-    empty: bool
-
-
-def build_context_bank(node: int, target: int, neigh_mat: nx.CSRMatrix,
-                       eff: np.ndarray, cap: int,
-                       rng: np.random.Generator) -> ContextBank:
-    """Enumerate bank tokens for one cell: own other-modality tokens plus at
-    most ``cap`` visible neighbor tokens sampled without replacement.
-
-    This is the per-cell definition that ``build_bank_batch`` vectorizes."""
-    if cap < 0:
-        raise ValueError("neighbor cap must be nonnegative")
-    m_count = eff.shape[1]
-    tokens = [(node, m) for m in range(m_count)
-              if m != target and eff[node, m] == 1.0]
-    neighbors = neigh_mat.indices[neigh_mat.indptr[node]:neigh_mat.indptr[node + 1]]
-    candidates = [(int(j), m) for j in neighbors
-                  for m in range(m_count) if eff[j, m] == 1.0]
-    if len(candidates) > cap:
-        picks = rng.choice(len(candidates), size=cap, replace=False)
-        candidates = [candidates[p] for p in sorted(picks)]
-    tokens.extend(candidates)
-    return ContextBank(tokens=tokens,
-                       additive_mask=np.zeros(len(tokens)),
-                       empty=len(tokens) == 0)
-
-
-@dataclass
 class BankBatch:
     """All banks of a graph, padded to a common width for batched attention."""
 
     token_index: np.ndarray    # [G, S] into the stacked context matrix
     additive_mask: np.ndarray  # [G, S]; 0 usable, MASK_NEG padding
     empty: np.ndarray          # [G] 1.0 where the bank has no token
-    width: int
 
 
 def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
                      rng: np.random.Generator) -> BankBatch:
-    """Build every cell's bank, as ``build_context_bank`` does cell by cell in
-    g order (same tokens, same random draws); slot indices point into
-    vstack(contexts) with one extra all-zero row appended at index N * M for
-    padding."""
+    """Build every cell's bank in g order: the node's own other visible
+    modality tokens, then at most ``cap`` of its visible neighbor tokens,
+    ordered by (neighbor, modality). A cell with more candidates keeps
+    ``sorted(rng.choice(count, cap, replace=False))`` of them, one draw per
+    such cell in g order. Slot indices point into vstack(contexts) with one
+    extra all-zero row appended at index N * M for padding."""
     if cap < 0:
         raise ValueError("neighbor cap must be nonnegative")
     n, m_count = eff.shape
@@ -111,7 +74,7 @@ def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
         cand_tokens[cand_ptr[cand_g % n] + offsets]
     mask = np.where(index == pad_row, MASK_NEG, 0.0)
     empty = (total == 0).astype(np.float64)
-    return BankBatch(token_index=index, additive_mask=mask, empty=empty, width=width)
+    return BankBatch(token_index=index, additive_mask=mask, empty=empty)
 
 
 def build_query(params: ParamStore, excl_flat: Tensor, eff: np.ndarray,

@@ -1,4 +1,4 @@
-"""Model assembly: parameter construction and the full staged forward pass.
+"""Model assembly: parameters, the per-mask-draw plan, the staged forward pass.
 
 A single parameter store covers both operating modes. The full pipeline
 runs encoding, anchor-guided generation, uncertainty-routed expert fusion,
@@ -152,6 +152,43 @@ class FrozenTargets:
 
 
 @dataclass
+class ForwardPlan:
+    """The parameter-independent structure of one mask draw.
+
+    ``make_plan`` builds it once per draw; every forward on that draw reads
+    it and draws nothing, so ``forward_pass`` is a function of the
+    parameters alone. Cells are flattened as g = modality * N + node."""
+
+    graph: MultimodalGraph
+    caches: GraphCaches
+    masks: MaskSet
+    eff_flat: np.ndarray    # [G] effective visibility
+    recon_flat: np.ndarray  # [G] 1.0 at artificially masked cells
+    rho_nodes: np.ndarray   # [N] missing ratio under the effective mask
+    anchors: list[tuple[nx.CSRMatrix, np.ndarray]]  # per modality (coeff, flags)
+    banks: generation.BankBatch | None              # None in bypass mode
+
+
+def make_plan(graph: MultimodalGraph, caches: GraphCaches, masks: MaskSet,
+              cfg: ModelConfig, rng: np.random.Generator) -> ForwardPlan:
+    """Build the plan of one mask draw. The banks are its only random draw;
+    the bypass mode needs neither banks nor anchors and leaves ``rng``
+    untouched."""
+    eff = masks.effective
+    anchors, banks = [], None
+    if not cfg.bypass_generation:
+        anchors = [encoding.anchor_coefficients(caches.neigh_mat, eff[:, m])
+                   for m in range(eff.shape[1])]
+        banks = generation.build_bank_batch(caches.neigh_mat, eff,
+                                            cfg.neighbor_cap, rng)
+    return ForwardPlan(graph=graph, caches=caches, masks=masks,
+                       eff_flat=eff.T.reshape(-1),
+                       recon_flat=masks.recon.T.reshape(-1),
+                       rho_nodes=missing_ratios(masks), anchors=anchors,
+                       banks=banks)
+
+
+@dataclass
 class ForwardBundle:
     refined: Tensor
     expert_flat: Tensor | None
@@ -164,8 +201,6 @@ class ForwardBundle:
     gamma: float
     cell_errors: np.ndarray | None
     norm_err: np.ndarray | None
-    rho_nodes: np.ndarray
-    rho_client: float
     raw_cells: np.ndarray | None = None
     reliability: np.ndarray | None = None
     alpha_fb: np.ndarray | None = None
@@ -175,22 +210,21 @@ def _flat_cells(per_modality: list[Tensor]) -> Tensor:
     return nx.concat(per_modality, axis=0)
 
 
-def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
-                 masks: MaskSet, round_t: int, rng: np.random.Generator,
-                 caches: GraphCaches,
-                 frozen: FrozenTargets | None = None) -> ForwardBundle:
-    """Run the staged pipeline on one client graph under the given masks."""
+def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
+                 round_t: int, frozen: FrozenTargets | None = None
+                 ) -> ForwardBundle:
+    """Run the staged pipeline on one client graph under the plan's masks."""
     if cfg.bypass_generation:
-        return _forward_bypass(params, cfg, graph, masks, caches)
+        return _forward_bypass(params, cfg, plan)
 
+    caches, masks = plan.caches, plan.masks
     eff = masks.effective
-    n, m_count = eff.shape
-    raw = encoding.encode_modalities(params, graph, masks.natural)
+    m_count = eff.shape[1]
+    raw = encoding.encode_modalities(params, plan.graph, masks.natural)
 
     anchors, contexts = [], []
     for m, (name, _dim) in enumerate(cfg.modalities):
-        anchor, _flags = encoding.structural_anchor(
-            params, name, raw[m], caches.neigh_mat, eff[:, m])
+        anchor = encoding.structural_anchor(params, name, raw[m], *plan.anchors[m])
         anchors.append(anchor)
         contexts.append(encoding.graph_context(
             params, name, raw[m], anchor, eff[:, m], caches.neigh_mat,
@@ -202,13 +236,11 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     raw_flat = _flat_cells(raw)
     anchor_flat = _flat_cells(anchors)
     excl_flat = _flat_cells(excl)
-    eff_flat = eff.T.reshape(-1)
-    recon_flat = masks.recon.T.reshape(-1)
+    eff_flat, recon_flat = plan.eff_flat, plan.recon_flat
 
-    banks = generation.build_bank_batch(caches.neigh_mat, eff, cfg.neighbor_cap, rng)
     queries = generation.build_query(params, excl_flat, eff, m_count)
     generated, gamma, _att = generation.generate_modalities(
-        params, queries, banks, contexts, excl_flat, anchor_flat,
+        params, queries, plan.banks, contexts, excl_flat, anchor_flat,
         round_t, cfg.warmup_rounds, cfg.heads)
 
     cell_err = generation.squared_cell_errors(
@@ -216,12 +248,10 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
     rec_loss = generation.reconstruction_loss(cell_err, recon_flat)
     align_loss = generation.alignment_loss(params, raw_flat, generated, eff)
 
-    rho_nodes = missing_ratios(masks)
-    rho_client = float(rho_nodes.mean())
-
     uncertainty = fusion.estimate_uncertainty(params, generated, excl_flat,
                                               anchor_flat, eff_flat)
-    weights = fusion.route(params, eff_flat, uncertainty, rho_nodes, rho_client,
+    weights = fusion.route(params, eff_flat, uncertainty, plan.rho_nodes,
+                           float(plan.rho_nodes.mean()),
                            cfg.router_temperature, m_count)
     norm_err = frozen.norm_err if frozen else fusion.normalized_errors(
         cell_err.data.reshape(-1), recon_flat, m_count)
@@ -230,7 +260,7 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
 
     expert_flat = fusion.expert_mix(params, raw_flat, generated, weights, eff_flat)
     fused, reliability, alpha_fb = fusion.fuse(
-        params, expert_flat, uncertainty, rho_nodes, struct_repr, m_count)
+        params, expert_flat, uncertainty, plan.rho_nodes, struct_repr, m_count)
 
     from .tasks import refine  # local import avoids a module cycle
     refined = refine(params, fused, caches.neigh_mat)
@@ -241,35 +271,32 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
         rec_loss=rec_loss, align_loss=align_loss, route_loss=route_loss,
         gamma=gamma, cell_errors=cell_err.data.reshape(-1).copy(),
         norm_err=norm_err, raw_cells=raw_flat.data.copy(),
-        rho_nodes=rho_nodes, rho_client=rho_client,
         reliability=reliability, alpha_fb=alpha_fb)
 
 
-def _forward_bypass(params: ParamStore, cfg: ModelConfig, graph: MultimodalGraph,
-                    masks: MaskSet, caches: GraphCaches) -> ForwardBundle:
+def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
+                    ) -> ForwardBundle:
     """Backbone-only forward: zero-filled inputs, mean fusion, no generator."""
-    eff = masks.effective
+    eff = plan.masks.effective
     n, m_count = eff.shape
     raw = [encoding.encode_modality(params, mod.name, mod.features, eff[:, m])
-           for m, mod in enumerate(graph.modalities)]
+           for m, mod in enumerate(plan.graph.modalities)]
     contexts = []
     for m, (name, _dim) in enumerate(cfg.modalities):
         adapted = nx.relu(nx.linear(raw[m], params[f"adapter.{name}.w"],
                                     params[f"adapter.{name}.b"]))
         contexts.append(encoding._conv_stack(params, "gnn", adapted,
-                                             caches.neigh_mat, cfg.gnn_layers))
+                                             plan.caches.neigh_mat, cfg.gnn_layers))
     stacked = nx.reshape(_flat_cells(contexts), (m_count, n, cfg.hidden_dim))
     mean_ctx = nx.scale(nx.sum_axis(stacked, 0), 1.0 / m_count)
     fused = nx.layer_norm(mean_ctx, params["fuse.ln_g"], params["fuse.ln_b"])
 
     from .tasks import refine
-    refined = refine(params, fused, caches.neigh_mat)
+    refined = refine(params, fused, plan.caches.neigh_mat)
 
     zero = const(np.asarray(0.0))
-    rho_nodes = missing_ratios(masks)
     return ForwardBundle(
         refined=refined, expert_flat=_flat_cells(contexts), generated=None,
         uncertainty=None, route_weights=None,
         rec_loss=zero, align_loss=zero, route_loss=zero, gamma=0.0,
-        cell_errors=None, norm_err=None,
-        rho_nodes=rho_nodes, rho_client=float(rho_nodes.mean()))
+        cell_errors=None, norm_err=None)

@@ -3,16 +3,13 @@
 The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
-(CSR) matrix, and a mean-aggregating graph convolution. Gradient tapes are
-confined to the thread that created them; tensor values are never mutated
-in place, so published tensors and parameter snapshots are safe to share
-across threads.
+(CSR) matrix, and a mean-aggregating graph convolution. Operations record
+onto the innermost open tape; tensor values are never mutated in place.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -37,34 +34,25 @@ class GradientError(RuntimeError):
 # Tape machinery
 # ---------------------------------------------------------------------------
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list = []  # open tapes, innermost last
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
-    """Records backward closures in execution order (thread-confined)."""
+    """Records backward closures in execution order."""
 
     def __init__(self):
         self._records: list = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
 
     def record(self, out: "Tensor", backward) -> None:
@@ -239,20 +227,22 @@ class KinkWatch:
     recorded margin is too small.
     """
 
+    active: "KinkWatch | None" = None
+
     def __init__(self):
         self.margin = np.inf
 
     def __enter__(self) -> "KinkWatch":
-        _TLS.kink_watch = self
+        KinkWatch.active = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _TLS.kink_watch = None
+        KinkWatch.active = None
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    watch = getattr(_TLS, "kink_watch", None)
+    watch = KinkWatch.active
     if watch is not None and a.data.size:
         watch.margin = min(watch.margin, float(np.abs(a.data).min()))
 

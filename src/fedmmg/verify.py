@@ -14,7 +14,7 @@ from . import tasks as task_ops
 from .fusion import monte_carlo_bound_check
 from .graphdata import MaskSet, Modality, MultimodalGraph
 from .model import (FrozenTargets, GraphCaches, ModelConfig, forward_pass,
-                    init_params)
+                    init_params, make_plan)
 from .numerics import KinkWatch, Tape, grad_check
 from .tasks import TaskSpec
 
@@ -52,18 +52,16 @@ def _toy_masks(graph: MultimodalGraph, seed: int) -> MaskSet:
 
 def _local_objective_fn(graph, masks, cfg, spec, seed, store):
     """Scalar training objective with the stop-gradient targets pinned to
-    their base-point values, which is the function the tape differentiates."""
-    caches = GraphCaches.build(graph)
+    their base-point values, which is the function the tape differentiates.
+    Every probe runs on one plan, so all of them see the same banks."""
+    plan = make_plan(graph, GraphCaches.build(graph), masks, cfg,
+                     np.random.default_rng([seed & 0xFFFFFFFF, 0xF0]))
     train_idx = np.array([0, 1, 2, 3])
-    base = forward_pass(store, cfg, graph, masks, round_t=5,
-                        rng=np.random.default_rng([seed & 0xFFFFFFFF, 0xF0]),
-                        caches=caches)
+    base = forward_pass(store, cfg, plan, round_t=5)
     frozen = FrozenTargets(raw_targets=base.raw_cells, norm_err=base.norm_err)
 
     def fn(store):
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xF0])
-        bundle = forward_pass(store, cfg, graph, masks, round_t=5, rng=rng,
-                              caches=caches, frozen=frozen)
+        bundle = forward_pass(store, cfg, plan, round_t=5, frozen=frozen)
         if spec.kind == "nc":
             task = task_ops.nc_task_loss(store, bundle.refined, graph.labels,
                                          train_idx)
@@ -104,6 +102,8 @@ def run_gradcheck_suite(seeds: int = DEFAULT_GRAD_SEEDS, h: float = 1e-5,
                         ) -> dict:
     """Check every trainable sub-network and the full local objective against
     central finite differences across independent seeds."""
+    if seeds < 1:  # a suite that checks nothing must not report a pass
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
 
     def builder_for(task_kind):
         def build(seed):
@@ -150,6 +150,8 @@ def run_gradcheck_suite(seeds: int = DEFAULT_GRAD_SEEDS, h: float = 1e-5,
 def run_theory_check(configs: int = 1000, trials: int = 10000, seed: int = 0,
                      required_fraction: float = 0.99) -> dict:
     """Monte Carlo sweep of the fusion error bound over random settings."""
+    if configs < 1:
+        raise ValueError(f"configs must be at least 1, got {configs}")
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x7E0])
     holds = 0
     failures = []
@@ -251,6 +253,8 @@ def run_metrics_oracle(instances: int = 100, seed: int = 0,
                        max_items: int = 50, atol: float = 1e-9) -> dict:
     """Compare the metric implementations against exhaustive references on
     random instances (with occasional forced ties)."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x0AC])
     agree = 0
     mismatches = []

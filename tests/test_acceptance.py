@@ -17,7 +17,7 @@ from fedmmg.federation import (ReliabilityStats, ServerConfig, aggregate,
                                run_federation)
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
-from fedmmg.model import GraphCaches, forward_pass, init_params
+from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
 from fedmmg.numerics import MASK_NEG, AttentionParams, const, multi_head_attention
 from fedmmg.verify import (run_gradcheck_suite, run_metrics_oracle,
                            run_theory_check)
@@ -179,15 +179,16 @@ def test_criterion_5_self_leakage():
     def run_probe():
         params = init_params(cfg, 5)
         caches = GraphCaches.build(graph)
-        bundle = forward_pass(params, cfg, graph, masks, 7,
-                              np.random.default_rng(9), caches)
+        plan = make_plan(graph, caches, masks, cfg, np.random.default_rng(9))
+        bundle = forward_pass(params, cfg, plan, 7)
         from fedmmg import encoding
         raw = encoding.encode_modalities(params, graph, masks.natural)
         anchors, contexts = [], []
         for m, (name, _dim) in enumerate(cfg.modalities):
-            anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                caches.neigh_mat,
-                                                masks.effective[:, m])
+            anc = encoding.structural_anchor(
+                params, name, raw[m],
+                *encoding.anchor_coefficients(caches.neigh_mat,
+                                              masks.effective[:, m]))
             anchors.append(anc)
             contexts.append(encoding.graph_context(params, name, raw[m], anc,
                                                    masks.effective[:, m],

@@ -369,3 +369,17 @@ class TestCli:
         assert main(["gradcheck", "--seeds", "2", "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["max_rel_err"] <= 1e-3
+
+    @pytest.mark.parametrize("argv", [
+        ["theory-check", "--configs", "0"],
+        ["gradcheck", "--seeds", "0"],
+        ["metrics-oracle", "--instances", "0"],
+        ["metrics-oracle", "--instances", "-3"],
+    ])
+    def test_verification_count_below_one_exits_one(self, tmp_path, capsys, argv):
+        report_path = tmp_path / "report.json"
+        assert main(argv + ["--out", str(report_path)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1 and argv[1][2:] in captured.err
+        assert captured.out == "" and not report_path.exists()

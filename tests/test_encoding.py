@@ -6,7 +6,7 @@ import pytest
 from fedmmg import encoding
 from fedmmg import numerics as nx
 from fedmmg.graphdata import MaskSet, Modality, MultimodalGraph
-from fedmmg.model import GraphCaches, ModelConfig, forward_pass, init_params
+from fedmmg.model import GraphCaches, ModelConfig, init_params
 from fedmmg.numerics import const
 
 
@@ -85,8 +85,9 @@ class TestStructuralAnchor:
         eff = np.ones(graph.n)
         eff[0] = 0.0  # hub invisible => leaves have no visible neighbor
         raw = const(np.random.default_rng(3).normal(size=(graph.n, 8)))
-        anchor, flags = encoding.structural_anchor(
-            params, "img", raw, GraphCaches.build(graph).neigh_mat, eff)
+        coeff, flags = encoding.anchor_coefficients(
+            GraphCaches.build(graph).neigh_mat, eff)
+        anchor = encoding.structural_anchor(params, "img", raw, coeff, flags)
         assert flags[1] == 1.0
         np.testing.assert_allclose(anchor.data[1], np.arange(8.0))
 
@@ -187,9 +188,10 @@ class TestTargetExclusiveContext:
             raw = encoding.encode_modalities(params, graph, masks.natural)
             anchors, contexts = [], []
             for m, (name, _d) in enumerate(cfg.modalities):
-                anc, _ = encoding.structural_anchor(
-                    params, name, raw[m], caches.neigh_mat,
-                    masks.effective[:, m])
+                anc = encoding.structural_anchor(
+                    params, name, raw[m],
+                    *encoding.anchor_coefficients(caches.neigh_mat,
+                                                  masks.effective[:, m]))
                 anchors.append(anc)
                 contexts.append(encoding.graph_context(
                     params, name, raw[m], anc, masks.effective[:, m],

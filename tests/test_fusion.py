@@ -9,7 +9,7 @@ from fedmmg.fusion import (monte_carlo_bound_check, normalized_errors,
                            relative_recon_error, reliability_weights,
                            routing_loss)
 from fedmmg.graphdata import MaskSet
-from fedmmg.model import GraphCaches, forward_pass, init_params
+from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
 from fedmmg.numerics import ParamStore, const
 
 from test_encoding import small_cfg, star_graph
@@ -23,8 +23,8 @@ def _bundle(seed=0, keep=None, round_t=5):
         keep = np.ones((graph.n, 2))
     masks = MaskSet(natural=graph.natural_mask, keep=keep)
     caches = GraphCaches.build(graph)
-    bundle = forward_pass(params, cfg, graph, masks, round_t,
-                          np.random.default_rng(0), caches)
+    plan = make_plan(graph, caches, masks, cfg, np.random.default_rng(0))
+    bundle = forward_pass(params, cfg, plan, round_t)
     return cfg, params, graph, masks, bundle
 
 

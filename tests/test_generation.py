@@ -1,5 +1,7 @@
 """Stage 2: context banks, warmup schedule, generation, losses."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,41 @@ from hypothesis import strategies as st
 
 from fedmmg import generation
 from fedmmg import numerics as nx
-from fedmmg.generation import (build_bank_batch, build_context_bank,
-                               reconstruction_loss, squared_cell_errors,
-                               warmup_coefficient)
+from fedmmg.generation import (build_bank_batch, reconstruction_loss,
+                               squared_cell_errors, warmup_coefficient)
 from fedmmg.graphdata import MaskSet, Modality, MultimodalGraph, sample_artificial_mask
-from fedmmg.model import GraphCaches, ModelConfig, forward_pass, init_params
+from fedmmg.model import (GraphCaches, ModelConfig, forward_pass, init_params,
+                          make_plan)
 from fedmmg.numerics import const
 
 from test_encoding import small_cfg, star_graph
+
+
+@dataclass
+class ContextBank:
+    """Token sources for one (node, target modality) cell: (node, modality)
+    pairs, and ``empty`` when there is none."""
+
+    tokens: list[tuple[int, int]]
+    empty: bool
+
+
+def build_context_bank(node: int, target: int, neigh_mat: nx.CSRMatrix,
+                       eff: np.ndarray, cap: int,
+                       rng: np.random.Generator) -> ContextBank:
+    """Per-cell reference for ``build_bank_batch``: own other-modality tokens
+    plus at most ``cap`` visible neighbor tokens sampled without replacement."""
+    m_count = eff.shape[1]
+    tokens = [(node, m) for m in range(m_count)
+              if m != target and eff[node, m] == 1.0]
+    neighbors = neigh_mat.indices[neigh_mat.indptr[node]:neigh_mat.indptr[node + 1]]
+    candidates = [(int(j), m) for j in neighbors
+                  for m in range(m_count) if eff[j, m] == 1.0]
+    if len(candidates) > cap:
+        picks = rng.choice(len(candidates), size=cap, replace=False)
+        candidates = [candidates[p] for p in sorted(picks)]
+    tokens.extend(candidates)
+    return ContextBank(tokens=tokens, empty=len(tokens) == 0)
 
 
 class TestContextBank:
@@ -99,7 +128,7 @@ class TestBankBatchMatchesPerCellBanks:
         for g, bank in enumerate(banks):
             for s, (j, m) in enumerate(bank.tokens):
                 index[g, s] = m * n + j
-        assert batch.width == width
+        assert batch.token_index.shape[1] == width
         np.testing.assert_array_equal(batch.token_index, index)
         np.testing.assert_array_equal(batch.additive_mask,
                                       np.where(index == n * m_count, nx.MASK_NEG, 0.0))
@@ -123,8 +152,74 @@ class TestWarmup:
 def _forward(graph, masks, cfg, seed, round_t, rng_seed=99):
     params = init_params(cfg, seed)
     caches = GraphCaches.build(graph)
-    rng = np.random.default_rng(rng_seed)
-    return params, forward_pass(params, cfg, graph, masks, round_t, rng, caches)
+    plan = make_plan(graph, caches, masks, cfg, np.random.default_rng(rng_seed))
+    return params, forward_pass(params, cfg, plan, round_t)
+
+
+def _bundle_arrays(bundle):
+    out = {}
+    for key, value in vars(bundle).items():
+        if value is not None:
+            out[key] = value.data if isinstance(value, nx.Tensor) else np.asarray(value)
+    return out
+
+
+class TestForwardPlan:
+    def test_forwards_on_one_plan_are_bit_identical(self):
+        cfg = small_cfg()
+        graph = star_graph(seed=30)
+        rng = np.random.default_rng(30)
+        masks = sample_artificial_mask(graph.natural_mask, 0.4, rng)
+        plan = make_plan(graph, GraphCaches.build(graph), masks, cfg, rng)
+        params = init_params(cfg, 30)
+        first = _bundle_arrays(forward_pass(params, cfg, plan, 4))
+        # draws elsewhere, on the plan's own stream included, change nothing
+        rng.random(17)
+        np.random.default_rng(31).permutation(50)
+        second = _bundle_arrays(forward_pass(params, cfg, plan, 4))
+        assert first.keys() == second.keys() and "generated" in first
+        for key in first:
+            np.testing.assert_array_equal(first[key], second[key], err_msg=key)
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_plan_draws_exactly_the_banks(self, bypass):
+        cfg = small_cfg(neighbor_cap=1, bypass_generation=bypass)
+        graph = star_graph(seed=32)
+        caches = GraphCaches.build(graph)
+        masks = MaskSet.full_visibility(graph.natural_mask)
+        rng_plan, rng_banks = np.random.default_rng(32), np.random.default_rng(32)
+        plan = make_plan(graph, caches, masks, cfg, rng_plan)
+        if not bypass:
+            banks = build_bank_batch(caches.neigh_mat, masks.effective, 1, rng_banks)
+            np.testing.assert_array_equal(plan.banks.token_index, banks.token_index)
+        assert rng_plan.random() == rng_banks.random()
+
+    def test_gradcheck_probes_reuse_the_plan(self, monkeypatch):
+        from fedmmg import encoding, verify
+        from fedmmg.tasks import TaskSpec
+        calls = {"banks": 0, "anchors": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(generation, "build_bank_batch",
+                            counting("banks", generation.build_bank_batch))
+        monkeypatch.setattr(encoding, "anchor_coefficients",
+                            counting("anchors", encoding.anchor_coefficients))
+        graph = verify._toy_graph(3)
+        cfg = ModelConfig(modalities=[("img", 10), ("txt", 12)], hidden_dim=8,
+                          heads=4, neighbor_cap=4, warmup_rounds=10, num_classes=2)
+        store = init_params(cfg, 3)
+        fn = verify._local_objective_fn(graph, verify._toy_masks(graph, 3), cfg,
+                                        TaskSpec.for_kind("nc"), 3, store)
+        assert calls == {"banks": 1, "anchors": 2}
+        base = fn(store).data
+        store["gen.att.wq"].data[0, 0] += 1e-3
+        assert fn(store).data != base
+        assert calls == {"banks": 1, "anchors": 2}
 
 
 class TestGeneration:
@@ -138,10 +233,11 @@ class TestGeneration:
         from fedmmg import encoding
         raw = encoding.encode_modalities(params, graph, masks.natural)
         expected = []
+        neigh_mat = GraphCaches.build(graph).neigh_mat
         for m, (name, _d) in enumerate(cfg.modalities):
-            anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                GraphCaches.build(graph).neigh_mat,
-                                                masks.effective[:, m])
+            anc = encoding.structural_anchor(
+                params, name, raw[m],
+                *encoding.anchor_coefficients(neigh_mat, masks.effective[:, m]))
             expected.append(anc.data @ params["gen.anchor_proj.w"].data)
         np.testing.assert_allclose(bundle.generated.data,
                                    np.vstack(expected), atol=1e-12)
@@ -166,9 +262,10 @@ class TestGeneration:
         raw = encoding.encode_modalities(params, graph, masks.natural)
         anchors, contexts = [], []
         for m, (name, _d) in enumerate(cfg.modalities):
-            anc, _ = encoding.structural_anchor(params, name, raw[m],
-                                                caches.neigh_mat,
-                                                masks.effective[:, m])
+            anc = encoding.structural_anchor(
+                params, name, raw[m],
+                *encoding.anchor_coefficients(caches.neigh_mat,
+                                              masks.effective[:, m]))
             anchors.append(anc)
             contexts.append(encoding.graph_context(params, name, raw[m], anc,
                                                    masks.effective[:, m],
@@ -210,9 +307,9 @@ class TestGeneration:
         masks = MaskSet(natural=graph.natural_mask, keep=keep)
         params = init_params(cfg, 22)
         params["anchor.null.txt"].data = np.linspace(-1.0, 1.0, 8)
-        caches = GraphCaches.build(graph)
-        bundle = forward_pass(params, cfg, graph, masks, 5,
-                              np.random.default_rng(99), caches)  # gamma = 0.5
+        plan = make_plan(graph, GraphCaches.build(graph), masks, cfg,
+                         np.random.default_rng(99))
+        bundle = forward_pass(params, cfg, plan, 5)  # gamma = 0.5
         # target modality 1 sees only masked modality-0 tokens: empty bank
         expected = 0.5 * (params["anchor.null.txt"].data
                           @ params["gen.anchor_proj.w"].data)
@@ -233,9 +330,9 @@ class TestSelfLeakage:
 
         graph.modalities[0].features[0] += 3.0
         params2 = init_params(cfg, 23)
-        caches = GraphCaches.build(graph)
-        bundle2 = forward_pass(params2, cfg, graph, masks, 7,
-                               np.random.default_rng(99), caches)
+        plan = make_plan(graph, GraphCaches.build(graph), masks, cfg,
+                         np.random.default_rng(99))
+        bundle2 = forward_pass(params2, cfg, plan, 7)
         np.testing.assert_array_equal(before, bundle2.generated.data[0])
 
     def test_bank_has_no_target_tag_for_any_cell(self):
