@@ -9,7 +9,7 @@ and the server reduces results in ascending client order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class ClientState:
 @dataclass
 class ClientRoundResult:
     cid: int
-    params: dict[str, np.ndarray]
+    params: np.ndarray  # the client's ParamStore.vector after training
     stats: ReliabilityStats
     breakdown: LossBreakdown
     calib_uncertainty: np.ndarray
@@ -155,12 +155,10 @@ def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) ->
         a = max(1, int(0.7 * edges.shape[0]))
         b = max(a, int(0.85 * edges.shape[0]))
         train_e, test_e = edges[perm[:a]], edges[perm[b:]]
-        message_edges = [tuple(e) for e in train_e]
     else:
         train_e = edges
         test_e = np.empty((0, 2), dtype=np.intp)
-        message_edges = graph.edges
-    caches = GraphCaches.build(graph, message_edges)
+    caches = GraphCaches.build(graph, train_e)
     return ClientData(cid=cid, graph=graph, caches=caches,
                       train_nodes=train_n, test_nodes=test_n,
                       train_edges=train_e, test_edges=test_e,
@@ -183,7 +181,7 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
     raise ValueError(f"unknown task {spec.kind!r}")
 
 
-def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
+def client_local_round(state: ClientState, global_params: np.ndarray,
                        model_cfg: ModelConfig, spec: TaskSpec, round_t: int,
                        train_cfg: TrainConfig, seed: int) -> ClientRoundResult:
     """Load the broadcast model, run the local epochs, return update + stats."""
@@ -225,9 +223,10 @@ def client_local_round(state: ClientState, global_params: dict[str, np.ndarray],
                     raise ClientRoundError(data.cid, str(exc)) from exc
 
         if train_cfg.local_epochs > 0:
-            store.clip_grad_norm(train_cfg.clip_norm)
+            grad = store.take_grads()
+            nx.clip_grad_norm(grad, train_cfg.clip_norm)
             try:
-                nx.adam_step(store, state.adam, train_cfg.lr)
+                nx.adam_step(store, state.adam, grad, train_cfg.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
         last_bundle, last_plan = bundle, plan
@@ -272,28 +271,24 @@ def reliability_score(stats: ReliabilityStats, cfg: ServerConfig) -> float:
                         - cfg.eta_rho * stats.missing_ratio))
 
 
-def aggregate(params_by_cid: dict[int, dict[str, np.ndarray]],
+def aggregate(params_by_cid: dict[int, np.ndarray],
               sizes: dict[int, int], scores: dict[int, float],
-              eps: float = 1e-12) -> tuple[dict[str, np.ndarray], dict[int, float]]:
-    """Size-and-reliability weighted parameter mean, reduced in cid order."""
+              eps: float = 1e-12) -> tuple[np.ndarray, dict[int, float]]:
+    """Size-and-reliability weighted mean of the clients' parameter vectors,
+    summed in cid order."""
     cids = sorted(params_by_cid)
     if not cids:
         raise ValueError("aggregate needs at least one client")
     denom = sum(sizes[c] * scores[c] for c in cids) + eps
     omega = {c: sizes[c] * scores[c] / denom for c in cids}
 
-    names = sorted(params_by_cid[cids[0]])
-    merged: dict[str, np.ndarray] = {}
-    for name in names:
-        shape = params_by_cid[cids[0]][name].shape
-        acc = np.zeros(shape)
-        for c in cids:
-            part = params_by_cid[c][name]
-            if part.shape != shape:
-                raise ValueError(f"shape mismatch for parameter {name!r} "
-                                 f"between clients {cids[0]} and {c}")
-            acc += omega[c] * part
-        merged[name] = acc
+    merged = np.zeros(params_by_cid[cids[0]].shape)
+    for c in cids:
+        vec = params_by_cid[c]
+        if vec.shape != merged.shape:
+            raise ValueError(f"parameter vectors of clients {cids[0]} and {c} "
+                             f"differ in shape: {merged.shape} vs {vec.shape}")
+        merged += omega[c] * vec
     return merged, omega
 
 
@@ -379,7 +374,7 @@ class RoundHistory:
     mode: str
     task: str
     records: list[RoundRecord] = field(default_factory=list)
-    final_params: dict[str, np.ndarray] = field(default_factory=dict)
+    final_params: np.ndarray = field(default_factory=lambda: np.empty(0))
     calibration: dict[str, np.ndarray] = field(default_factory=dict)
     timings_ms: list[float] = field(default_factory=list)
 
@@ -454,14 +449,9 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
                                          sizes, scores, server.eps)
 
         total_size = sum(sizes.values())
-        def wmean(pick) -> float:
-            return sum(pick(results[c]) * sizes[c] for c in results) / total_size
-        mean_loss = LossBreakdown(
-            task=wmean(lambda r: r.breakdown.task),
-            rec=wmean(lambda r: r.breakdown.rec),
-            align=wmean(lambda r: r.breakdown.align),
-            route=wmean(lambda r: r.breakdown.route),
-            total=wmean(lambda r: r.breakdown.total))
+        mean_loss = LossBreakdown(*(
+            sum(getattr(r.breakdown, f.name) * sizes[c] for c, r in results.items())
+            / total_size for f in fields(LossBreakdown)))
 
         metrics = _evaluate_global(setup, global_params, round_t)
         record = RoundRecord(
@@ -476,8 +466,7 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     return history
 
 
-def _collect_calibration(setup: FederationSetup,
-                         global_params: dict[str, np.ndarray],
+def _collect_calibration(setup: FederationSetup, global_params: np.ndarray,
                          draws: int = 8) -> dict[str, np.ndarray]:
     """Uncertainty vs normalized reconstruction error of the final global
     model. Masks are resampled every epoch during training, so the natural
@@ -508,7 +497,7 @@ def _collect_calibration(setup: FederationSetup,
     }
 
 
-def _evaluate_global(setup: FederationSetup, global_params: dict[str, np.ndarray],
+def _evaluate_global(setup: FederationSetup, global_params: np.ndarray,
                      round_t: int) -> MetricsRow:
     """Client-averaged held-out metrics, weighted by client test size."""
     values = np.zeros(2)

@@ -132,7 +132,7 @@ class GraphCaches:
     degrees: np.ndarray
 
     @classmethod
-    def build(cls, graph: MultimodalGraph, edges: list[tuple[int, int]] | None = None
+    def build(cls, graph: MultimodalGraph, edges: np.ndarray | None = None
               ) -> "GraphCaches":
         neigh_mat = nx.neighbor_mean_matrix(
             graph.n, graph.edges if edges is None else edges)

@@ -4,7 +4,10 @@ The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
 (CSR) matrix, and a mean-aggregating graph convolution. Operations record
-onto the innermost open tape; tensor values are never mutated in place.
+onto the innermost open tape. Values are never mutated in place, except
+a ``ParamStore``'s parameters (views into its flat vector), which only
+``ParamStore.load``, ``adam_step`` and ``grad_check`` probes write, never
+while a tape is open.
 """
 
 from __future__ import annotations
@@ -660,12 +663,21 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
 
 
 class ParamStore:
-    """Named trainable tensors with gradient slots."""
+    """Named trainable tensors backed by one contiguous float64 vector.
+
+    Parameters are added one at a time. The first use of ``vector`` packs
+    them, in sorted-name order, into one buffer; from then on each tensor's
+    ``data`` is a reshaped view into it (so the tensor ``add`` returned stays
+    the live parameter) and no parameter can be added."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._vector: np.ndarray | None = None
+        self._layout: list[tuple[str, slice]] = []
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
+        if self._vector is not None:
+            raise ValueError(f"cannot add parameter {name!r} to a packed store")
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
@@ -675,12 +687,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -688,77 +694,90 @@ class ParamStore:
         for name in self.names():
             yield name, self._params[name]
 
+    @property
+    def vector(self) -> np.ndarray:
+        """All parameter values, flattened and joined in sorted-name order."""
+        if self._vector is None:
+            ends = np.cumsum([0] + [p.data.size for _, p in self.items()]).tolist()
+            self._layout = [(name, slice(a, b))
+                            for name, a, b in zip(self.names(), ends, ends[1:])]
+            self._vector = np.empty(ends[-1])
+            for name, span in self._layout:
+                p = self._params[name]
+                self._vector[span] = p.data.reshape(-1)
+                p.data = self._vector[span].reshape(p.data.shape)
+        return self._vector
+
+    def layout(self) -> list[tuple[str, slice]]:
+        """Each parameter's name and its slice of ``vector``, in that order."""
+        self.vector  # packs on first use
+        return self._layout
+
     def zero_grads(self) -> None:
         for p in self._params.values():
             p.grad = None
 
-    def grad_norm(self) -> float:
-        total = 0.0
-        for p in self._params.values():
+    def take_grads(self) -> np.ndarray:
+        """Gather the gradient slots into one vector (zeros where empty), clear them."""
+        grad = np.zeros_like(self.vector)
+        for name, span in self._layout:
+            p = self._params[name]
             if p.grad is not None:
-                total += float((p.grad * p.grad).sum())
-        return float(np.sqrt(total))
+                grad[span] = p.grad.reshape(-1)
+                p.grad = None
+        return grad
 
-    def clip_grad_norm(self, max_norm: float) -> float:
-        norm = self.grad_norm()
-        if norm > max_norm > 0:
-            factor = max_norm / norm
-            for p in self._params.values():
-                if p.grad is not None:
-                    p.grad = p.grad * factor
-        return norm
+    def snapshot(self) -> np.ndarray:
+        return self.vector.copy()
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
+    def load(self, values: np.ndarray) -> None:
+        """Overwrite every parameter from a vector laid out like ``vector``;
+        a vector of any other shape is rejected before anything is written."""
+        if np.shape(values) != self.vector.shape:
+            raise ValueError(f"cannot load a parameter vector of shape "
+                             f"{np.shape(values)} into one of {self.vector.shape}")
+        self.vector[...] = values
 
-    def load(self, values: dict[str, np.ndarray]) -> None:
-        for name, p in self._params.items():
-            v = values[name]
-            if v.shape != p.data.shape:
-                raise ValueError(f"shape mismatch loading {name}")
-            p.data = np.array(v, dtype=np.float64)
-        p_extra = set(values) - set(self._params)
-        if p_extra:
-            raise ValueError(f"unknown parameters: {sorted(p_extra)}")
+
+def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale ``grad`` in place to norm at most ``max_norm``; return the old norm."""
+    norm = float(np.sqrt((grad * grad).sum()))
+    if norm > max_norm > 0:
+        grad *= max_norm / norm
+    return norm
 
 
 @dataclass
 class AdamState:
-    """First/second-moment slots plus a shared step counter."""
+    """Moment vectors laid out like ``ParamStore.vector``, and the step count."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, store: ParamStore) -> "AdamState":
-        state = cls()
-        for name, p in store.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        return cls(np.zeros_like(store.vector), np.zeros_like(store.vector))
 
 
-def adam_step(store: ParamStore, state: AdamState, lr: float,
+def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
-    """Bias-corrected Adam update; gradients are cleared afterwards."""
+    """Bias-corrected Adam update of the parameter vector from ``grad``
+    (``ParamStore.take_grads``); a non-finite gradient raises before any write."""
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    if not np.isfinite(grad).all():
+        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+        name = next(n for n, span in store.layout() if span.start <= bad < span.stop)
+        raise GradientError(f"non-finite gradient for parameter {name!r}")
     b1, b2 = betas
     state.step += 1
     t = state.step
-    for name, p in store.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.isfinite(g).all():
-            raise GradientError(f"non-finite gradient for parameter {name!r}")
-        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-    store.zero_grads()
+    m = state.m = b1 * state.m + (1 - b1) * grad
+    v = state.v = b2 * state.v + (1 - b2) * grad * grad
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    store.vector[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -769,11 +788,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float,
 @dataclass
 class GradCheckReport:
     max_rel_err: float
-    worst_param: str
     per_param: dict[str, float]
-
-    def passed(self, tol: float) -> bool:
-        return self.max_rel_err <= tol
 
 
 def grad_check(fn, store: ParamStore, h: float = 1e-5,
@@ -794,21 +809,18 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
         if not np.isfinite(loss.data).all():
             raise GradientError("objective is not finite at the check point")
         tape.backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in store.items()}
-    store.zero_grads()
+    analytic = store.take_grads()
 
+    flat = store.vector
     per_param: dict[str, float] = {}
-    worst_name, worst_err = "", 0.0
-    for name, p in store.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
+    for name, span in store.layout():
+        n = span.stop - span.start
         if max_entries_per_param is not None and n > max_entries_per_param:
             picks = rng.choice(n, size=max_entries_per_param, replace=False)
         else:
             picks = np.arange(n)
         err = 0.0
-        for j in picks:
+        for j in span.start + picks:
             orig = flat[j]
             flat[j] = orig + h
             f_plus = float(fn(store).data)
@@ -818,13 +830,11 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise GradientError(f"non-finite objective while probing {name!r}")
             numeric = (f_plus - f_minus) / (2 * h)
-            a = analytic[name].reshape(-1)[j]
+            a = analytic[j]
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-6)
             err = max(err, rel)
         per_param[name] = err
-        if err >= worst_err:
-            worst_err, worst_name = err, name
-    return GradCheckReport(max_rel_err=worst_err, worst_param=worst_name,
+    return GradCheckReport(max_rel_err=max(per_param.values(), default=0.0),
                            per_param=per_param)
 
 

@@ -117,7 +117,7 @@ def test_criterion_3_aggregation_reduction():
     for _ in range(20):
         k = int(rng.integers(2, 8))
         sizes = {i: int(rng.integers(1, 300)) for i in range(k)}
-        params = {i: {"p": rng.normal(size=3)} for i in range(k)}
+        params = {i: rng.normal(size=3) for i in range(k)}
         score = float(np.exp(-rng.uniform(0, 2)))
         _, omega = aggregate(params, sizes, {i: score for i in range(k)})
         total = sum(sizes.values())
@@ -133,7 +133,7 @@ def test_criterion_3_aggregation_reduction():
                                      float(rng.uniform(0, 1)),
                                      float(rng.uniform(0, 1)), sizes[i])
                  for i in range(k)}
-        params = {i: {"p": np.zeros(1)} for i in range(k)}
+        params = {i: np.zeros(1) for i in range(k)}
         w1 = aggregate(params, sizes,
                        {i: reliability_score(stats[i], server) for i in range(k)})[1]
         stats[0] = ReliabilityStats(stats[0].mean_uncertainty + 0.1,

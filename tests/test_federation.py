@@ -64,21 +64,21 @@ class TestReliabilityScore:
 
 class TestAggregate:
     def test_single_client_passthrough(self):
-        params = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+        params = np.array([1.0, 2.0, 3.0])
         merged, omega = aggregate({0: params}, {0: 10}, {0: 0.7})
-        np.testing.assert_allclose(merged["a"], params["a"])
+        np.testing.assert_allclose(merged, params)
         np.testing.assert_allclose(omega[0], 1.0, atol=1e-12)
 
     def test_symmetric_cancellation(self):
         theta = np.array([1.0, -2.0, 3.0])
-        merged, _ = aggregate({0: {"p": theta}, 1: {"p": -theta}},
+        merged, _ = aggregate({0: theta, 1: -theta},
                               {0: 5, 1: 5}, {0: 1.0, 1: 1.0})
-        np.testing.assert_allclose(merged["p"], 0.0, atol=1e-12)
+        np.testing.assert_allclose(merged, 0.0, atol=1e-12)
 
     def test_equal_scores_match_fedavg_weights(self):
         rng = np.random.default_rng(0)
         sizes = {i: int(rng.integers(1, 100)) for i in range(6)}
-        params = {i: {"p": rng.normal(size=3)} for i in range(6)}
+        params = {i: rng.normal(size=3) for i in range(6)}
         _, omega = aggregate(params, sizes, {i: 0.37 for i in range(6)})
         total = sum(sizes.values())
         for i in range(6):
@@ -90,7 +90,7 @@ class TestAggregate:
             k = int(rng.integers(2, 8))
             sizes = {i: int(rng.integers(1, 200)) for i in range(k)}
             scores = {i: float(np.exp(-rng.uniform(0, 3))) for i in range(k)}
-            params = {i: {"p": rng.normal(size=2)} for i in range(k)}
+            params = {i: rng.normal(size=2) for i in range(k)}
             _, omega = aggregate(params, sizes, scores, eps=1e-12)
             assert all(w > 0 for w in omega.values())
             deficit = 1.0 - sum(omega.values())
@@ -106,7 +106,7 @@ class TestAggregate:
                                          float(rng.uniform(0, 1)),
                                          float(rng.uniform(0, 1)),
                                          size=sizes[i]) for i in range(k)}
-            params = {i: {"p": np.zeros(1)} for i in range(k)}
+            params = {i: np.zeros(1) for i in range(k)}
             scores = {i: reliability_score(stats[i], server) for i in range(k)}
             _, omega = aggregate(params, sizes, scores)
             bumped = dict(stats)
@@ -122,14 +122,36 @@ class TestAggregate:
     def test_identical_params_any_weights(self):
         rng = np.random.default_rng(3)
         theta = rng.normal(size=4)
-        merged, _ = aggregate({0: {"p": theta.copy()}, 1: {"p": theta.copy()}},
+        merged, _ = aggregate({0: theta.copy(), 1: theta.copy()},
                               {0: 3, 1: 17}, {0: 0.2, 1: 0.9})
-        np.testing.assert_allclose(merged["p"], theta, atol=1e-12)
+        np.testing.assert_allclose(merged, theta, atol=1e-12)
 
-    def test_shape_mismatch_names_parameter(self):
-        with pytest.raises(ValueError, match="odd.weight"):
-            aggregate({0: {"odd.weight": np.zeros(2)},
-                       1: {"odd.weight": np.zeros(3)}},
+    def test_vectors_match_per_name_reference_bit_for_bit(self):
+        # the per-name reduction aggregate replaced: one weighted sum per
+        # parameter, clients added in cid order
+        shapes = {"a": (), "b": (3,), "c": (2, 3)}
+        rng = np.random.default_rng(4)
+        cids = (3, 0, 2, 1)
+        per_client = {c: {n: rng.normal(size=s) for n, s in shapes.items()}
+                      for c in cids}
+        sizes = {c: int(rng.integers(1, 50)) for c in cids}
+        scores = {c: float(rng.uniform(0.1, 1.0)) for c in cids}
+        vectors = {c: np.concatenate([np.reshape(p[n], -1) for n in sorted(shapes)])
+                   for c, p in per_client.items()}
+        merged, omega = aggregate(vectors, sizes, scores)
+        offset = 0
+        for name in sorted(shapes):
+            acc = np.zeros(shapes[name])
+            for c in sorted(cids):
+                acc += omega[c] * per_client[c][name]
+            assert merged[offset:offset + acc.size].tobytes() == \
+                acc.reshape(-1).tobytes()
+            offset += acc.size
+        assert offset == merged.size
+
+    def test_shape_mismatch_names_clients(self):
+        with pytest.raises(ValueError, match="clients 0 and 1"):
+            aggregate({0: np.zeros(2), 1: np.zeros(3)},
                       {0: 1, 1: 1}, {0: 1.0, 1: 1.0})
 
 
@@ -144,8 +166,7 @@ class TestClientRound:
         result = client_local_round(asm.setup.clients[0], global_params,
                                     asm.setup.model_cfg, asm.setup.task_spec,
                                     0, asm.setup.train_cfg, cfg.seed)
-        for name, value in result.params.items():
-            np.testing.assert_array_equal(value, global_params[name])
+        np.testing.assert_array_equal(result.params, global_params)
 
     @staticmethod
     def _missing_ratio_and_hand_count(p_mask):
@@ -219,9 +240,7 @@ class TestRunFederation:
         assert len(h1.records) == len(h2.records)
         for a, b in zip(h1.records, h2.records):
             assert a.to_json_dict() == b.to_json_dict()
-        for name in h1.final_params:
-            np.testing.assert_array_equal(h1.final_params[name],
-                                          h2.final_params[name])
+        np.testing.assert_array_equal(h1.final_params, h2.final_params)
 
     def test_worker_count_does_not_change_results(self):
         cfg_a = small_experiment(rounds=2)
@@ -231,9 +250,7 @@ class TestRunFederation:
         h4 = run_federation(assemble_run(cfg_b).setup)
         for a, b in zip(h1.records, h4.records):
             assert a.to_json_dict() == b.to_json_dict()
-        for name in h1.final_params:
-            np.testing.assert_array_equal(h1.final_params[name],
-                                          h4.final_params[name])
+        np.testing.assert_array_equal(h1.final_params, h4.final_params)
 
     def test_zero_rounds_returns_initial_model(self):
         cfg = small_experiment(rounds=0)
@@ -242,8 +259,7 @@ class TestRunFederation:
         history = run_federation(asm.setup)
         assert history.records == []
         init = init_params(asm.setup.model_cfg, cfg.seed).snapshot()
-        for name, value in init.items():
-            np.testing.assert_array_equal(history.final_params[name], value)
+        np.testing.assert_array_equal(history.final_params, init)
 
     def test_equal_stats_make_modes_identical(self):
         # no missingness and no artificial masking: every reliability stat is
@@ -256,9 +272,8 @@ class TestRunFederation:
             cfg.missingness.p_mask = 0.0
         h_rel = run_federation(assemble_run(cfg_rel).setup)
         h_avg = run_federation(assemble_run(cfg_avg).setup)
-        for name in h_rel.final_params:
-            np.testing.assert_allclose(h_rel.final_params[name],
-                                       h_avg.final_params[name], atol=1e-12)
+        np.testing.assert_allclose(h_rel.final_params, h_avg.final_params,
+                                   atol=1e-12)
 
     def test_fraction_selects_subset(self):
         cfg = small_experiment(rounds=2)
@@ -310,9 +325,8 @@ class TestFedAvgZero:
 
         for a, b in zip(h_bypass.records, h_zero.records):
             assert abs(a.mean_loss.task - b.mean_loss.task) < 1e-6
-        for name in h_bypass.final_params:
-            np.testing.assert_allclose(h_bypass.final_params[name],
-                                       h_zero.final_params[name], atol=1e-9)
+        np.testing.assert_allclose(h_bypass.final_params, h_zero.final_params,
+                                   atol=1e-9)
 
     @pytest.mark.parametrize("task", ["nc", "lp"])
     def test_config_mode_matches_baseline_function(self, task):

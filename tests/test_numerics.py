@@ -378,7 +378,7 @@ class TestAdam:
         store = ParamStore()
         p = store.add("p", np.array([1.0, -2.0]))
         state = AdamState.for_params(store)
-        adam_step(store, state, lr=0.01)
+        adam_step(store, state, store.take_grads(), lr=0.01)
         np.testing.assert_allclose(p.data, [1.0, -2.0])
 
     def test_first_step_matches_closed_form(self):
@@ -389,7 +389,7 @@ class TestAdam:
         p.grad = np.array([1.0])
         lr, eps = 0.005, 1e-8
         expected = 0.7 - lr * 1.0 / (1.0 + eps)
-        adam_step(store, state, lr=lr, eps=eps)
+        adam_step(store, state, store.take_grads(), lr=lr, eps=eps)
         np.testing.assert_allclose(p.data, [expected], rtol=0, atol=1e-15)
         assert abs(0.7 - p.data[0] - lr) < 1e-8
         assert p.grad is None  # cleared after the step
@@ -399,7 +399,7 @@ class TestAdam:
         p = store.add("p", np.array([3.0]))
         state = AdamState.for_params(store)
         p.grad = np.array([123.0])
-        adam_step(store, state, lr=0.0)
+        adam_step(store, state, store.take_grads(), lr=0.0)
         np.testing.assert_allclose(p.data, [3.0])
 
     def test_nan_gradient_raises_with_name(self):
@@ -408,7 +408,125 @@ class TestAdam:
         state = AdamState.for_params(store)
         p.grad = np.array([np.nan])
         with pytest.raises(GradientError, match="bad.weight"):
-            adam_step(store, state, lr=0.01)
+            adam_step(store, state, store.take_grads(), lr=0.01)
+
+    def test_flat_step_matches_per_tensor_reference_bit_for_bit(self):
+        # the per-tensor Adam this optimizer replaced, one dict entry per
+        # parameter; "d" never receives a gradient
+        shapes = {"a": (), "b": (3,), "c": (2, 3), "d": (2,)}
+        rng = np.random.default_rng(21)
+        init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        store = ParamStore()
+        tensors = {name: store.add(name, value) for name, value in init.items()}
+        state = AdamState.for_params(store)
+        ref = {name: np.array(value) for name, value in init.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        lr, (b1, b2), eps = 0.01, (0.9, 0.999), 1e-8
+        for t in range(1, 6):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()
+                     if name != "d"}
+            for name, g in grads.items():
+                tensors[name].grad = g.copy()
+            adam_step(store, state, store.take_grads(), lr=lr)
+            for name in shapes:
+                g = grads.get(name, np.zeros(shapes[name]))
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat = m[name] / (1 - b1 ** t)
+                v_hat = v[name] / (1 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name in shapes:
+                assert tensors[name].data.shape == shapes[name]
+                assert tensors[name].data.tobytes() == ref[name].tobytes()
+
+
+class TestParamStoreVector:
+    @staticmethod
+    def _store():
+        rng = np.random.default_rng(8)
+        store = ParamStore()
+        w = store.add("w", rng.normal(size=(3, 2)))
+        b = store.add("b", rng.normal(size=2))
+        s = store.add("s", np.asarray(0.5))
+        return store, {"w": w, "b": b, "s": s}
+
+    @staticmethod
+    def _all_views(store):
+        return all(np.shares_memory(store[name].data, store.vector)
+                   for name in store.names())
+
+    def test_vector_is_sorted_name_concatenation(self):
+        store, tensors = self._store()
+        expected = np.concatenate([tensors[n].data.reshape(-1) for n in ("b", "s", "w")])
+        assert store.vector.tobytes() == expected.tobytes()
+        assert [name for name, _ in store.layout()] == ["b", "s", "w"]
+        assert self._all_views(store)
+
+    def test_rejected_load_leaves_store_untouched(self):
+        store = ParamStore()
+        a = store.add("a", np.ones(2))
+        store.add("b", np.zeros(1))
+        for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValueError):
+                store.load(bad)
+            np.testing.assert_array_equal(a.data, [1.0, 1.0])
+        np.testing.assert_array_equal(store.vector, [1.0, 1.0, 0.0])
+
+    def test_load_snapshot_round_trip(self):
+        store, _ = self._store()
+        saved = store.snapshot()
+        store.load(np.zeros_like(saved))
+        assert not store.vector.any()
+        store.load(saved)
+        assert store.vector.tobytes() == saved.tobytes()
+        assert not np.shares_memory(saved, store.vector)
+
+    def test_parameters_stay_live_views(self):
+        store, tensors = self._store()
+        spans = dict(store.layout())
+
+        def check_live():
+            assert self._all_views(store)
+            for name, t in tensors.items():
+                assert t is store[name]
+                assert t.data.tobytes() == store.vector[spans[name]].tobytes()
+
+        store.load(store.vector + 1.0)
+        check_live()
+        np.testing.assert_array_equal(tensors["s"].data, 1.5)
+
+        before = store.snapshot()
+        tensors["w"].grad = np.ones((3, 2))
+        adam_step(store, AdamState.for_params(store), store.take_grads(), lr=0.1)
+        check_live()
+        assert not np.array_equal(tensors["w"].data.reshape(-1), before[spans["w"]])
+        assert tensors["b"].data.tobytes() == before[spans["b"]].tobytes()
+
+        probed = []
+        at_check = store.snapshot()
+
+        def f(s):
+            probed.append(self._all_views(store) and float(s["s"].data))
+            return nx.total_sum(nx.mul(s["w"], s["b"]))
+
+        grad_check(f, store, h=1e-5)
+        check_live()
+        assert all(probed) and len(set(probed)) == 3  # base point, +h, -h
+        assert store.vector.tobytes() == at_check.tobytes()
+
+    def test_add_after_packing_is_rejected(self):
+        store, _ = self._store()
+        store.vector
+        with pytest.raises(ValueError, match="late"):
+            store.add("late", np.zeros(1))
+
+    def test_clip_scales_in_place_to_the_bound(self):
+        grad = np.array([3.0, 4.0])
+        assert nx.clip_grad_norm(grad, 1.0) == 5.0
+        np.testing.assert_allclose(grad, [0.6, 0.8], atol=1e-15)
+        assert nx.clip_grad_norm(grad, 10.0) == pytest.approx(1.0)
+        np.testing.assert_allclose(grad, [0.6, 0.8], atol=1e-15)
 
 
 class TestLayerNorm:
