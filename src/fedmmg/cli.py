@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
         if with_run_flags:
             p.add_argument("--workers", type=int, default=None,
-                           help="accepted and validated; has no effect")
+                           help="client worker processes, capped at the client and "
+                                "core counts; outputs do not depend on it")
             p.add_argument("--mode", type=str, default=None,
                            choices=["reliability", "fedavg", "fedavg-zero"])
             p.add_argument("--task", type=str, default=None,

@@ -62,8 +62,8 @@ class FederationSection:
     eta_e: float = 1.0
     eta_rho: float = 1.0
     eps: float = 1e-12
-    # accepted and validated for existing configs; clients always run in
-    # sequence, so it has no effect
+    # client lanes: min(workers, clients, cores) resident worker processes
+    # (one lane runs in-process); outputs do not depend on it
     workers: int = 1
 
 
@@ -298,7 +298,8 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         rounds=cfg.federation.rounds, fraction=cfg.federation.fraction,
         mode="fedavg" if baseline else cfg.federation.mode,
         eta_u=cfg.federation.eta_u, eta_e=cfg.federation.eta_e,
-        eta_rho=cfg.federation.eta_rho, eps=cfg.federation.eps)
+        eta_rho=cfg.federation.eta_rho, eps=cfg.federation.eps,
+        workers=cfg.federation.workers)
     train_cfg = TrainConfig(lr=cfg.model.lr, local_epochs=cfg.model.local_epochs,
                             clip_norm=cfg.model.clip_norm,
                             p_mask=cfg.missingness.p_mask)

@@ -1,14 +1,26 @@
 """Federated round loop: client training, reliability stats, aggregation.
 
-The simulation is single-process and runs the selected clients of a round
-one after another in ascending client order. Every client draws from its own
-(seed, client, round, epoch) RNG stream and owns a private parameter copy,
-and the server reduces results in ascending client order.
+The clients are split over ``min(workers, clients, cores)`` lanes for the
+whole run (``assign_lanes``). With one lane the clients run in the calling
+process. With more, each lane is a resident worker process, forked once at
+the start of the run so that it inherits its clients' state (graph, caches,
+parameters, Adam moments); per round only the broadcast parameter vector
+goes out and the clients' updates, statistics and metrics come back, over
+one pipe per worker. Within a lane clients run in ascending client order.
+Every client draws from its own (seed, client, round, epoch) RNG stream and
+owns a private parameter copy, and the server reduces results in ascending
+client order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
+import pickle
+import signal
 import time
+import traceback
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,8 +93,11 @@ class ServerConfig:
     eta_e: float = 1.0
     eta_rho: float = 1.0
     eps: float = 1e-12
+    workers: int = 1                   # upper bound on client lanes
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("worker count must be at least 1")
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError("client fraction must lie in (0, 1]")
         if self.mode not in ("reliability", "fedavg"):
@@ -130,8 +145,6 @@ class ClientRoundResult:
     params: np.ndarray  # the client's ParamStore.vector after training
     stats: ReliabilityStats
     breakdown: LossBreakdown
-    calib_uncertainty: np.ndarray
-    calib_norm_err: np.ndarray
 
 
 def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,28 +247,21 @@ def client_local_round(state: ClientState, global_params: np.ndarray,
     assert last_bundle is not None and last_plan is not None
     # Uploaded stats (see ReliabilityStats): u over effective-mask hidden
     # cells, e as relative error over recon cells, rho from the natural mask.
-    # The calibration pair keeps the per-batch normalized error the
-    # uncertainty head is trained toward.
     eff_flat, recon_flat = last_plan.eff_flat, last_plan.recon_flat
     if last_bundle.uncertainty is not None:
         u_vals = last_bundle.uncertainty.data.reshape(-1)
         hidden = eff_flat == 0.0
         mean_u = float(u_vals[hidden].mean()) if hidden.any() else 0.0
-        calib_cells = recon_flat == 1.0
-        calib_u = u_vals[calib_cells].copy()
-        calib_err = last_bundle.norm_err[calib_cells].copy()
         mean_err = relative_recon_error(last_bundle.cell_errors,
                                         last_bundle.raw_cells, recon_flat)
     else:
         mean_u = mean_err = 0.0
-        calib_u = calib_err = np.empty(0)
     natural = data.graph.natural_mask
     stats = ReliabilityStats(mean_uncertainty=mean_u, mean_recon_error=mean_err,
                              missing_ratio=float((natural == 0.0).mean()),
                              size=data.graph.n)
     return ClientRoundResult(cid=data.cid, params=store.snapshot(), stats=stats,
-                             breakdown=breakdown, calib_uncertainty=calib_u,
-                             calib_norm_err=calib_err)
+                             breakdown=breakdown)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +416,216 @@ def make_client_states(graph: MultimodalGraph, partition: ClientPartition,
     return states
 
 
+# ---------------------------------------------------------------------------
+# Client lanes
+# ---------------------------------------------------------------------------
+
+_JOIN_S = 10.0  # how long a closing worker may take to exit before it is killed
+
+
+def assign_lanes(workers: int, sizes: list[int]) -> list[list[int]]:
+    """Split the clients (by cid) over ``min(workers, clients, cores)`` lanes.
+
+    Greedy by size: in descending size, ties by cid, each client joins the
+    lane with the smallest total size so far, ties by lane index. Each
+    lane's cids ascend."""
+    count = min(workers, len(sizes), os.cpu_count() or 1)
+    lanes: list[list[int]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for cid in sorted(range(len(sizes)), key=lambda c: (-sizes[c], c)):
+        k = loads.index(min(loads))
+        lanes[k].append(cid)
+        loads[k] += sizes[cid]
+    return [sorted(lane) for lane in lanes]
+
+
+def _calibrate_client(setup: FederationSetup, state: ClientState,
+                      global_params: np.ndarray, round_t: int,
+                      draws: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertainty and normalized reconstruction error of one client's
+    recon cells under the final global model. Masks are resampled every
+    epoch during training, so the natural population is pooled over several
+    fresh mask draws."""
+    state.store.load(global_params)
+    cal_u: list[np.ndarray] = []
+    cal_e: list[np.ndarray] = []
+    for draw in range(draws):
+        rng = np.random.default_rng(
+            [setup.seed & 0xFFFFFFFF, state.data.cid, round_t, draw, _CAL_TAG])
+        masks = sample_artificial_mask(state.data.graph.natural_mask,
+                                       setup.train_cfg.p_mask, rng)
+        plan = make_plan(state.data.graph, state.data.caches, masks,
+                         setup.model_cfg, rng)
+        bundle = forward_pass(state.store, setup.model_cfg, plan, round_t)
+        cells = plan.recon_flat == 1.0
+        if bundle.uncertainty is not None and cells.any():
+            cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
+            cal_e.append(bundle.norm_err[cells])
+    if not cal_u:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(cal_u), np.concatenate(cal_e)
+
+
+def _serve(setup: FederationSetup, cids: list[int], request: tuple) -> list:
+    """Run one request for a lane's clients in ascending cid order; return
+    its (cid, outcome) pairs.
+
+    - ``("train", params, round_t, selected)``: each selected client's
+      local round. The outcome is its ``ClientRoundResult``, or the message
+      of the ``ClientRoundError`` that failed it.
+    - ``("evaluate", params, round_t, None)``: ``evaluate_client``'s
+      (row, weight) for every client.
+    - ``("calibrate", params, round_t, None)``: ``_calibrate_client``'s
+      (uncertainty, norm_err) for every client."""
+    kind, params, round_t, selected = request
+    out = []
+    for cid in cids:
+        state = setup.clients[cid]
+        if kind == "train":
+            if cid not in selected:
+                continue
+            try:
+                outcome = client_local_round(
+                    state, params, setup.model_cfg, setup.task_spec, round_t,
+                    setup.train_cfg, setup.seed)
+            except ClientRoundError as exc:
+                outcome = str(exc)
+        elif kind == "evaluate":
+            state.store.load(params)
+            outcome = evaluate_client(state.store, setup.model_cfg,
+                                      setup.task_spec, state.data, round_t,
+                                      setup.seed)
+        else:
+            outcome = _calibrate_client(setup, state, params, round_t)
+        out.append((cid, outcome))
+    return out
+
+
+class _LocalLane:
+    """A lane served in the calling process."""
+
+    def __init__(self, setup: FederationSetup, cids: list[int]):
+        self.setup, self.cids = setup, cids
+        self._reply: list = []
+
+    def send(self, request: tuple) -> None:
+        self._reply = _serve(self.setup, self.cids, request)
+
+    def recv(self) -> list:
+        return self._reply
+
+    def close(self, graceful: bool) -> None:
+        pass
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives pickling, else a RuntimeError with its message;
+    either way with the worker's traceback as a note."""
+    note = "raised in a client worker:\n" + "".join(traceback.format_exception(exc))
+    try:
+        exc = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    exc.add_note(note)
+    return exc
+
+
+def _lane_worker(conn, setup: FederationSetup, cids: list[int],
+                 inherited: list) -> None:
+    """Worker main loop: serve requests until the parent sends None or
+    closes its end. An exception is sent back, to be raised in the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    for other in inherited:  # earlier lanes' parent ends, copied by the fork
+        other.close()
+    try:
+        while (request := conn.recv()) is not None:
+            try:
+                reply = (True, _serve(setup, cids, request))
+            except Exception as exc:
+                reply = (False, _portable(exc))
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent has gone
+
+
+class _WorkerLane:
+    """A lane served by a resident worker process over one pipe."""
+
+    def __init__(self, ctx, setup: FederationSetup, cids: list[int],
+                 inherited: list):
+        self.cids = cids
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_lane_worker, daemon=True,
+                                args=(child, setup, cids, inherited))
+        self.proc.start()
+        child.close()
+
+    def _lost(self) -> FederationAborted:
+        self.proc.join(_JOIN_S)
+        return FederationAborted(f"the worker process of clients {self.cids} "
+                                 f"exited with code {self.proc.exitcode}")
+
+    def send(self, request: tuple) -> None:
+        try:
+            self.conn.send(request)
+        except OSError:
+            raise self._lost() from None
+
+    def recv(self) -> list:
+        try:
+            ok, value = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._lost() from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self, graceful: bool) -> None:
+        if graceful:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+            self.proc.join(_JOIN_S)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+        self.conn.close()
+
+
+@contextlib.contextmanager
+def _client_lanes(setup: FederationSetup):
+    """The run's lanes: one in-process lane, or one forked worker per lane.
+    Workers are stopped on the way out, killed if the run failed."""
+    groups = assign_lanes(setup.server_cfg.workers,
+                          [state.data.graph.n for state in setup.clients])
+    lanes: list = []
+    try:
+        if len(groups) == 1:
+            lanes.append(_LocalLane(setup, groups[0]))
+        else:
+            ctx = multiprocessing.get_context("fork")
+            for cids in groups:
+                lanes.append(_WorkerLane(ctx, setup, cids,
+                                         [lane.conn for lane in lanes]))
+        yield lanes
+    except BaseException:
+        for lane in lanes:
+            lane.close(graceful=False)
+        raise
+    for lane in lanes:
+        lane.close(graceful=True)
+
+
+def _gather(lanes: list, request: tuple) -> dict:
+    """Send ``request`` to every lane, then collect {cid: outcome} in
+    ascending cid order, whatever lane each client runs in."""
+    for lane in lanes:
+        lane.send(request)
+    pairs = [pair for lane in lanes for pair in lane.recv()]
+    return dict(sorted(pairs, key=lambda pair: pair[0]))
+
+
 def run_federation(setup: FederationSetup) -> RoundHistory:
     """Synchronous rounds: broadcast, local training, aggregate, evaluate."""
     server = setup.server_cfg
@@ -417,97 +633,74 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     history = RoundHistory(mode=mode, task=setup.task_spec.kind)
     global_params = init_params(setup.model_cfg, setup.seed).snapshot()
     num_clients = len(setup.clients)
+    # every run starts its clients' optimizers afresh, so a reused setup
+    # trains exactly as a new one (and workers never write theirs back)
+    for state in setup.clients:
+        state.adam = AdamState.for_params(state.store)
 
-    for round_t in range(server.rounds):
-        start = time.perf_counter()
-        if server.fraction < 1.0:
-            rng = np.random.default_rng([setup.seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
-            count = max(1, int(round(server.fraction * num_clients)))
-            selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
-        else:
-            selected = list(range(num_clients))
+    with _client_lanes(setup) as lanes:
+        for round_t in range(server.rounds):
+            start = time.perf_counter()
+            if server.fraction < 1.0:
+                rng = np.random.default_rng([setup.seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
+                count = max(1, int(round(server.fraction * num_clients)))
+                selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
+            else:
+                selected = list(range(num_clients))
 
-        results: dict[int, ClientRoundResult] = {}
-        errors: dict[int, str] = {}
-        for cid in selected:
-            try:
-                results[cid] = client_local_round(
-                    setup.clients[cid], global_params, setup.model_cfg,
-                    setup.task_spec, round_t, setup.train_cfg, setup.seed)
-            except ClientRoundError as exc:
-                errors[cid] = str(exc)
-        if not results:
-            raise FederationAborted(
-                f"every client failed in round {round_t}: {errors}")
+            outcomes = _gather(lanes, ("train", global_params, round_t, selected))
+            results = {c: r for c, r in outcomes.items() if not isinstance(r, str)}
+            errors = {c: r for c, r in outcomes.items() if isinstance(r, str)}
+            if not results:
+                raise FederationAborted(
+                    f"every client failed in round {round_t}: {errors}")
 
-        scores = {}
-        for cid, res in results.items():
-            scores[cid] = (reliability_score(res.stats, server)
-                           if server.mode == "reliability" else 1.0)
-        sizes = {cid: res.stats.size for cid, res in results.items()}
-        global_params, omega = aggregate({c: r.params for c, r in results.items()},
-                                         sizes, scores, server.eps)
+            scores = {c: (reliability_score(r.stats, server)
+                          if server.mode == "reliability" else 1.0)
+                      for c, r in results.items()}
+            sizes = {c: r.stats.size for c, r in results.items()}
+            global_params, omega = aggregate({c: r.params for c, r in results.items()},
+                                             sizes, scores, server.eps)
 
-        total_size = sum(sizes.values())
-        mean_loss = LossBreakdown(*(
-            sum(getattr(r.breakdown, f.name) * sizes[c] for c, r in results.items())
-            / total_size for f in fields(LossBreakdown)))
+            total_size = sum(sizes.values())
+            mean_loss = LossBreakdown(*(
+                sum(getattr(r.breakdown, f.name) * sizes[c] for c, r in results.items())
+                / total_size for f in fields(LossBreakdown)))
 
-        metrics = _evaluate_global(setup, global_params, round_t)
-        record = RoundRecord(
-            round_index=round_t, client_frac=len(selected) / num_clients,
-            omega=omega, losses={c: r.breakdown for c, r in results.items()},
-            mean_loss=mean_loss, metrics=metrics, errors=errors)
-        history.records.append(record)
-        history.timings_ms.append(1000.0 * (time.perf_counter() - start))
+            metrics = _evaluate_global(lanes, global_params, round_t)
+            record = RoundRecord(
+                round_index=round_t, client_frac=len(selected) / num_clients,
+                omega=omega, losses={c: r.breakdown for c, r in results.items()},
+                mean_loss=mean_loss, metrics=metrics, errors=errors)
+            history.records.append(record)
+            history.timings_ms.append(1000.0 * (time.perf_counter() - start))
 
-    history.final_params = global_params
-    history.calibration = _collect_calibration(setup, global_params)
+        history.final_params = global_params
+        history.calibration = _collect_calibration(setup, lanes, global_params)
     return history
 
 
-def _collect_calibration(setup: FederationSetup, global_params: np.ndarray,
-                         draws: int = 8) -> dict[str, np.ndarray]:
-    """Uncertainty vs normalized reconstruction error of the final global
-    model. Masks are resampled every epoch during training, so the natural
-    population is pooled over several fresh mask draws per client."""
-    cal_u: list[np.ndarray] = []
-    cal_e: list[np.ndarray] = []
+def _collect_calibration(setup: FederationSetup, lanes: list,
+                         global_params: np.ndarray) -> dict[str, np.ndarray]:
+    """Every client's calibration pairs (``_calibrate_client``), in cid order."""
     if setup.model_cfg.bypass_generation:
         return {"uncertainty": np.empty(0), "norm_err": np.empty(0)}
-    for state in setup.clients:
-        state.store.load(global_params)
-        for draw in range(draws):
-            rng = np.random.default_rng(
-                [setup.seed & 0xFFFFFFFF, state.data.cid,
-                 setup.server_cfg.rounds, draw, _CAL_TAG])
-            masks = sample_artificial_mask(state.data.graph.natural_mask,
-                                           setup.train_cfg.p_mask, rng)
-            plan = make_plan(state.data.graph, state.data.caches, masks,
-                             setup.model_cfg, rng)
-            bundle = forward_pass(state.store, setup.model_cfg, plan,
-                                  setup.server_cfg.rounds)
-            cells = plan.recon_flat == 1.0
-            if bundle.uncertainty is not None and cells.any():
-                cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
-                cal_e.append(bundle.norm_err[cells])
-    return {
-        "uncertainty": np.concatenate(cal_u) if cal_u else np.empty(0),
-        "norm_err": np.concatenate(cal_e) if cal_e else np.empty(0),
-    }
+    pairs = list(_gather(lanes, ("calibrate", global_params,
+                                 setup.server_cfg.rounds, None)).values())
+    if not pairs:
+        return {"uncertainty": np.empty(0), "norm_err": np.empty(0)}
+    return {"uncertainty": np.concatenate([u for u, _ in pairs]),
+            "norm_err": np.concatenate([e for _, e in pairs])}
 
 
-def _evaluate_global(setup: FederationSetup, global_params: np.ndarray,
+def _evaluate_global(lanes: list, global_params: np.ndarray,
                      round_t: int) -> MetricsRow:
     """Client-averaged held-out metrics, weighted by client test size."""
     values = np.zeros(2)
     weight_sum = 0
     names = ("metric_1", "metric_2")
-    for state in setup.clients:
-        state.store.load(global_params)
-        row, weight = evaluate_client(state.store, setup.model_cfg,
-                                      setup.task_spec, state.data, round_t,
-                                      setup.seed)
+    for row, weight in _gather(lanes, ("evaluate", global_params, round_t,
+                                       None)).values():
         if row is not None and weight > 0:
             values += weight * np.asarray(row.values)
             weight_sum += weight

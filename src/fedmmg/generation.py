@@ -8,7 +8,7 @@ what makes masked reconstruction leak-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ class BankBatch:
     token_index: np.ndarray    # [G, S] into the stacked context matrix
     additive_mask: np.ndarray  # [G, S]; 0 usable, MASK_NEG padding
     empty: np.ndarray          # [G] 1.0 where the bank has no token
+    # the attention gathers' backward scatter index per row width, built on
+    # first use and kept for the mask draw (numerics.rows)
+    scatter_cache: dict = field(default_factory=dict, repr=False)
 
 
 def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
@@ -113,7 +116,8 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                           wv=params["gen.att.wv"], wo=params["gen.att.wo"])
     evidence, att_weights = nx.attention_batched(queries, stacked, stacked,
                                                  banks.token_index,
-                                                 banks.additive_mask, heads, att)
+                                                 banks.additive_mask, heads, att,
+                                                 banks.scatter_cache)
 
     self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])
     gate = nx.sigmoid(nx.linear(nx.concat([evidence, self_ctx], axis=1),

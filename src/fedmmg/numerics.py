@@ -408,9 +408,11 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _result(data, tuple(tensors), backward)
 
 
-def rows(a: Tensor, index) -> Tensor:
+def rows(a: Tensor, index, scatter_cache: dict | None = None) -> Tensor:
     """Gather rows along axis 0 (``index`` of any shape). Backward
-    scatter-adds, in index order (deterministic)."""
+    scatter-adds, in index order (deterministic). ``scatter_cache``, when
+    given, keeps the backward's ``scatter_index`` of ``index`` per row width,
+    for callers that gather by the same index again."""
     idx = np.asarray(index, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
@@ -418,7 +420,10 @@ def rows(a: Tensor, index) -> Tensor:
     def backward(g):
         if a.requires_grad:
             width = math.prod(shape[1:])
-            flat = scatter_index(idx.reshape(-1), width)
+            cache = {} if scatter_cache is None else scatter_cache
+            flat = cache.get(width)
+            if flat is None:
+                flat = cache[width] = scatter_index(idx.reshape(-1), width)
             a.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
                                      shape[0]).reshape(shape))
 
@@ -604,14 +609,16 @@ class AttentionParams:
 
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
                       token_index: np.ndarray, add_mask: np.ndarray, heads: int,
-                      params: AttentionParams) -> tuple[Tensor, np.ndarray]:
+                      params: AttentionParams,
+                      scatter_cache: dict | None = None) -> tuple[Tensor, np.ndarray]:
     """Batched masked multi-head attention over banks of shared memory rows.
 
     query [G, dq]; keys [T, dk] and values [T, dv] are the memories, which
     are projected once and then gathered: slot s of bank g attends to row
     token_index[g, s]. add_mask [G, S] holds 0 for usable slots and MASK_NEG
-    for excluded ones. Returns the attended output [G, dout] and detached
-    per-head weights [G, H, S].
+    for excluded ones. Both gathers share ``scatter_cache`` (see ``rows``).
+    Returns the attended output [G, dout] and detached per-head weights
+    [G, H, S].
     """
     g_count, s_count = add_mask.shape
     d_attn = params.wq.shape[1]
@@ -624,8 +631,9 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
         return swapaxes(reshape(t, (g_count, -1, heads, dh)), 1, 2)
 
     qh = split(reshape(matmul(query, params.wq), (g_count, 1, d_attn)))
-    kh = split(rows(matmul(keys, params.wk), token_index))
-    vh = split(rows(matmul(values, params.wv), token_index))
+    cache = {} if scatter_cache is None else scatter_cache
+    kh = split(rows(matmul(keys, params.wk), token_index, cache))
+    vh = split(rows(matmul(values, params.wv), token_index, cache))
 
     logits = scale(matmul(qh, swapaxes(kh, 2, 3)), 1.0 / np.sqrt(dh))
     logits = add(logits, const(add_mask.reshape(g_count, 1, 1, s_count)))

@@ -302,6 +302,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "run failed: simulated failure inside the run\n"
 
+    def test_dead_worker_exits_two(self, tmp_path, capfd, monkeypatch):
+        # fd-level capture: a worker's own output would show here too
+        import multiprocessing
+
+        from fedmmg import federation
+        parent = os.getpid()
+        real_round = federation.client_local_round
+
+        def dying_round(state, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_round(state, *args)
+
+        monkeypatch.setattr(federation, "client_local_round", dying_round)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        assert main(["run", "--config", str(cfg_path), "--workers", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("run failed: the worker process of clients")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
     def test_gen_data_and_run_build_the_same_data(self, tmp_path):
         # one graph, mask and zeroed features, whether run builds them from
         # the config or reads the file gen-data wrote from the same config

@@ -1,11 +1,17 @@
-"""Client rounds, reliability aggregation, round loop, baseline pairing."""
+"""Client rounds, reliability aggregation, round loop, client lanes,
+baseline pairing."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from fedmmg import federation
 from fedmmg.config import ExperimentConfig, assemble_run
-from fedmmg.federation import (ClientRoundError, ClientState, ReliabilityStats,
-                               ServerConfig, TrainConfig, aggregate,
+from fedmmg.federation import (ClientRoundError, ClientState, FederationAborted,
+                               FederationSetup, ReliabilityStats, ServerConfig,
+                               TrainConfig, aggregate, assign_lanes,
                                build_client_data, client_local_round,
                                evaluate_client, fedavg_zero_baseline,
                                fedavg_zero_setup, reliability_score,
@@ -205,20 +211,24 @@ class TestLinkPredictionWithoutNonEdges:
     """A complete client graph has no pair to draw a negative from."""
 
     @staticmethod
-    def _triangle_client():
-        rng = np.random.default_rng(0)
+    def _lp_client(cid, n, edges):
+        rng = np.random.default_rng(cid)
         graph = MultimodalGraph(
-            n=3, edges=[(0, 1), (1, 2), (0, 2)],
-            modalities=[Modality("img", 4, rng.normal(size=(3, 4))),
-                        Modality("txt", 3, rng.normal(size=(3, 3)))],
-            labels=None, natural_mask=np.ones((3, 2)))
+            n=n, edges=edges,
+            modalities=[Modality("img", 4, rng.normal(size=(n, 4))),
+                        Modality("txt", 3, rng.normal(size=(n, 3)))],
+            labels=None, natural_mask=np.ones((n, 2)))
         cfg = ModelConfig(modalities=[("img", 4), ("txt", 3)], hidden_dim=8,
                           warmup_rounds=5)
-        data = build_client_data(0, graph, "lp", seed=0)
+        data = build_client_data(cid, graph, "lp", seed=0)
         assert data.test_edges.shape[0] > 0
         store = init_params(cfg, 0)
         return ClientState(data=data, store=store,
                            adam=AdamState.for_params(store)), cfg
+
+    @classmethod
+    def _triangle_client(cls):
+        return cls._lp_client(0, 3, [(0, 1), (1, 2), (0, 2)])
 
     def test_evaluation_reports_no_metrics(self):
         state, cfg = self._triangle_client()
@@ -232,6 +242,23 @@ class TestLinkPredictionWithoutNonEdges:
                                TaskSpec.for_kind("lp"), 0, TrainConfig(), 0)
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_round_is_recorded_in_any_lane(self, workers, monkeypatch):
+        # client 0 cannot draw a negative; client 1, a 6-node path, can
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        triangle, cfg = self._triangle_client()
+        path, _ = self._lp_client(1, 6, [(i, i + 1) for i in range(5)])
+        setup = FederationSetup(clients=[triangle, path], model_cfg=cfg,
+                                task_spec=TaskSpec.for_kind("lp"),
+                                server_cfg=ServerConfig(rounds=2, workers=workers),
+                                train_cfg=TrainConfig(), seed=0)
+        history = run_federation(setup)
+        for rec in history.records:
+            assert list(rec.errors) == [0] and "non-edge" in rec.errors[0]
+            assert list(rec.omega) == [1]
+        assert multiprocessing.active_children() == []
+
+
 class TestRunFederation:
     def test_deterministic_across_runs(self):
         cfg = small_experiment(rounds=2)
@@ -242,15 +269,38 @@ class TestRunFederation:
             assert a.to_json_dict() == b.to_json_dict()
         np.testing.assert_array_equal(h1.final_params, h2.final_params)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg_a = small_experiment(rounds=2)
-        cfg_b = small_experiment(rounds=2)
-        cfg_b.federation.workers = 4
-        h1 = run_federation(assemble_run(cfg_a).setup)
-        h4 = run_federation(assemble_run(cfg_b).setup)
-        for a, b in zip(h1.records, h4.records):
-            assert a.to_json_dict() == b.to_json_dict()
-        np.testing.assert_array_equal(h1.final_params, h4.final_params)
+    def test_one_setup_run_twice_repeats_itself(self):
+        # every run starts each client's optimizer afresh
+        setup = assemble_run(small_experiment(seed=3, rounds=2)).setup
+        h1 = run_federation(setup)
+        h2 = run_federation(setup)
+        assert [r.to_json_dict() for r in h1.records] == \
+            [r.to_json_dict() for r in h2.records]
+        assert h1.final_params.tobytes() == h2.final_params.tobytes()
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # three clients of unequal size: a three-term sum depends on its
+        # order, so merging lanes out of cid order would show
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        histories = []
+        for workers in (1, 2, 3):
+            cfg = small_experiment(rounds=2)
+            cfg.data.blocks = 3
+            cfg.federation.clients = 3
+            cfg.federation.workers = workers
+            setup = assemble_run(cfg).setup
+            sizes = [state.data.graph.n for state in setup.clients]
+            assert len(set(sizes)) == 3
+            assert len(assign_lanes(workers, sizes)) == workers
+            histories.append(run_federation(setup))
+        ref = histories[0]
+        for h in histories[1:]:
+            assert [r.to_json_dict() for r in h.records] == \
+                [r.to_json_dict() for r in ref.records]
+            assert h.final_params.tobytes() == ref.final_params.tobytes()
+            for key, values in ref.calibration.items():
+                assert h.calibration[key].tobytes() == values.tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_zero_rounds_returns_initial_model(self):
         cfg = small_experiment(rounds=0)
@@ -283,6 +333,79 @@ class TestRunFederation:
         for rec in history.records:
             assert len(rec.omega) == 1
             assert rec.client_frac == 0.5
+
+
+class TestClientLanes:
+    def test_lane_count_is_capped_by_clients_and_cores(self, monkeypatch):
+        sizes = [30, 10, 20, 10]
+        for cores in (1, 2, 3, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            lanes = assign_lanes(10**6, sizes)
+            assert len(lanes) == min(10**6, len(sizes), cores)
+            assert sorted(c for lane in lanes for c in lane) == [0, 1, 2, 3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert assign_lanes(1, sizes) == [[0, 1, 2, 3]]
+        # largest first, ties by cid, each onto the lightest lane
+        assert assign_lanes(2, sizes) == [[0, 3], [1, 2]]
+        assert assign_lanes(3, sizes) == [[0], [2], [1, 3]]
+        assert multiprocessing.active_children() == []
+
+    def test_one_lane_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(federation, "_WorkerLane", None)
+        history = run_federation(assemble_run(small_experiment(rounds=1)).setup)
+        assert len(history.records) == 1
+
+    @staticmethod
+    def _two_lane_setup(monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = small_experiment(rounds=2)
+        cfg.federation.workers = 2
+        return assemble_run(cfg).setup
+
+    def test_dead_worker_aborts_the_run_naming_its_clients(self, monkeypatch):
+        setup = self._two_lane_setup(monkeypatch)
+        parent = os.getpid()
+        real_round = federation.client_local_round
+
+        def dying_round(state, *args):
+            if os.getpid() != parent and state.data.cid == 1:
+                os._exit(3)
+            return real_round(state, *args)
+
+        monkeypatch.setattr(federation, "client_local_round", dying_round)
+        sizes = [state.data.graph.n for state in setup.clients]
+        lane = next(lane for lane in assign_lanes(2, sizes) if 1 in lane)
+        with pytest.raises(FederationAborted,
+                           match=rf"clients \{lane}\ exited with code 3"):
+            run_federation(setup)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        setup = self._two_lane_setup(monkeypatch)
+
+        def failing_round(state, *args):
+            raise ValueError(f"simulated failure of client {state.data.cid}")
+
+        monkeypatch.setattr(federation, "client_local_round", failing_round)
+        with pytest.raises(ValueError, match="simulated failure of client") as info:
+            run_federation(setup)
+        assert "failing_round" in info.value.__notes__[0]
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_worker_exception_keeps_its_message(self, monkeypatch):
+        setup = self._two_lane_setup(monkeypatch)
+
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def failing_round(state, *args):
+            raise LocalError("not picklable")
+
+        monkeypatch.setattr(federation, "client_local_round", failing_round)
+        with pytest.raises(RuntimeError, match="LocalError: not picklable"):
+            run_federation(setup)
+        assert multiprocessing.active_children() == []
 
 
 class TestFedAvgZero:

@@ -163,6 +163,33 @@ class TestSharedMemoryAttention:
         assert set(report.per_param) == {"wq", "wk", "wv", "wo", "memory"}
         assert report.max_rel_err < 1e-6
 
+    def test_scatter_cache_keeps_gradients_bit_for_bit(self):
+        # the key and value gathers share one scatter index per width, built
+        # at the first backward and reused by the next one
+        rng = np.random.default_rng(13)
+        store = ParamStore()
+        params = random_attention(store, rng, 5, 6, 6, 8)
+        memory = store.add("memory", rng.normal(size=(7, 6)))
+        pad_row = const(np.zeros((1, 6)))
+        index, mask = shared_memory_banks(rng, 7, 9, 5)
+        query = const(rng.normal(size=(9, 5)))
+
+        def grads(cache):
+            with Tape() as tape:
+                stacked = nx.concat([memory, pad_row], axis=0)
+                out, _ = nx.attention_batched(query, stacked, stacked, index,
+                                              mask, 2, params, cache)
+                tape.backward(nx.total_sum(out))
+            return store.take_grads()
+
+        cache: dict = {}
+        reference = grads(None)
+        assert grads(cache).tobytes() == reference.tobytes()
+        assert list(cache) == [8]
+        cached = cache[8]
+        assert grads(cache).tobytes() == reference.tobytes()
+        assert cache[8] is cached
+
 
 class TestAliasedGradients:
     """A first gradient is stored as it is, so it may alias another tensor's
