@@ -20,13 +20,14 @@ REC_EPS = 1e-12
 
 @dataclass
 class BankBatch:
-    """All banks of a graph, padded to a common width for batched attention."""
+    """All banks of a graph. The [G, S] grid, padded to the widest bank, is
+    the bank definition; attention reads only its usable slots."""
 
     token_index: np.ndarray    # [G, S] into the stacked context matrix
     additive_mask: np.ndarray  # [G, S]; 0 usable, MASK_NEG padding
     empty: np.ndarray          # [G] 1.0 where the bank has no token
-    # the attention gathers' backward scatter index per row width, built on
-    # first use and kept for the mask draw (numerics.rows)
+    # the usable-slot list and its scatter indices, built at the first
+    # attention call and kept for the mask draw (numerics.attention_batched)
     scatter_cache: dict = field(default_factory=dict, repr=False)
 
 

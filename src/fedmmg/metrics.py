@@ -27,15 +27,14 @@ def _mean_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks in ascending order; ties share their block's mean rank."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    new_block = np.ones(scores.size, dtype=bool)
+    new_block[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new_block)
+    ends = np.append(starts[1:], scores.size) - 1
+    block = np.cumsum(new_block) - 1
     ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = (starts[block] + ends[block]) / 2.0 + 1.0
     return ranks
 
 
@@ -80,17 +79,16 @@ def average_precision(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     if p == 0 or neg_scores.size == 0:
         raise MetricError("AP undefined without both positive and negative scores")
     scores = np.concatenate([pos_scores, neg_scores])
-    is_pos = np.concatenate([np.ones(p), np.zeros(neg_scores.size)])
-    thresholds = np.unique(scores)[::-1]
-    ap, prev_recall = 0.0, 0.0
-    for th in thresholds:
-        sel = scores >= th
-        tp = float(is_pos[sel].sum())
-        precision = tp / float(sel.sum())
-        recall = tp / p
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(ap)
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # the last rank at or above each distinct threshold, descending
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(order < p)[ends].astype(np.float64)
+    precision = tp / (ends + 1.0)
+    recall = tp / p
+    terms = (recall - np.concatenate(([0.0], recall[:-1]))) * precision
+    # a running sum, so AP adds the terms in threshold order
+    return float(np.cumsum(terms)[-1])
 
 
 def retrieval_ranks(similarity: np.ndarray, targets: np.ndarray) -> np.ndarray:

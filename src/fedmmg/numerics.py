@@ -3,11 +3,11 @@
 The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
-(CSR) matrix, and a mean-aggregating graph convolution. Operations record
-onto the innermost open tape. Values are never mutated in place, except
-a ``ParamStore``'s parameters (views into its flat vector), which only
-``ParamStore.load``, ``adam_step`` and ``grad_check`` probes write, never
-while a tape is open.
+(CSR) matrix, a mean-aggregating graph convolution, and multi-head attention
+over the usable slots of padded banks. Operations record onto the innermost
+open tape. Values are never mutated in place, except a ``ParamStore``'s
+parameters (views into its flat vector), which only ``ParamStore.load``,
+``adam_step`` and ``grad_check`` probes write, never while a tape is open.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Additive attention-mask sentinel. After row-max subtraction, exp() of the
-# sentinel underflows to exactly 0.0, so masked weights are exact zeros.
+# Additive attention-mask sentinel: an attention slot whose mask entry is
+# MASK_NEG is excluded (weight exactly 0.0). In ``softmax``, exp() of the
+# sentinel underflows to exactly 0.0 after row-max subtraction.
 MASK_NEG = -1e30
 
 _LN_EPS = 1e-8
@@ -267,12 +268,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; minimum, unlike -abs, keeps a NaN's sign
+    ex = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -408,11 +406,9 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _result(data, tuple(tensors), backward)
 
 
-def rows(a: Tensor, index, scatter_cache: dict | None = None) -> Tensor:
+def rows(a: Tensor, index) -> Tensor:
     """Gather rows along axis 0 (``index`` of any shape). Backward
-    scatter-adds, in index order (deterministic). ``scatter_cache``, when
-    given, keeps the backward's ``scatter_index`` of ``index`` per row width,
-    for callers that gather by the same index again."""
+    scatter-adds, in index order (deterministic)."""
     idx = np.asarray(index, dtype=np.intp)
     data = a.data[idx]
     shape = a.data.shape
@@ -420,10 +416,7 @@ def rows(a: Tensor, index, scatter_cache: dict | None = None) -> Tensor:
     def backward(g):
         if a.requires_grad:
             width = math.prod(shape[1:])
-            cache = {} if scatter_cache is None else scatter_cache
-            flat = cache.get(width)
-            if flat is None:
-                flat = cache[width] = scatter_index(idx.reshape(-1), width)
+            flat = scatter_index(idx.reshape(-1), width)
             a.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
                                      shape[0]).reshape(shape))
 
@@ -607,6 +600,92 @@ class AttentionParams:
     wo: Tensor
 
 
+@dataclass(frozen=True, eq=False)
+class _BankSlots:
+    """The usable slots of a bank batch, in (bank, column) order.
+
+    Slot k sits in bank ``bank[k]`` at column ``column[k]`` and reads memory
+    row ``token[k]``. A bank's slots are contiguous: ``starts`` holds where
+    each nonempty bank's run begins and ``run[k]`` the run slot k is in.
+    ``scatter_indices`` caches, per target and row width, the flat index
+    that ``scatter_sum`` takes."""
+
+    bank: np.ndarray
+    column: np.ndarray
+    token: np.ndarray
+    starts: np.ndarray
+    run: np.ndarray
+    scatter_indices: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, token_index: np.ndarray, add_mask: np.ndarray) -> "_BankSlots":
+        if token_index.shape != add_mask.shape:
+            raise ValueError("bank index and mask shapes disagree")
+        usable = add_mask == 0.0
+        if not (usable | (add_mask == MASK_NEG)).all():
+            raise ValueError("attention mask entries must be 0 or MASK_NEG")
+        bank, column = np.nonzero(usable)
+        counts = np.bincount(bank, minlength=add_mask.shape[0])
+        counts = counts[counts > 0]
+        return cls(bank=bank, column=column, token=token_index[bank, column],
+                   starts=np.cumsum(counts) - counts,
+                   run=np.repeat(np.arange(counts.size), counts))
+
+    def scatter(self, values: np.ndarray, onto_tokens: bool, n: int) -> np.ndarray:
+        """Sum the slot rows ``values`` [U, w] onto each slot's bank, or with
+        ``onto_tokens`` onto each slot's memory row: [n, w]."""
+        key = (onto_tokens, values.shape[1])
+        flat = self.scatter_indices.get(key)
+        if flat is None:
+            targets = self.token if onto_tokens else self.bank
+            flat = self.scatter_indices[key] = scatter_index(targets, values.shape[1])
+        return scatter_sum(values, flat, n)
+
+
+def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
+                   heads: int) -> tuple[Tensor, np.ndarray]:
+    """Per-head softmax attention of each bank's query row over its usable
+    slots only.
+
+    q [G, d] holds the projected queries, k and v [T, d] the projected
+    memory rows. Slot k scores q[bank_k] . k[token_k] / sqrt(d / heads) per
+    head; each (bank, head) softmax runs over its own slots (max from one
+    ``np.maximum.reduceat``, denominator from one ``scatter_sum``), and the
+    weighted rows v[token_k] are summed onto their banks. Returns the
+    context [G, d], zero for a bank with no usable slot, and the detached
+    weights [U, heads] of the slots."""
+    g_count, d = q.shape
+    t_count = k.shape[0]
+    dh = d // heads
+    c = 1.0 / np.sqrt(dh)
+    u = slots.bank.size
+    qs = q.data[slots.bank].reshape(u, heads, dh)
+    ks = k.data[slots.token].reshape(u, heads, dh)
+    vs = v.data[slots.token].reshape(u, heads, dh)
+    logits = np.einsum("uhd,uhd->uh", qs, ks) * c
+    if u:
+        logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
+    e = np.exp(logits)
+    w = e / slots.scatter(e, False, g_count)[slots.bank]
+    data = slots.scatter((w[:, :, None] * vs).reshape(u, d), False, g_count)
+
+    def backward(g):
+        gs = g[slots.bank].reshape(u, heads, dh)
+        if v.requires_grad:
+            v.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
+        if q.requires_grad or k.requires_grad:
+            wg = w * np.einsum("uhd,uhd->uh", gs, vs)
+            dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
+            if q.requires_grad:
+                q.accumulate(slots.scatter((dlogits[:, :, None] * ks).reshape(u, d),
+                                           False, g_count))
+            if k.requires_grad:
+                k.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
+                                           True, t_count))
+
+    return _result(data, (q, k, v), backward), w
+
+
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
                       token_index: np.ndarray, add_mask: np.ndarray, heads: int,
                       params: AttentionParams,
@@ -614,34 +693,28 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
     """Batched masked multi-head attention over banks of shared memory rows.
 
     query [G, dq]; keys [T, dk] and values [T, dv] are the memories, which
-    are projected once and then gathered: slot s of bank g attends to row
-    token_index[g, s]. add_mask [G, S] holds 0 for usable slots and MASK_NEG
-    for excluded ones. Both gathers share ``scatter_cache`` (see ``rows``).
-    Returns the attended output [G, dout] and detached per-head weights
-    [G, H, S].
+    are projected once. The [G, S] grid defines the banks: slot s of bank g
+    reads row token_index[g, s], and add_mask [G, S] holds 0 for a usable
+    slot and MASK_NEG for an excluded one. Attention reads the usable slots
+    only (``_bank_attention``), so excluded slots cost nothing, get weight
+    exactly 0.0, and a bank with none attends to a zero context row.
+    ``scatter_cache``, when given, keeps the usable-slot list and its scatter
+    indices for callers that attend over the same banks again. Returns the
+    attended output [G, dout] and detached per-head weights [G, H, S].
     """
     g_count, s_count = add_mask.shape
-    d_attn = params.wq.shape[1]
-    if d_attn % heads:
+    if params.wq.shape[1] % heads:
         raise ValueError("attention width must be divisible by the head count")
-    dh = d_attn // heads
-
-    def split(t: Tensor) -> Tensor:
-        # [G, S, d_attn] -> [G, H, S, dh]
-        return swapaxes(reshape(t, (g_count, -1, heads, dh)), 1, 2)
-
-    qh = split(reshape(matmul(query, params.wq), (g_count, 1, d_attn)))
     cache = {} if scatter_cache is None else scatter_cache
-    kh = split(rows(matmul(keys, params.wk), token_index, cache))
-    vh = split(rows(matmul(values, params.wv), token_index, cache))
-
-    logits = scale(matmul(qh, swapaxes(kh, 2, 3)), 1.0 / np.sqrt(dh))
-    logits = add(logits, const(add_mask.reshape(g_count, 1, 1, s_count)))
-    weights = softmax(logits, axis=-1)
-    ctx = matmul(weights, vh)                       # [G, H, 1, dh]
-    ctx = reshape(swapaxes(ctx, 1, 2), (g_count, d_attn))
-    out = matmul(ctx, params.wo)
-    return out, weights.data.reshape(g_count, heads, s_count)
+    slots = cache.get("slots")
+    if slots is None:
+        slots = cache["slots"] = _BankSlots.of(token_index, add_mask)
+    ctx, slot_weights = _bank_attention(matmul(query, params.wq),
+                                       matmul(keys, params.wk),
+                                       matmul(values, params.wv), slots, heads)
+    weights = np.zeros((g_count, heads, s_count))
+    weights[slots.bank, :, slots.column] = slot_weights
+    return matmul(ctx, params.wo), weights
 
 
 def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,

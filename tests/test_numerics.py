@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedmmg import numerics as nx
 from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
                              EmptyAttentionError, GradientError, ParamStore,
-                             Tape, adam_step, const, grad_check,
+                             Tape, Tensor, adam_step, const, grad_check,
                              multi_head_attention, neighbor_mean_matrix,
                              sage_conv)
 
@@ -116,15 +116,30 @@ def gathered_attention(query, keys, values, token_index, mask, heads, params):
     return ctx @ params.wo.data, weights
 
 
-def shared_memory_banks(rng, t_count, g_count, s_count):
+def shared_memory_banks(rng, t_count, g_count, s_count, empty=()):
     """Banks over T memory rows plus a zero padding row at index T: slots
-    repeat tokens, and every bank has at least one usable slot."""
+    repeat tokens, and every bank but those listed in ``empty`` has at least
+    one usable slot."""
     index = rng.integers(0, t_count, size=(g_count, s_count))
     index[:, 0] = rng.integers(0, 2, size=g_count)     # repeats across banks
     pad = rng.random((g_count, s_count)) < 0.4
     pad[:, 0] = False
+    pad[list(empty)] = True
     index[pad] = t_count
     return index, np.where(pad, MASK_NEG, 0.0)
+
+
+def with_padding_columns(rng, index, mask, extra, pad_row):
+    """The same banks with ``extra`` all-masked columns inserted at random
+    positions; returns the widened index and mask and the new columns."""
+    width = index.shape[1] + extra
+    new_cols = np.sort(rng.choice(width, size=extra, replace=False))
+    old_cols = np.setdiff1d(np.arange(width), new_cols)
+    wide_index = np.full((index.shape[0], width), pad_row)
+    wide_mask = np.full((index.shape[0], width), MASK_NEG)
+    wide_index[:, old_cols] = index
+    wide_mask[:, old_cols] = mask
+    return wide_index, wide_mask, new_cols
 
 
 class TestSharedMemoryAttention:
@@ -149,7 +164,7 @@ class TestSharedMemoryAttention:
         params = random_attention(store, rng, 5, 6, 6, 8)
         memory = store.add("memory", rng.normal(size=(7, 6)))
         pad_row = const(np.zeros((1, 6)))
-        index, mask = shared_memory_banks(rng, 7, 9, 5)
+        index, mask = shared_memory_banks(rng, 7, 9, 5, empty=(2, 6))
         query = const(rng.normal(size=(9, 5)))
         probe = const(rng.normal(size=(9, 6)))
 
@@ -163,32 +178,91 @@ class TestSharedMemoryAttention:
         assert set(report.per_param) == {"wq", "wk", "wv", "wo", "memory"}
         assert report.max_rel_err < 1e-6
 
-    def test_scatter_cache_keeps_gradients_bit_for_bit(self):
-        # the key and value gathers share one scatter index per width, built
-        # at the first backward and reused by the next one
-        rng = np.random.default_rng(13)
+    @staticmethod
+    def _run(params, memory, pad_row, query, index, mask, cache=None):
+        """Output, weights and the gradients of wq, wk, wv, wo, query and
+        memory, in that order, of one attention call whose loss weighs every
+        output entry."""
+        tensors = [params.wq, params.wk, params.wv, params.wo, query, memory]
+        for t in tensors:
+            t.grad = None
+        with Tape() as tape:
+            stacked = nx.concat([memory, pad_row], axis=0)
+            out, weights = nx.attention_batched(query, stacked, stacked, index,
+                                                mask, 2, params, cache)
+            probe = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
+            tape.backward(nx.total_sum(nx.mul(out, const(np.sin(probe)))))
+        return out.data, weights, [t.grad for t in tensors]
+
+    def _setup(self, seed, empty=()):
+        rng = np.random.default_rng(seed)
         store = ParamStore()
         params = random_attention(store, rng, 5, 6, 6, 8)
-        memory = store.add("memory", rng.normal(size=(7, 6)))
-        pad_row = const(np.zeros((1, 6)))
-        index, mask = shared_memory_banks(rng, 7, 9, 5)
-        query = const(rng.normal(size=(9, 5)))
+        memory = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        query = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+        index, mask = shared_memory_banks(rng, 7, 9, 5, empty)
+        return rng, params, memory, const(np.zeros((1, 6))), query, index, mask
 
-        def grads(cache):
-            with Tape() as tape:
-                stacked = nx.concat([memory, pad_row], axis=0)
-                out, _ = nx.attention_batched(query, stacked, stacked, index,
-                                              mask, 2, params, cache)
-                tape.backward(nx.total_sum(out))
-            return store.take_grads()
+    @pytest.mark.parametrize("seed", range(4))
+    def test_padding_columns_change_nothing(self, seed):
+        rng, params, memory, pad_row, query, index, mask = self._setup(seed, empty=(3,))
+        out, weights, grads = self._run(params, memory, pad_row, query, index, mask)
+        wide_index, wide_mask, new_cols = with_padding_columns(rng, index, mask, 4, 7)
+        wide_out, wide_weights, wide_grads = self._run(params, memory, pad_row, query,
+                                                       wide_index, wide_mask)
+        assert wide_out.tobytes() == out.tobytes()
+        for g, wide_g in zip(grads, wide_grads):
+            assert wide_g.tobytes() == g.tobytes()
+        assert (wide_weights[:, :, new_cols] == 0.0).all()
+        kept = np.setdiff1d(np.arange(wide_index.shape[1]), new_cols)
+        assert wide_weights[:, :, kept].tobytes() == weights.tobytes()
 
+    def test_empty_bank_gives_zero_context_and_weights(self):
+        _, params, memory, pad_row, query, index, mask = self._setup(5, empty=(0, 4))
+        out, weights, grads = self._run(params, memory, pad_row, query, index, mask)
+        assert (out[[0, 4]] == 0.0).all()
+        assert (weights[[0, 4]] == 0.0).all()
+        assert (grads[4][[0, 4]] == 0.0).all()     # no gradient to their queries
+        np.testing.assert_allclose(weights[[1, 2, 3]].sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_every_bank_empty(self):
+        _, params, memory, pad_row, query, index, mask = self._setup(6, empty=range(9))
+        out, weights, grads = self._run(params, memory, pad_row, query, index, mask)
+        assert (out == 0.0).all() and (weights == 0.0).all()
+        assert (grads[4] == 0.0).all() and (grads[5] == 0.0).all()
+
+    def test_mask_values_other_than_the_sentinel_are_rejected(self):
+        _, params, memory, pad_row, query, index, mask = self._setup(7)
+        mask = mask.copy()
+        mask[0, 1] = -1.0
+        with pytest.raises(ValueError, match="MASK_NEG"):
+            self._run(params, memory, pad_row, query, index, mask)
+
+    def test_scatter_cache_keeps_gradients_bit_for_bit(self, monkeypatch):
+        # the cache is filled at the first call; a later call reuses it and
+        # builds no scatter index of its own
+        _, params, memory, pad_row, query, index, mask = self._setup(13)
+        built = []
+        real_scatter_index = nx.scatter_index
+        monkeypatch.setattr(nx, "scatter_index",
+                            lambda *a: built.append(1) or real_scatter_index(*a))
+
+        def run(cache):
+            out, weights, grads = self._run(params, memory, pad_row, query, index,
+                                            mask, cache)
+            return [out.tobytes(), weights.tobytes()] + [g.tobytes() for g in grads]
+
+        reference = run(None)
+        assert built
         cache: dict = {}
-        reference = grads(None)
-        assert grads(cache).tobytes() == reference.tobytes()
-        assert list(cache) == [8]
-        cached = cache[8]
-        assert grads(cache).tobytes() == reference.tobytes()
-        assert cache[8] is cached
+        assert run(cache) == reference
+        assert cache
+        kept = dict(cache)
+        built.clear()
+        assert run(cache) == reference
+        assert not built
+        assert cache.keys() == kept.keys()
+        assert all(cache[key] is kept[key] for key in kept)
 
 
 class TestAliasedGradients:
@@ -225,6 +299,36 @@ class TestAliasedGradients:
         assert np.array_equal(x.grad, (c1 + c2).reshape(3, 2))
         assert np.array_equal(z1.grad, c1) and np.array_equal(z2.grad, c2)
         assert np.array_equal(v.grad, c1 + c2)
+
+
+def masked_sigmoid(x):
+    """The four-mask form ``_sigmoid_np`` replaced: 1 / (1 + exp(-x)) on the
+    nonnegative entries, exp(x) / (1 + exp(x)) on the rest."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.8, -709.8,
+                     710.5, -710.5, 745.2, -745.2, 1e308, -1e308, 5e-324, -5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True, width=64))
+
+
+class TestSigmoid:
+    @given(st.lists(EXTREME_FLOATS, min_size=0, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_masked_form_bit_for_bit(self, values):
+        x = np.array(values, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            assert nx._sigmoid_np(x).tobytes() == masked_sigmoid(x).tobytes()
+
+    def test_two_dimensional_input(self):
+        x = np.random.default_rng(0).normal(size=(40, 7)) * 400
+        assert nx._sigmoid_np(x).tobytes() == masked_sigmoid(x).tobytes()
 
 
 class TestSoftmax:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmmg import metrics
 from fedmmg import numerics as nx
@@ -241,3 +243,66 @@ class TestMetrics:
         row = evaluate_metrics("nc", np.array([[2.0, 1.0]]), np.array([0]))
         assert row.names == ("accuracy", "macro_f1")
         assert row.values == (1.0, 1.0)
+
+
+def loop_average_precision(pos_scores, neg_scores):
+    """The threshold loop ``average_precision`` replaced: one ``scores >= th``
+    pass per distinct score, descending, summed in that order."""
+    p = len(pos_scores)
+    scores = np.concatenate([pos_scores, neg_scores])
+    is_pos = np.concatenate([np.ones(p), np.zeros(len(neg_scores))])
+    ap, prev_recall = 0.0, 0.0
+    for th in np.unique(scores)[::-1]:
+        sel = scores >= th
+        tp = float(is_pos[sel].sum())
+        precision = tp / float(sel.sum())
+        recall = tp / p
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+    return float(ap)
+
+
+def loop_mean_ranks(scores):
+    """The block-walking loop ``_mean_ranks`` replaced."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+# few distinct values, so most draws are heavily tied, plus the extremes
+TIED_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-300, 1e308, -1e308,
+                     np.inf, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=True, width=64))
+
+
+class TestMetricsMatchLoops:
+    @given(st.lists(TIED_SCORES, min_size=1, max_size=40),
+           st.lists(TIED_SCORES, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_average_precision_bit_for_bit(self, pos, neg):
+        pos, neg = np.array(pos), np.array(neg)
+        assert average_precision(pos, neg) == loop_average_precision(pos, neg)
+
+    @given(st.lists(st.one_of(TIED_SCORES, st.just(np.nan)), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_mean_ranks_bit_for_bit(self, values):
+        scores = np.array(values, dtype=np.float64)
+        assert metrics._mean_ranks(scores).tobytes() == loop_mean_ranks(scores).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_tied_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 50, 3000) / 50.0
+        neg = rng.integers(0, 50, 5000) / 50.0 - 0.1
+        assert average_precision(pos, neg) == loop_average_precision(pos, neg)
+        scores = np.concatenate([pos, neg])
+        assert metrics._mean_ranks(scores).tobytes() == loop_mean_ranks(scores).tobytes()

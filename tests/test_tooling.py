@@ -37,3 +37,55 @@ def test_every_trace_target_resolves():
     assert targets
     missing = [f"{m}.{q}" for m, q in targets if not _resolves(m, q)]
     assert not missing, f"perfbench trace targets not found in fedmmg: {missing}"
+
+
+def test_every_observer_reads_real_return_values():
+    # a traced 3-client, 2-round in-process run calls each observer on the
+    # values fedmmg really returns, so a renamed field fails here rather
+    # than inside a traced benchmark child
+    from fedmmg.config import ExperimentConfig, assemble_run
+    from fedmmg.federation import run_federation
+
+    tr = _load_tracing()
+    called = {name: 0 for name in tr.OBSERVERS}
+
+    def counting(name, observe):
+        def wrapped(*args):
+            called[name] += 1
+            observe(*args)
+        return wrapped
+
+    for name, observe in list(tr.OBSERVERS.items()):
+        tr.OBSERVERS[name] = counting(name, observe)
+
+    cfg = ExperimentConfig()
+    cfg.seed = 1
+    cfg.task = "lp"
+    cfg.data.blocks = 3
+    cfg.data.nodes_per_block = 12
+    cfg.data.d_img = 10
+    cfg.data.d_txt = 9
+    cfg.federation.clients = 3
+    cfg.federation.rounds = 2
+    cfg.federation.workers = 1
+    cfg.model.hidden_dim = 8
+
+    tracer = tr.Tracer("tooling")
+    inst = tr.install(tracer)
+    try:
+        setup = assemble_run(cfg).setup
+        with tracer.root():
+            run_federation(setup)
+    finally:
+        inst.restore()
+
+    assert all(called.values()), f"observers never called: {called}"
+    out = tr.summarize(tracer)
+    for key in ("generation.bank_slots", "numerics.tape_ops",
+                "model.graph_cache_bytes"):
+        assert out[key] > 0, key
+    assert 0 < tracer.counts["generation.bank_usable"] <= out["generation.bank_slots"]
+    assert 0 < out["generation.bank_fill_ratio"] <= 1
+    tags = {s.tag for s in tracer.spans if s.name == "federation.client_local_round"}
+    assert tags == {0, 1}
+    assert out["federation.client_local_round.calls"] == 6
