@@ -159,7 +159,7 @@ def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) -> ClientData:
     rng = np.random.default_rng([seed & 0xFFFFFFFF, cid, 0x5714])
-    edges = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2)
+    edges = graph.edges
     # the validation share stays held out, unused, so train and test keep
     # their sizes
     train_n, _val_n, test_n = _node_splits(graph.n, rng)

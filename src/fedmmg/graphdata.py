@@ -1,7 +1,7 @@
 """Multimodal graph data model, synthetic generation, partitioning, masks.
 
 Graphs are small enough to live fully in memory; everything here is a pure
-function of its seed, so results are immutable and shareable across threads.
+function of its seed, so the parent and its forked client workers agree.
 """
 
 from __future__ import annotations
@@ -39,26 +39,28 @@ class MultimodalGraph:
     """
 
     n: int
-    edges: list[tuple[int, int]]
+    edges: np.ndarray  # [E, 2] int64; each undirected edge once, either way round
     modalities: list[Modality]
-    labels: np.ndarray | None
+    labels: np.ndarray | None  # [N] nonnegative class ids
     natural_mask: np.ndarray  # [N, M] in {0, 1}
-    pairs: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"edge ({u}, {v}) listed twice")
-            seen.add(key)
-        for a, b in self.pairs or ():
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"pair ({a}, {b}) out of range")
+        edges = np.asarray(self.edges, dtype=np.int64)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be [E, 2], got shape {edges.shape}")
+        self.edges = edges.reshape(-1, 2)
+        lo, hi = self.edges.min(axis=1), self.edges.max(axis=1)
+        loop, out = lo == hi, (lo < 0) | (hi >= self.n)
+        # an invalid edge gets a key of its own, so only valid edges repeat
+        keys = np.where(loop | out, -1 - np.arange(lo.size), lo * self.n + hi)
+        repeat = np.ones(lo.size, dtype=bool)
+        repeat[np.unique(keys, return_index=True)[1]] = False
+        bad = np.flatnonzero(loop | out | repeat)  # named in list order
+        if bad.size:
+            k = bad[0]
+            u, v = self.edges[k]
+            what = "out of range" if out[k] else "listed twice"
+            raise ValueError(f"self-loop on node {u}" if loop[k] else f"edge ({u}, {v}) {what}")
         if self.natural_mask.shape != (self.n, self.num_modalities):
             raise ValueError("natural mask shape mismatch")
         if self.labels is not None:
@@ -80,6 +82,8 @@ class MultimodalGraph:
 
     def set_natural_mask(self, mask: np.ndarray) -> None:
         """Install ``mask`` as the natural mask and zero the absent rows."""
+        if not np.isin(mask, (0.0, 1.0)).all():
+            raise ValueError("natural mask must be 0/1 valued")
         self.natural_mask[:] = mask
         for m, mod in enumerate(self.modalities):
             mod.features[self.natural_mask[:, m] == 0] = 0.0
@@ -117,9 +121,9 @@ class MaskSet:
 
 @dataclass
 class ClientPartition:
-    """Disjoint node cover: one sorted node list per client."""
+    """Disjoint node cover of a graph's nodes."""
 
-    node_lists: list[list[int]]
+    node_lists: list[np.ndarray]  # per client, its node ids ascending
 
     @property
     def num_clients(self) -> int:
@@ -178,15 +182,13 @@ def generate_sbm_multimodal(blocks: int, nodes_per_block: int, p_in: float,
     iu, ju = np.triu_indices(n, k=1)
     prob = np.where(labels[iu] == labels[ju], p_in, p_out)
     hit = rng.random(iu.size) < prob
-    edges = [(int(u), int(v)) for u, v in zip(iu[hit], ju[hit])]
 
     return MultimodalGraph(
         n=n,
-        edges=edges,
+        edges=np.stack([iu[hit], ju[hit]], axis=1),
         modalities=[Modality("img", d_img, feat_img), Modality("txt", d_txt, feat_txt)],
         labels=labels,
         natural_mask=np.ones((n, 2)),
-        pairs=None,
     )
 
 
@@ -214,23 +216,16 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
             shares = rng.dirichlet(np.full(clients, alpha))
             counts = np.floor(shares * idx.size).astype(np.int64)
             # distribute the remainder to the largest fractional shares
-            remainder = idx.size - counts.sum()
-            if remainder > 0:
-                frac = shares * idx.size - counts
-                for k in np.argsort(-frac)[:remainder]:
-                    counts[k] += 1
-            pos = 0
-            for k in range(clients):
-                assign[idx[pos:pos + counts[k]]] = k
-                pos += counts[k]
+            frac = shares * idx.size - counts
+            counts[np.argsort(-frac)[:idx.size - counts.sum()]] += 1
+            assign[idx] = np.repeat(np.arange(clients), counts)
         sizes = np.bincount(assign, minlength=clients)
         if sizes.min() >= 1:
             break
     else:
         raise RuntimeError("could not draw a partition covering every client")
 
-    return ClientPartition(
-        node_lists=[sorted(np.flatnonzero(assign == k).tolist()) for k in range(clients)])
+    return ClientPartition(node_lists=[np.flatnonzero(assign == k) for k in range(clients)])
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +299,18 @@ def missing_ratios(masks: MaskSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def induced_subgraph(graph: MultimodalGraph, nodes: list[int]) -> MultimodalGraph:
-    """Relabel a node subset to 0..len-1 and keep internal edges only."""
-    remap = {old: new for new, old in enumerate(nodes)}
+def induced_subgraph(graph: MultimodalGraph, nodes: np.ndarray) -> MultimodalGraph:
+    """Relabel a node subset to 0..len-1 and keep internal edges only, in order."""
     idx = np.asarray(nodes, dtype=np.intp)
-    edges = [(remap[u], remap[v]) for u, v in graph.edges
-             if u in remap and v in remap]
+    remap = np.full(graph.n, -1, dtype=np.int64)
+    remap[idx] = np.arange(idx.size)
+    edges = remap[graph.edges]
     mods = [Modality(mod.name, mod.dim, mod.features[idx].copy())
             for mod in graph.modalities]
     labels = graph.labels[idx].copy() if graph.labels is not None else None
-    pairs = None
-    if graph.pairs is not None:
-        pairs = [(remap[a], remap[b]) for a, b in graph.pairs
-                 if a in remap and b in remap]
-    return MultimodalGraph(n=len(nodes), edges=edges, modalities=mods,
-                           labels=labels, natural_mask=graph.natural_mask[idx].copy(),
-                           pairs=pairs)
+    return MultimodalGraph(n=idx.size, edges=edges[(edges >= 0).all(axis=1)],
+                           modalities=mods, labels=labels,
+                           natural_mask=graph.natural_mask[idx].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +327,21 @@ def save_graph(graph: MultimodalGraph, path: str) -> None:
              "features": mod.features.tolist()}
             for mod in graph.modalities
         ],
-        "edges": [[int(u), int(v)] for u, v in graph.edges],
+        "edges": graph.edges.tolist(),
         "labels": graph.labels.tolist() if graph.labels is not None else None,
         "natural_mask": graph.natural_mask.astype(int).tolist(),
-        "pairs": [[int(a), int(b)] for a, b in graph.pairs] if graph.pairs is not None else None,
     }
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
     os.replace(tmp, path)
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer (not a boolean)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer")
+    return value
 
 
 def _int_list(value, what: str) -> np.ndarray:
@@ -356,6 +353,7 @@ def _int_list(value, what: str) -> np.ndarray:
 
 
 def load_graph(path: str) -> MultimodalGraph:
+    """Read a schema-v1 graph file; keys it does not use are ignored."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -366,14 +364,13 @@ def load_graph(path: str) -> MultimodalGraph:
             f"unsupported graph schema {doc.get('schema') if isinstance(doc, dict) else '?'} "
             f"(expected {GRAPH_SCHEMA_VERSION})")
     try:
-        n = int(doc["n"])
-        mods = [Modality(str(m["name"]), int(m["dim"]),
+        n = _int(doc["n"], "n")
+        mods = [Modality(str(m["name"]), _int(m["dim"], "dim"),
                          np.asarray(m["features"], dtype=np.float64))
                 for m in doc["modalities"]]
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
+        edges = np.asarray([_int_list(row, "edges") for row in doc["edges"]], dtype=np.int64)
         labels = None if doc["labels"] is None else _int_list(doc["labels"], "labels")
         mask = np.asarray(doc["natural_mask"], dtype=np.float64)
-        pairs = None if doc.get("pairs") is None else [(int(a), int(b)) for a, b in doc["pairs"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphFileError(f"malformed graph file {path!r}: {exc}") from exc
     if mask.shape != (n, len(mods)):
@@ -389,7 +386,7 @@ def load_graph(path: str) -> MultimodalGraph:
                 f"modality {mod.name!r} has nonzero features at naturally missing cells")
     try:
         graph = MultimodalGraph(n=n, edges=edges, modalities=mods, labels=labels,
-                                natural_mask=mask, pairs=pairs)
+                                natural_mask=mask)
     except ValueError as exc:
         raise GraphFileError(f"invalid graph in {path!r}: {exc}") from exc
     # the classifier head has max(label) + 1 outputs, so bound the class ids

@@ -486,13 +486,23 @@ def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
                        minlength=math.prod(shape)).reshape(shape)
 
 
+def _cached_scatter(cache: dict, key, targets: np.ndarray, values: np.ndarray,
+                    n: int) -> np.ndarray:
+    """``scatter_sum`` of ``values`` [K, w] onto rows ``targets`` of an [n, w]
+    result, keeping each flat ``scatter_index`` in ``cache`` under (key, w)."""
+    width = values.shape[1]
+    flat = cache.get((key, width))
+    if flat is None:
+        flat = cache[(key, width)] = scatter_index(targets, width)
+    return scatter_sum(values, flat, n)
+
+
 @dataclass(frozen=True, eq=False)
 class _CSRPattern:
     """Sparsity pattern of a square matrix.
 
     Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
-    columns ascend. ``scatter_indices`` caches, per target array and row
-    width, the flat index that ``scatter_sum`` takes."""
+    columns ascend. ``scatter_indices`` is ``scatter``'s index cache."""
 
     n: int
     indptr: np.ndarray
@@ -509,12 +519,9 @@ class _CSRPattern:
     def scatter(self, values: np.ndarray, onto_columns: bool) -> np.ndarray:
         """Sum the entry rows ``values`` [nnz, w] onto each entry's row, or
         with ``onto_columns`` onto each entry's column: [n, w]."""
-        key = (onto_columns, values.shape[1])
-        flat = self.scatter_indices.get(key)
-        if flat is None:
-            targets = self.indices if onto_columns else self.row_of
-            flat = self.scatter_indices[key] = scatter_index(targets, values.shape[1])
-        return scatter_sum(values, flat, self.n)
+        return _cached_scatter(self.scatter_indices, onto_columns,
+                               self.indices if onto_columns else self.row_of,
+                               values, self.n)
 
 
 class CSRMatrix:
@@ -607,8 +614,7 @@ class _BankSlots:
     Slot k sits in bank ``bank[k]`` at column ``column[k]`` and reads memory
     row ``token[k]``. A bank's slots are contiguous: ``starts`` holds where
     each nonempty bank's run begins and ``run[k]`` the run slot k is in.
-    ``scatter_indices`` caches, per target and row width, the flat index
-    that ``scatter_sum`` takes."""
+    ``scatter_indices`` is ``scatter``'s index cache."""
 
     bank: np.ndarray
     column: np.ndarray
@@ -634,12 +640,8 @@ class _BankSlots:
     def scatter(self, values: np.ndarray, onto_tokens: bool, n: int) -> np.ndarray:
         """Sum the slot rows ``values`` [U, w] onto each slot's bank, or with
         ``onto_tokens`` onto each slot's memory row: [n, w]."""
-        key = (onto_tokens, values.shape[1])
-        flat = self.scatter_indices.get(key)
-        if flat is None:
-            targets = self.token if onto_tokens else self.bank
-            flat = self.scatter_indices[key] = scatter_index(targets, values.shape[1])
-        return scatter_sum(values, flat, n)
+        return _cached_scatter(self.scatter_indices, onto_tokens,
+                               self.token if onto_tokens else self.bank, values, n)
 
 
 def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,

@@ -71,7 +71,7 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
                                          refined=bundle.refined,
                                          labels=graph.labels)
         else:
-            pos = np.asarray(graph.edges[:3], dtype=np.intp)
+            pos = graph.edges[:3]
             neg = np.array([[0, 4], [1, 5], [2, 5]], dtype=np.intp)
             task = task_ops.lp_pair_loss(bundle.refined, pos, neg, spec)
         total, _ = task_ops.local_objective(spec, task, bundle.rec_loss,

@@ -282,14 +282,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "labels" in err
 
-    def test_out_of_range_pairs_file_exits_one(self, tmp_path, capsys):
-        def set_pairs(doc):
-            doc["pairs"] = [[0, 99], [-5, 1]]
-        cfg_path = self._graph_file(tmp_path, set_pairs)
-        assert main(["run", "--config", str(cfg_path)]) == 1
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["natural_mask"][0].__setitem__(0, 0.5), "0/1"),
+        (lambda doc: doc.__setitem__("n", doc["n"] + 0.7), "n must be an integer"),
+        (lambda doc: doc.__setitem__("n", float(doc["n"])), "n must be an integer"),
+        (lambda doc: doc.__setitem__("n", True), "n must be an integer"),
+        (lambda doc: doc["modalities"][0].__setitem__("dim", 1.5), "dim must be"),
+        (lambda doc: doc["edges"][0].__setitem__(1, doc["edges"][0][1] + 0.9),
+         "edges must be"),
+        (lambda doc: doc["edges"].__setitem__(0, [True, False]), "edges must be"),
+        (lambda doc: doc["edges"].__setitem__(0, ["0", "1"]), "edges must be"),
+    ])
+    def test_bad_number_in_graph_file_exits_one(self, tmp_path, capsys, edit, match):
+        cfg_path = self._graph_file(tmp_path, edit)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "pair" in err
+        assert "Traceback" not in err and match in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_value_error_inside_run_exits_two(self, tmp_path, capsys, monkeypatch):
         def failing_run(setup):
@@ -346,7 +357,7 @@ class TestCli:
         assert len(built) == len(loaded) == 2
         for a, b in zip(built, loaded):
             ga, gb = a.data.graph, b.data.graph
-            assert ga.edges == gb.edges
+            np.testing.assert_array_equal(ga.edges, gb.edges)
             np.testing.assert_array_equal(ga.natural_mask, gb.natural_mask)
             for m, (ma, mb) in enumerate(zip(ga.modalities, gb.modalities)):
                 np.testing.assert_array_equal(ma.features, mb.features)

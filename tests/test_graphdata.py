@@ -109,7 +109,7 @@ class TestPartition:
     def test_single_client_owns_everything(self):
         g = generate_sbm_multimodal(2, 6, 0.4, 0.1, d_img=4, d_txt=4, seed=0)
         part = partition_dirichlet(g, 1, alpha=0.5, seed=0)
-        assert part.node_lists[0] == list(range(g.n))
+        np.testing.assert_array_equal(part.node_lists[0], np.arange(g.n))
         assert len(induced_subgraph(g, part.node_lists[0]).edges) == len(g.edges)
 
     def test_disjoint_cover(self):
@@ -208,7 +208,9 @@ class TestGraphIO:
         path = str(tmp_path / "graph.json")
         save_graph(g, path)
         loaded = load_graph(path)
-        assert loaded.n == g.n and loaded.edges == g.edges
+        assert loaded.n == g.n
+        assert loaded.edges.dtype == np.int64
+        np.testing.assert_array_equal(loaded.edges, g.edges)
         np.testing.assert_array_equal(loaded.natural_mask, g.natural_mask)
         np.testing.assert_array_equal(loaded.labels, g.labels)
         for a, b in zip(loaded.modalities, g.modalities):
@@ -279,7 +281,7 @@ class TestGraphIO:
             labels=None, natural_mask=np.ones((3, 2)))
         path = str(tmp_path / "empty.json")
         save_graph(g, path)
-        assert load_graph(path).edges == []
+        assert load_graph(path).edges.shape == (0, 2)
 
 
 # JSON values of every shape, and values near a valid three-node graph
@@ -293,7 +295,7 @@ _MODALITY = st.fixed_dictionaries({"name": st.text(max_size=3) | _JSON,
 _VALID_DOC = {"schema": 1, "n": 3,
               "modalities": [{"name": "img", "dim": 2, "features": [[1, 0], [0, 1], [1, 1]]}],
               "edges": [[0, 1], [1, 2]], "labels": [0, 1, 0],
-              "natural_mask": [[1], [1], [1]], "pairs": None}
+              "natural_mask": [[1], [1], [1]]}
 _GRAPH_DOCS = _JSON | st.fixed_dictionaries({}, optional={
     "schema": st.just(1) | _JSON,
     "n": st.integers(-1, 4) | _JSON,
@@ -327,13 +329,38 @@ class TestGraphDocuments:
         with pytest.raises(GraphFileError, match="labels"):
             self._load({**_VALID_DOC, "labels": labels})
 
-    @pytest.mark.parametrize("pairs", [[[0, 99], [-5, 1]], [[0, 3]], [[-1, 2]]])
-    def test_out_of_range_pairs_rejected(self, pairs):
-        with pytest.raises(GraphFileError, match="pair"):
-            self._load({**_VALID_DOC, "pairs": pairs})
+    @pytest.mark.parametrize("pairs", [[[0, 99], [-5, 1]], [[0, 3]], [[-1, 2]],
+                                       [[0, 2], [1, 1]], None])
+    def test_old_pairs_key_is_ignored(self, pairs):
+        # schema-v1 files written before the field was dropped still load
+        g = self._load({**_VALID_DOC, "pairs": pairs})
+        assert not hasattr(g, "pairs")
+        np.testing.assert_array_equal(g.edges, _VALID_DOC["edges"])
 
-    def test_pairs_in_range_load(self):
-        assert self._load({**_VALID_DOC, "pairs": [[0, 2], [1, 1]]}).pairs == [(0, 2), (1, 1)]
+    @pytest.mark.parametrize("edit, match", [
+        ({"n": 3.7}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"n": "3"}, "n must be an integer"),
+        ({"modalities": [{**_VALID_DOC["modalities"][0], "dim": 1.5}]},
+         "dim must be an integer"),
+        ({"modalities": [{**_VALID_DOC["modalities"][0], "dim": True}]},
+         "dim must be an integer"),
+        ({"edges": [[0, 1.9]]}, "edges must be a list of integers"),
+        ({"edges": [[True, False]]}, "edges must be a list of integers"),
+        ({"edges": [["0", "1"]]}, "edges must be a list of integers"),
+        ({"edges": [[0, 1], [0, 1, 2]]}, "malformed"),
+        ({"edges": [[0, 1, 2]]}, r"edges must be \[E, 2\]"),
+        ({"edges": [[0]]}, r"edges must be \[E, 2\]"),
+        ({"edges": [0, 1]}, "edges must be a list of integers"),
+        ({"edges": {"0": 1}}, "edges must be a list of integers"),
+        ({"edges": [[0, 10 ** 30]]}, "malformed"),
+        ({"natural_mask": [[0.5], [1], [1]]}, "0/1"),
+        ({"natural_mask": [[1], [2], [1]]}, "0/1"),
+        ({"natural_mask": [[1], [-1], [1]]}, "0/1"),
+    ])
+    def test_bad_numbers_rejected(self, edit, match):
+        with pytest.raises(GraphFileError, match=match):
+            self._load({**_VALID_DOC, **edit})
 
     @settings(max_examples=400, deadline=None)
     @given(doc=_GRAPH_DOCS)
@@ -378,14 +405,125 @@ class TestInducedSubgraph:
                 (min(a, b), max(a, b)) for a, b in g.edges}
         np.testing.assert_array_equal(sub.labels, g.labels[nodes])
 
-    def test_pairs_are_remapped_and_out_of_range_pairs_rejected(self):
-        def graph(pairs):
-            return MultimodalGraph(n=4, edges=[(0, 1)],
-                                   modalities=[Modality("img", 2, np.ones((4, 2)))],
-                                   labels=None, natural_mask=np.ones((4, 1)),
-                                   pairs=pairs)
-        # a pair with a node outside the subset leaves with that node
-        assert induced_subgraph(graph([(0, 3), (3, 2)]), [3, 0]).pairs == [(1, 0)]
-        for bad in ([(0, 4)], [(-1, 2)]):
-            with pytest.raises(ValueError, match="pair"):
-                graph(bad)
+
+
+    def test_edges_become_one_int64_array(self):
+        g = MultimodalGraph(n=3, edges=[(2, 0), (1, 2)],
+                            modalities=[Modality("img", 2, np.ones((3, 2)))],
+                            labels=None, natural_mask=np.ones((3, 1)))
+        assert g.edges.dtype == np.int64
+        np.testing.assert_array_equal(g.edges, [[2, 0], [1, 2]])
+        sub = induced_subgraph(g, np.array([2, 1]))
+        assert sub.edges.dtype == np.int64 and sub.edges.shape == (1, 2)
+        np.testing.assert_array_equal(sub.edges, [[1, 0]])
+        assert induced_subgraph(g, [0]).edges.shape == (0, 2)
+
+
+# The loop forms these functions had before edges became one [E, 2] array,
+# kept as references: the array forms must give equal arrays in the same
+# order and the same message for the first bad edge.
+
+
+def _edge_error_loop(n, edges):
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop on node {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {v}) out of range"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return f"edge ({u}, {v}) listed twice"
+        seen.add(key)
+    return None
+
+
+def _induced_edges_loop(edges, nodes):
+    remap = {old: new for new, old in enumerate(nodes)}
+    return [(remap[u], remap[v]) for u, v in edges if u in remap and v in remap]
+
+
+def _partition_loop(labels, clients, alpha, seed):
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xD17])
+    n = labels.size
+    for _attempt in range(1000):
+        assign = np.full(n, -1, dtype=np.int64)
+        for cls in np.unique(labels):
+            idx = np.flatnonzero(labels == cls)
+            rng.shuffle(idx)
+            shares = rng.dirichlet(np.full(clients, alpha))
+            counts = np.floor(shares * idx.size).astype(np.int64)
+            remainder = idx.size - counts.sum()
+            if remainder > 0:
+                frac = shares * idx.size - counts
+                for k in np.argsort(-frac)[:remainder]:
+                    counts[k] += 1
+            pos = 0
+            for k in range(clients):
+                assign[idx[pos:pos + counts[k]]] = k
+                pos += counts[k]
+        sizes = np.bincount(assign, minlength=clients)
+        if sizes.min() >= 1:
+            return [sorted(np.flatnonzero(assign == k).tolist()) for k in range(clients)]
+    return None
+
+
+def _bare_graph(n, edges):
+    return MultimodalGraph(n=n, edges=edges,
+                           modalities=[Modality("img", 1, np.ones((n, 1)))],
+                           labels=None, natural_mask=np.ones((n, 1)))
+
+
+_EDGE_LISTS = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)),
+                         max_size=12)))
+
+
+class TestArrayFormsMatchLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_EDGE_LISTS)
+    def test_edge_checks_name_the_same_first_bad_edge(self, case):
+        n, edges = case
+        expected = _edge_error_loop(n, edges)
+        if expected is None:
+            np.testing.assert_array_equal(_bare_graph(n, edges).edges,
+                                          np.asarray(edges).reshape(-1, 2))
+        else:
+            with pytest.raises(ValueError) as err:
+                _bare_graph(n, edges)
+            assert str(err.value) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_induced_subgraph_keeps_order_and_orientation(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30))
+        edges, seen = [], set()
+        for u, v in pairs:
+            if u != v and (min(u, v), max(u, v)) not in seen:
+                seen.add((min(u, v), max(u, v)))
+                edges.append((u, v))
+        nodes = data.draw(st.permutations(range(n)).flatmap(
+            lambda perm: st.integers(1, n).map(lambda k: perm[:k])))
+        sub = induced_subgraph(_bare_graph(n, edges), nodes)
+        np.testing.assert_array_equal(
+            sub.edges, np.asarray(_induced_edges_loop(edges, nodes)).reshape(-1, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=st.integers(1, 4), per_block=st.integers(2, 8),
+           clients=st.integers(1, 4), alpha=st.sampled_from([0.1, 0.5, 1.0, 100.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_partition_matches_the_loop_split(self, blocks, per_block, clients,
+                                              alpha, seed):
+        g = generate_sbm_multimodal(blocks, per_block, 0.5, 0.1, d_img=1, d_txt=1,
+                                    seed=0)
+        clients = min(clients, g.n)
+        expected = _partition_loop(g.labels, clients, alpha, seed)
+        if expected is None:  # no draw in 1000 covered every client
+            with pytest.raises(RuntimeError):
+                partition_dirichlet(g, clients, alpha, seed)
+            return
+        part = partition_dirichlet(g, clients, alpha, seed)
+        assert len(part.node_lists) == clients
+        for got, want in zip(part.node_lists, expected):
+            np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
