@@ -152,6 +152,8 @@ class MissingnessConfig:
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
+_PAIR_CHUNK = 1 << 20  # node pairs scored per uniform draw in the SBM
+
 
 def generate_sbm_multimodal(blocks: int, nodes_per_block: int, p_in: float,
                             p_out: float, d_img: int = 512, d_txt: int = 768,
@@ -163,6 +165,13 @@ def generate_sbm_multimodal(blocks: int, nodes_per_block: int, p_in: float,
     latent center plus isotropic noise, so one channel is recoverable from
     the other (and from same-block neighbors) by construction. Labels are
     block ids.
+
+    Pair (i, j), i < j, is an edge when its uniform is below ``p_in`` (same
+    block) or ``p_out``. The uniforms are drawn in row-major upper-triangle
+    order, ``_PAIR_CHUNK`` at a time, which gives the same doubles as one
+    draw. Because ``p_out <= p_in``, only the pairs whose uniform is below
+    ``p_in`` are mapped to (i, j) and tested, so the working memory is
+    O(chunk + E) beyond the features, not O(N²).
     """
     if nodes_per_block < 2:
         raise ValueError("nodes_per_block must be at least 2")
@@ -176,16 +185,29 @@ def generate_sbm_multimodal(blocks: int, nodes_per_block: int, p_in: float,
     proj_img = rng.normal(size=(latent_dim, d_img)) / np.sqrt(latent_dim)
     proj_txt = rng.normal(size=(latent_dim, d_txt)) / np.sqrt(latent_dim)
     latent = centers[labels]
-    feat_img = latent @ proj_img + noise * rng.normal(size=(n, d_img))
-    feat_txt = latent @ proj_txt + noise * rng.normal(size=(n, d_txt))
+    feat_img = rng.normal(size=(n, d_img))
+    feat_img *= noise
+    feat_img += latent @ proj_img
+    feat_txt = rng.normal(size=(n, d_txt))
+    feat_txt *= noise
+    feat_txt += latent @ proj_txt
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    hit = rng.random(iu.size) < prob
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2  # flat index of pair (i, i + 1)
+    total = n * (n - 1) // 2
+    chunks = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, total, _PAIR_CHUNK):
+        u = rng.random(min(_PAIR_CHUNK, total - lo))
+        cand = np.flatnonzero(u < p_in)
+        flat = cand + lo
+        i = np.searchsorted(row_start, flat, side="right") - 1
+        j = flat - row_start[i] + i + 1
+        hit = u[cand] < np.where(labels[i] == labels[j], p_in, p_out)
+        chunks.append(np.stack([i[hit], j[hit]], axis=1))
 
     return MultimodalGraph(
         n=n,
-        edges=np.stack([iu[hit], ju[hit]], axis=1),
+        edges=np.concatenate(chunks),
         modalities=[Modality("img", d_img, feat_img), Modality("txt", d_txt, feat_txt)],
         labels=labels,
         natural_mask=np.ones((n, 2)),

@@ -5,9 +5,11 @@ arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
 (CSR) matrix, a mean-aggregating graph convolution, and multi-head attention
 over the usable slots of padded banks. Operations record onto the innermost
-open tape. Values are never mutated in place, except a ``ParamStore``'s
-parameters (views into its flat vector), which only ``ParamStore.load``,
-``adam_step`` and ``grad_check`` probes write, never while a tape is open.
+open tape. ``Tape.backward`` runs once per tape and frees each op's saved
+arrays as soon as that op's gradient has been passed on. Values are never
+mutated in place, except a ``ParamStore``'s parameters (views into its flat
+vector), which only ``ParamStore.load``, ``adam_step`` and ``grad_check``
+probes write, never while a tape is open.
 """
 
 from __future__ import annotations
@@ -46,10 +48,17 @@ def _active_tape():
 
 
 class Tape:
-    """Records backward closures in execution order."""
+    """Records backward closures in execution order.
+
+    ``backward`` runs once. It frees each record as soon as its closure has
+    run, so the arrays an op saved for its gradient are released as the
+    pass goes instead of when the tape dies. ``len`` still counts every op
+    recorded, and the ``.grad`` slots of tensors the caller holds stay set.
+    """
 
     def __init__(self):
         self._records: list = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -64,12 +73,18 @@ class Tape:
 
     def backward(self, loss: "Tensor") -> None:
         """Propagate d(loss)/d(input) into every reachable .grad slot."""
+        if self._spent:
+            raise ValueError("backward already ran on this tape; record a new one")
         if loss.data.size != 1:
             raise ValueError("backward expects a scalar loss")
         if not np.isfinite(loss.data).all():
             raise GradientError("loss is not finite")
+        self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        records = self._records
+        for k in range(len(records) - 1, -1, -1):
+            out, fn = records[k]
+            records[k] = None
             g = out.grad
             if g is not None:
                 fn(g)

@@ -3,12 +3,15 @@
 import json
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmmg import graphdata
 from fedmmg.graphdata import (GraphFileError, MaskSet, MissingnessConfig,
                               MultimodalGraph, Modality,
                               apply_natural_missingness,
@@ -103,6 +106,19 @@ class TestSBM:
     def test_small_block_rejected(self):
         with pytest.raises(ValueError):
             generate_sbm_multimodal(2, 1, 0.3, 0.1)
+
+    def test_scale_point_working_memory_stays_small(self):
+        # the 4,000-node point: features take 41 MB; scoring all 8M pairs
+        # at once took 292 MB, the chunked candidate-first draw about 64 MB
+        tracemalloc.start()
+        try:
+            g = generate_sbm_multimodal(4, 1000, 0.01, 0.001, d_img=512,
+                                        d_txt=768, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges.shape[1] == 2 and g.edges.shape[0] > 0
+        assert peak < 100e6
 
 
 class TestPartition:
@@ -527,3 +543,57 @@ class TestArrayFormsMatchLoops:
         assert len(part.node_lists) == clients
         for got, want in zip(part.node_lists, expected):
             np.testing.assert_array_equal(got, np.asarray(want, dtype=np.int64))
+
+
+# The one-shot form the SBM generator had before it drew its pairs in chunks,
+# kept as the reference: it scores every upper-triangle pair at once.
+
+
+def _sbm_one_shot(blocks, nodes_per_block, p_in, p_out, d_img, d_txt, noise,
+                  seed, latent_dim=16):
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x5B3])
+    n = blocks * nodes_per_block
+    labels = np.repeat(np.arange(blocks), nodes_per_block)
+    centers = rng.normal(size=(blocks, latent_dim))
+    proj_img = rng.normal(size=(latent_dim, d_img)) / np.sqrt(latent_dim)
+    proj_txt = rng.normal(size=(latent_dim, d_txt)) / np.sqrt(latent_dim)
+    latent = centers[labels]
+    feat_img = latent @ proj_img + noise * rng.normal(size=(n, d_img))
+    feat_txt = latent @ proj_txt + noise * rng.normal(size=(n, d_txt))
+    iu, ju = np.triu_indices(n, k=1)
+    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
+    hit = rng.random(iu.size) < prob
+    return np.stack([iu[hit], ju[hit]], axis=1), feat_img, feat_txt
+
+
+def _assert_same_graph(g, want):
+    edges, feat_img, feat_txt = want
+    assert g.edges.dtype == edges.dtype and g.edges.shape == edges.shape
+    np.testing.assert_array_equal(g.edges, edges)
+    assert g.modalities[0].features.tobytes() == feat_img.tobytes()
+    assert g.modalities[1].features.tobytes() == feat_txt.tobytes()
+
+
+_EDGE_PROBS = st.sampled_from([(0.3, 0.3), (1.0, 0.2), (1.0, 1.0), (0.0, 0.0),
+                               (0.4, 0.0), (1.0, 0.0)]) | st.tuples(
+    st.floats(0, 1), st.floats(0, 1)).map(lambda p: (max(p), min(p)))
+
+
+class TestChunkedSBMMatchesOneShot:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=st.integers(1, 4), per_block=st.integers(2, 9), probs=_EDGE_PROBS,
+           chunk=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def test_small_chunks_split_rows_and_blocks(self, blocks, per_block, probs,
+                                                chunk, seed):
+        p_in, p_out = probs
+        with mock.patch.object(graphdata, "_PAIR_CHUNK", chunk):
+            g = generate_sbm_multimodal(blocks, per_block, p_in, p_out, d_img=3,
+                                        d_txt=2, noise=0.7, seed=seed)
+        _assert_same_graph(g, _sbm_one_shot(blocks, per_block, p_in, p_out, 3, 2,
+                                            0.7, seed))
+
+    def test_pair_count_past_one_chunk(self):
+        # 1,500 nodes have 1,124,250 pairs, more than one 2**20 chunk
+        assert 1500 * 1499 // 2 > graphdata._PAIR_CHUNK
+        g = generate_sbm_multimodal(2, 750, 0.05, 0.01, d_img=3, d_txt=2, seed=11)
+        _assert_same_graph(g, _sbm_one_shot(2, 750, 0.05, 0.01, 3, 2, 2.0, 11))

@@ -1,5 +1,7 @@
 """Tensor engine: gradients, attention masking, conv, optimizer, layer norm."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,40 @@ class TestAliasedGradients:
         assert np.array_equal(x.grad, (c1 + c2).reshape(3, 2))
         assert np.array_equal(z1.grad, c1) and np.array_equal(z2.grad, c2)
         assert np.array_equal(v.grad, c1 + c2)
+
+
+class TestTapeLifetime:
+    """``backward`` runs once and frees each op's saved arrays as it goes."""
+
+    def test_backward_frees_an_array_only_a_closure_holds(self):
+        x = nx.Tensor(np.ones((3, 2)), requires_grad=True)
+        c = np.arange(6.0).reshape(3, 2)
+        saved = weakref.ref(c)
+        with Tape() as tape:
+            loss = nx.total_sum(nx.mul(x, const(c)))
+            del c  # now only mul's backward closure holds it
+            assert saved() is not None
+            tape.backward(loss)
+        assert saved() is None
+        assert np.array_equal(x.grad, np.arange(6.0).reshape(3, 2))
+
+    def test_len_counts_every_op_after_backward(self):
+        x = nx.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = nx.total_sum(nx.mul(nx.relu(x), x))
+            before = len(tape)
+            tape.backward(loss)
+        assert before == 3 and len(tape) == before
+
+    def test_second_backward_is_a_one_line_value_error(self):
+        x = nx.Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = nx.total_sum(nx.mul(x, x))
+            tape.backward(loss)
+            with pytest.raises(ValueError) as err:
+                tape.backward(loss)
+        assert "backward already ran" in str(err.value)
+        assert "\n" not in str(err.value)
 
 
 def masked_sigmoid(x):
