@@ -105,7 +105,7 @@ def warmup_coefficient(round_t: int, warmup_rounds: int) -> float:
 def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                         contexts: list[Tensor], excl_flat: Tensor,
                         anchor_flat: Tensor, round_t: int, warmup_rounds: int,
-                        heads: int) -> tuple[Tensor, float, np.ndarray]:
+                        heads: int) -> tuple[Tensor, float]:
     """Gated mixture of attended evidence, self context, and anchors.
 
     Empty banks force the gate to zero so those cells use the pure
@@ -115,10 +115,9 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     stacked = nx.concat(list(contexts) + [const(np.zeros((1, d)))], axis=0)
     att = AttentionParams(wq=params["gen.att.wq"], wk=params["gen.att.wk"],
                           wv=params["gen.att.wv"], wo=params["gen.att.wo"])
-    evidence, att_weights = nx.attention_batched(queries, stacked, stacked,
-                                                 banks.token_index,
-                                                 banks.additive_mask, heads, att,
-                                                 banks.scatter_cache)
+    evidence, _ = nx.attention_batched(queries, stacked, stacked,
+                                       banks.token_index, banks.additive_mask,
+                                       heads, att, banks.scatter_cache)
 
     self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])
     gate = nx.sigmoid(nx.linear(nx.concat([evidence, self_ctx], axis=1),
@@ -131,7 +130,7 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     warmed = nx.add(nx.mul(gate, evidence), nx.mul(nx.sub(one, gate), self_ctx))
     anchored = nx.matmul(anchor_flat, params["gen.anchor_proj.w"])
     generated = nx.add(nx.scale(warmed, gamma), nx.scale(anchored, 1.0 - gamma))
-    return generated, gamma, att_weights
+    return generated, gamma
 
 
 def squared_cell_errors(generated: Tensor, raw_flat: Tensor,

@@ -239,7 +239,7 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
     eff_flat, recon_flat = plan.eff_flat, plan.recon_flat
 
     queries = generation.build_query(params, excl_flat, eff, m_count)
-    generated, gamma, _att = generation.generate_modalities(
+    generated, gamma = generation.generate_modalities(
         params, queries, plan.banks, contexts, excl_flat, anchor_flat,
         round_t, cfg.warmup_rounds, cfg.heads)
 
@@ -269,8 +269,8 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
         refined=refined, expert_flat=expert_flat, generated=generated,
         uncertainty=uncertainty, route_weights=weights,
         rec_loss=rec_loss, align_loss=align_loss, route_loss=route_loss,
-        gamma=gamma, cell_errors=cell_err.data.reshape(-1).copy(),
-        norm_err=norm_err, raw_cells=raw_flat.data.copy(),
+        gamma=gamma, cell_errors=cell_err.data.reshape(-1),
+        norm_err=norm_err, raw_cells=raw_flat.data,
         reliability=reliability, alpha_fb=alpha_fb)
 
 

@@ -5,8 +5,11 @@ arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
 (CSR) matrix, a mean-aggregating graph convolution, and multi-head attention
 over the usable slots of padded banks. Operations record onto the innermost
-open tape. ``Tape.backward`` runs once per tape and frees each op's saved
-arrays as soon as that op's gradient has been passed on. Values are never
+open tape. A tape holds, per op, the output's gradient slot and a closure
+over only the arrays that op's backward reads (never a ``Tensor``), so an
+intermediate whose values no gradient formula reads is freed as soon as the
+caller drops it. ``Tape.backward`` runs once per tape and frees each op's
+saved arrays as soon as that op's gradient has been passed on. Values are never
 mutated in place, except a ``ParamStore``'s parameters (views into its flat
 vector), which only ``ParamStore.load``, ``adam_step`` and ``grad_check``
 probes write, never while a tape is open.
@@ -50,10 +53,16 @@ def _active_tape():
 class Tape:
     """Records backward closures in execution order.
 
-    ``backward`` runs once. It frees each record as soon as its closure has
-    run, so the arrays an op saved for its gradient are released as the
-    pass goes instead of when the tape dies. ``len`` still counts every op
-    recorded, and the ``.grad`` slots of tensors the caller holds stay set.
+    Each record is the output's gradient slot (``_Slot``) and the op's
+    backward closure. The closure holds the slots of the operands that take
+    a gradient, their shapes, and the arrays its gradient formulas read,
+    such as ``matmul``'s operands or ``relu``'s mask; an operand's values
+    that only a const operand's gradient would read are not kept. Holding
+    a record keeps no ``Tensor`` alive. ``backward`` runs once. It frees each
+    record as soon as its closure has run, so the arrays an op saved are
+    released as the pass goes instead of when the tape dies. ``len`` still
+    counts every op recorded, and the ``.grad`` slots of tensors the caller
+    holds stay set.
     """
 
     def __init__(self):
@@ -69,7 +78,7 @@ class Tape:
         assert popped is self
 
     def record(self, out: "Tensor", backward) -> None:
-        self._records.append((out, backward))
+        self._records.append((out.slot, backward))
 
     def backward(self, loss: "Tensor") -> None:
         """Propagate d(loss)/d(input) into every reachable .grad slot."""
@@ -80,12 +89,14 @@ class Tape:
         if not np.isfinite(loss.data).all():
             raise GradientError("loss is not finite")
         self._spent = True
-        loss.grad = np.ones_like(loss.data)
+        if loss.slot is None:
+            return  # no recorded op leads to the loss
+        loss.slot.grad = np.ones_like(loss.data)
         records = self._records
         for k in range(len(records) - 1, -1, -1):
-            out, fn = records[k]
+            slot, fn = records[k]
             records[k] = None
-            g = out.grad
+            g = slot.grad
             if g is not None:
                 fn(g)
 
@@ -93,15 +104,50 @@ class Tape:
         return len(self._records)
 
 
-class Tensor:
-    """Row-major float64 array plus an optional gradient slot."""
+class _Slot:
+    """A tensor's gradient slot, apart from its values: tapes and backward
+    closures hold slots, so holding one keeps no array of values alive."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient. The first gradient is stored as it is
+        and later ones are added out of place, so a stored array that
+        aliases another tensor's gradient is never mutated."""
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
+class Tensor:
+    """Row-major float64 array plus its gradient slot, which only a tensor
+    that takes a gradient has (``slot`` is None otherwise). ``grad`` and
+    ``requires_grad`` read through the slot; ``grad`` may be set."""
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = _Slot() if requires_grad else None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.slot is not None:
+            self.slot.grad = g
+        elif g is not None:
+            raise ValueError("a tensor that takes no gradient has no gradient slot")
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot is not None
 
     @property
     def shape(self):
@@ -110,15 +156,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` to the gradient slot. The first gradient is stored as
-        it is and later ones are added out of place, so a stored array that
-        aliases another tensor's gradient is never mutated."""
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad = self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -142,7 +179,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
     tape = _active_tape()
-    needs = tape is not None and any(p.requires_grad for p in parents)
+    needs = tape is not None and any(p.slot is not None for p in parents)
     out = Tensor(data, requires_grad=needs)
     if needs:
         tape.record(out, backward)
@@ -155,69 +192,78 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
+    sa, sb = a.slot, b.slot
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g, a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(g, b_shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
+    sa, sb = a.slot, b.slot
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g, a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(-g, b_shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data - b.data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
+    sa = a.slot
+
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(-g)
+        if sa is not None:
+            sa.accumulate(-g)
 
     return _result(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.slot, b.slot
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's values are kept only for the other operand's gradient
+    ad = a.data if sb is not None else None
+    bd = b.data if sa is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * bd, ad.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * ad, bd.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g * bd, a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(g * ad, b_shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data * b.data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.slot, b.slot
+    a_shape, bd = a.data.shape, b.data
+    ad = a.data if sb is not None else None  # only b's gradient reads it
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g / bd, ad.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g / bd, a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data / b.data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * c)
+        if sa is not None:
+            sa.accumulate(g * c)
 
     return _result(a.data * c, (a,), backward)
 
@@ -226,16 +272,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; operands must be >= 2-D (leading axes broadcast)."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    data = a.data @ b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.slot, b.slot
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's values are kept only for the other operand's gradient
+    ad = a.data if sb is not None else None
+    bd = b.data if sa is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape))
+        if sa is not None:
+            sa.accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape))
 
-    return _result(data, (a, b), backward)
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 class KinkWatch:
@@ -264,20 +313,22 @@ def relu(a: Tensor) -> Tensor:
     watch = KinkWatch.active
     if watch is not None and a.data.size:
         watch.margin = min(watch.margin, float(np.abs(a.data).min()))
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * mask)
+        if sa is not None:
+            sa.accumulate(g * mask)
 
     return _result(a.data * mask, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid_np(a.data)
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * data * (1.0 - data))
+        if sa is not None:
+            sa.accumulate(g * data * (1.0 - data))
 
     return _result(data, (a,), backward)
 
@@ -290,20 +341,22 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * data)
+        if sa is not None:
+            sa.accumulate(g * data)
 
     return _result(data, (a,), backward)
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * 0.5 / data)
+        if sa is not None:
+            sa.accumulate(g * 0.5 / data)
 
     return _result(data, (a,), backward)
 
@@ -311,10 +364,11 @@ def sqrt(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * _sigmoid_np(x))
+        if sa is not None:
+            sa.accumulate(g * _sigmoid_np(x))
 
     return _result(data, (a,), backward)
 
@@ -331,11 +385,12 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     x = x - x.max(axis=axis, keepdims=True)
     e = np.exp(x)
     data = e / e.sum(axis=axis, keepdims=True)
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
+        if sa is not None:
             dot = (g * data).sum(axis=axis, keepdims=True)
-            a.accumulate(data * (g - dot) / temperature)
+            sa.accumulate(data * (g - dot) / temperature)
 
     return _result(data, (a,), backward)
 
@@ -345,10 +400,11 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     m = x.max(axis=axis, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
     data = x - lse
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
+        if sa is not None:
+            sa.accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
 
     return _result(data, (a,), backward)
 
@@ -363,28 +419,31 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    data = gain.data * y + bias.data
+    gd = gain.data
+    sa, sg, sb = a.slot, gain.slot, bias.slot
+    g_shape, b_shape = gd.shape, bias.data.shape
 
     def backward(g):
-        dy = g * gain.data
-        if a.requires_grad:
+        dy = g * gd
+        if sa is not None:
             m1 = dy.mean(axis=-1, keepdims=True)
             m2 = (dy * y).mean(axis=-1, keepdims=True)
-            a.accumulate(inv * (dy - m1 - y * m2))
-        if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * y, gain.data.shape))
-        if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.data.shape))
+            sa.accumulate(inv * (dy - m1 - y * m2))
+        if sg is not None:
+            sg.accumulate(_unbroadcast(g * y, g_shape))
+        if sb is not None:
+            sb.accumulate(_unbroadcast(g, b_shape))
 
-    return _result(data, (a, gain, bias), backward)
+    return _result(gd * y + bias.data, (a, gain, bias), backward)
 
 
 def total_sum(a: Tensor) -> Tensor:
     shape = a.data.shape
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, shape).copy())
+        if sa is not None:
+            sa.accumulate(np.broadcast_to(g, shape).copy())
 
     return _result(np.asarray(a.data.sum()), (a,), backward)
 
@@ -394,28 +453,28 @@ def mean(a: Tensor) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.data.shape
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
+        if sa is not None:
             gg = g if keepdims else np.expand_dims(g, axis)
-            a.accumulate(np.broadcast_to(gg, shape).copy())
+            sa.accumulate(np.broadcast_to(gg, shape).copy())
 
-    return _result(data, (a,), backward)
+    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    parts = [(t.slot, t.data.shape[axis]) for t in tensors]
 
     def backward(g):
         offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
+        for slot, size in parts:
+            if slot is not None:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(offset, offset + size)
-                t.accumulate(g[tuple(index)])
+                slot.accumulate(g[tuple(index)])
             offset += size
 
     return _result(data, tuple(tensors), backward)
@@ -425,33 +484,36 @@ def rows(a: Tensor, index) -> Tensor:
     """Gather rows along axis 0 (``index`` of any shape). Backward
     scatter-adds, in index order (deterministic)."""
     idx = np.asarray(index, dtype=np.intp)
-    data = a.data[idx]
     shape = a.data.shape
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
+        if sa is not None:
             width = math.prod(shape[1:])
             flat = scatter_index(idx.reshape(-1), width)
-            a.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
-                                     shape[0]).reshape(shape))
+            sa.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
+                                      shape[0]).reshape(shape))
 
-    return _result(data, (a,), backward)
+    return _result(a.data[idx], (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
+    sa = a.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(orig))
+        if sa is not None:
+            sa.accumulate(g.reshape(orig))
 
     return _result(a.data.reshape(shape), (a,), backward)
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
+    sa = a.slot
+
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(np.swapaxes(g, ax1, ax2))
+        if sa is not None:
+            sa.accumulate(np.swapaxes(g, ax1, ax2))
 
     return _result(np.swapaxes(a.data, ax1, ax2), (a,), backward)
 
@@ -597,9 +659,11 @@ def neighbor_mean_matrix(n: int, edges) -> CSRMatrix:
 
 def spmm(s: CSRMatrix, x: Tensor) -> Tensor:
     """Product of a constant sparse matrix and a tensor; backward is S^T g."""
+    sx = x.slot
+
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(s.tdot(g))
+        if sx is not None:
+            sx.accumulate(s.tdot(g))
 
     return _result(s.dot(x.data), (x,), backward)
 
@@ -626,13 +690,12 @@ class AttentionParams:
 class _BankSlots:
     """The usable slots of a bank batch, in (bank, column) order.
 
-    Slot k sits in bank ``bank[k]`` at column ``column[k]`` and reads memory
-    row ``token[k]``. A bank's slots are contiguous: ``starts`` holds where
-    each nonempty bank's run begins and ``run[k]`` the run slot k is in.
+    Slot k sits in bank ``bank[k]`` and reads memory row ``token[k]``. A
+    bank's slots are contiguous: ``starts`` holds where each nonempty bank's
+    run begins and ``run[k]`` the run slot k is in.
     ``scatter_indices`` is ``scatter``'s index cache."""
 
     bank: np.ndarray
-    column: np.ndarray
     token: np.ndarray
     starts: np.ndarray
     run: np.ndarray
@@ -648,7 +711,7 @@ class _BankSlots:
         bank, column = np.nonzero(usable)
         counts = np.bincount(bank, minlength=add_mask.shape[0])
         counts = counts[counts > 0]
-        return cls(bank=bank, column=column, token=token_index[bank, column],
+        return cls(bank=bank, token=token_index[bank, column],
                    starts=np.cumsum(counts) - counts,
                    run=np.repeat(np.arange(counts.size), counts))
 
@@ -685,20 +748,21 @@ def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
     e = np.exp(logits)
     w = e / slots.scatter(e, False, g_count)[slots.bank]
     data = slots.scatter((w[:, :, None] * vs).reshape(u, d), False, g_count)
+    sq, sk, sv = q.slot, k.slot, v.slot
 
     def backward(g):
         gs = g[slots.bank].reshape(u, heads, dh)
-        if v.requires_grad:
-            v.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
-        if q.requires_grad or k.requires_grad:
+        if sv is not None:
+            sv.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
+        if sq is not None or sk is not None:
             wg = w * np.einsum("uhd,uhd->uh", gs, vs)
             dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
-            if q.requires_grad:
-                q.accumulate(slots.scatter((dlogits[:, :, None] * ks).reshape(u, d),
-                                           False, g_count))
-            if k.requires_grad:
-                k.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
-                                           True, t_count))
+            if sq is not None:
+                sq.accumulate(slots.scatter((dlogits[:, :, None] * ks).reshape(u, d),
+                                            False, g_count))
+            if sk is not None:
+                sk.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
+                                            True, t_count))
 
     return _result(data, (q, k, v), backward), w
 
@@ -717,9 +781,9 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
     exactly 0.0, and a bank with none attends to a zero context row.
     ``scatter_cache``, when given, keeps the usable-slot list and its scatter
     indices for callers that attend over the same banks again. Returns the
-    attended output [G, dout] and detached per-head weights [G, H, S].
+    attended output [G, dout] and the detached per-head weights [U, H] of
+    the usable slots, in (bank, column) order: ``np.nonzero(add_mask == 0)``.
     """
-    g_count, s_count = add_mask.shape
     if params.wq.shape[1] % heads:
         raise ValueError("attention width must be divisible by the head count")
     cache = {} if scatter_cache is None else scatter_cache
@@ -729,9 +793,7 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
     ctx, slot_weights = _bank_attention(matmul(query, params.wq),
                                        matmul(keys, params.wk),
                                        matmul(values, params.wv), slots, heads)
-    weights = np.zeros((g_count, heads, s_count))
-    weights[slots.bank, :, slots.column] = slot_weights
-    return matmul(ctx, params.wo), weights
+    return matmul(ctx, params.wo), slot_weights
 
 
 def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
@@ -740,8 +802,10 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
     """Single-query masked attention over a token bank.
 
     query [1, dq], bank [S, dk], values [S, dv], additive_mask [S] with
-    entries 0 or MASK_NEG. Raises EmptyAttentionError when every token is
-    masked; callers are expected to fall back to a structural branch.
+    entries 0 or MASK_NEG. Returns the output [1, dv] and the detached
+    per-head weights [H, S], exactly 0.0 on masked tokens. Raises
+    EmptyAttentionError when every token is masked; callers are expected to
+    fall back to a structural branch.
     """
     mask = np.asarray(additive_mask, dtype=np.float64).reshape(-1)
     s_count = bank.shape[0]
@@ -749,10 +813,12 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
         raise ValueError("bank and mask sizes disagree")
     if np.all(mask <= MASK_NEG / 2):
         raise EmptyAttentionError("every attention token is masked out")
-    out, weights = attention_batched(query, bank, values,
-                                     np.arange(s_count).reshape(1, -1),
-                                     mask.reshape(1, -1), heads, params)
-    return out, weights[0]
+    out, slot_weights = attention_batched(query, bank, values,
+                                          np.arange(s_count).reshape(1, -1),
+                                          mask.reshape(1, -1), heads, params)
+    weights = np.zeros((heads, s_count))
+    weights[:, mask == 0.0] = slot_weights.T
+    return out, weights
 
 
 # ---------------------------------------------------------------------------

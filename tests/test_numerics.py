@@ -1,5 +1,6 @@
 """Tensor engine: gradients, attention masking, conv, optimizer, layer norm."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmmg import numerics as nx
+from fedmmg.config import ExperimentConfig, assemble_run
+from fedmmg.federation import run_federation
 from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
                              EmptyAttentionError, GradientError, ParamStore,
                              Tape, Tensor, adam_step, const, grad_check,
@@ -118,6 +121,21 @@ def gathered_attention(query, keys, values, token_index, mask, heads, params):
     return ctx @ params.wo.data, weights
 
 
+def slot_weights_of(weights, mask):
+    """The [G, H, S] weights at the usable slots, in (bank, column) order:
+    the per-slot layout ``attention_batched`` returns."""
+    bank, column = np.nonzero(mask == 0.0)
+    return weights[bank, :, column]
+
+
+def bank_weight_sums(slot_weights, mask):
+    """Each bank's per-head sum of its usable slots' weights: [G, H]."""
+    bank = np.nonzero(mask == 0.0)[0]
+    sums = np.zeros((mask.shape[0], slot_weights.shape[1]))
+    np.add.at(sums, bank, slot_weights)
+    return sums
+
+
 def shared_memory_banks(rng, t_count, g_count, s_count, empty=()):
     """Banks over T memory rows plus a zero padding row at index T: slots
     repeat tokens, and every bank but those listed in ``empty`` has at least
@@ -157,8 +175,12 @@ class TestSharedMemoryAttention:
         ref_out, ref_weights = gathered_attention(query, memory, memory, index,
                                                   mask, 2, params)
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-12)
-        assert (weights[np.broadcast_to(mask[:, None, :] < 0, weights.shape)] == 0.0).all()
+        # one weight per usable slot and head, and they carry every bank's
+        # whole softmax mass: none is left for an excluded slot
+        assert weights.shape == (int((mask == 0.0).sum()), 2)
+        np.testing.assert_allclose(weights, slot_weights_of(ref_weights, mask),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bank_weight_sums(weights, mask), 1.0, atol=1e-12)
 
     def test_gradients_of_projections_and_memory_rows(self):
         rng = np.random.default_rng(12)
@@ -215,22 +237,23 @@ class TestSharedMemoryAttention:
         assert wide_out.tobytes() == out.tobytes()
         for g, wide_g in zip(grads, wide_grads):
             assert wide_g.tobytes() == g.tobytes()
-        assert (wide_weights[:, :, new_cols] == 0.0).all()
-        kept = np.setdiff1d(np.arange(wide_index.shape[1]), new_cols)
-        assert wide_weights[:, :, kept].tobytes() == weights.tobytes()
+        # the padding columns add no slot, and every usable slot keeps its weights
+        assert wide_weights.shape == weights.shape
+        assert wide_weights.tobytes() == weights.tobytes()
 
     def test_empty_bank_gives_zero_context_and_weights(self):
         _, params, memory, pad_row, query, index, mask = self._setup(5, empty=(0, 4))
         out, weights, grads = self._run(params, memory, pad_row, query, index, mask)
+        sums = bank_weight_sums(weights, mask)
         assert (out[[0, 4]] == 0.0).all()
-        assert (weights[[0, 4]] == 0.0).all()
+        assert (sums[[0, 4]] == 0.0).all()        # no slot, so no weight
         assert (grads[4][[0, 4]] == 0.0).all()     # no gradient to their queries
-        np.testing.assert_allclose(weights[[1, 2, 3]].sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(sums[[1, 2, 3]], 1.0, atol=1e-12)
 
     def test_every_bank_empty(self):
         _, params, memory, pad_row, query, index, mask = self._setup(6, empty=range(9))
         out, weights, grads = self._run(params, memory, pad_row, query, index, mask)
-        assert (out == 0.0).all() and (weights == 0.0).all()
+        assert (out == 0.0).all() and weights.shape == (0, 2)
         assert (grads[4] == 0.0).all() and (grads[5] == 0.0).all()
 
     def test_mask_values_other_than_the_sentinel_are_rejected(self):
@@ -303,8 +326,85 @@ class TestAliasedGradients:
         assert np.array_equal(v.grad, c1 + c2)
 
 
+def at_each_backward(monkeypatch, setup, inspect):
+    """Run the federation of ``setup``, calling ``inspect(tape)`` as each
+    ``Tape.backward`` is entered."""
+    real_backward = Tape.backward
+
+    def backward(tape, loss):
+        inspect(tape)
+        real_backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", backward)
+    run_federation(setup)
+
+
+def held_objects(value):
+    """``value`` and, recursively, the items of the lists and tuples in it."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in held_objects(item)]
+    return [value]
+
+
 class TestTapeLifetime:
-    """``backward`` runs once and frees each op's saved arrays as it goes."""
+    """A tape keeps each op's output slot and only the arrays its backward
+    reads; ``backward`` runs once and frees each op's saved arrays as it
+    goes."""
+
+    def test_an_intermediate_dies_with_the_callers_last_reference(self):
+        x = nx.Tensor(np.ones((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            h = nx.scale(x, 2.0)
+            saved = weakref.ref(h.data)
+            out = nx.add(h, const(np.ones((3, 2))))
+            del h  # no gradient formula of scale or add reads h's values
+            assert saved() is None
+            tape.backward(nx.total_sum(out))
+        assert np.array_equal(x.grad, np.full((3, 2), 2.0))
+
+    def test_mul_keeps_no_reference_to_its_differentiable_operand(self):
+        # mul(h, const(c)) needs c for h's gradient, but h's values only for
+        # a gradient of c, which takes none
+        x = nx.Tensor(np.ones((3, 2)), requires_grad=True)
+        c = np.arange(6.0).reshape(3, 2)
+        with Tape() as tape:
+            h = nx.scale(x, 2.0)
+            saved = weakref.ref(h.data)
+            loss = nx.total_sum(nx.mul(h, const(c)))
+            del h
+            assert saved() is None
+            tape.backward(loss)
+        assert np.array_equal(x.grad, 2.0 * c)
+
+    def test_only_a_tensor_that_takes_a_gradient_has_a_slot(self):
+        c = const(np.ones(2))
+        assert c.slot is None and c.grad is None and not c.requires_grad
+        c.grad = None
+        with pytest.raises(ValueError, match="no gradient slot"):
+            c.grad = np.ones(2)
+        x = nx.Tensor(np.ones(2), requires_grad=True)
+        x.grad = np.full(2, 3.0)
+        assert x.requires_grad and x.slot.grad is x.grad
+
+    @pytest.mark.parametrize("task", ["nc", "lp", "mr"])
+    def test_no_record_holds_a_tensor(self, monkeypatch, task):
+        # the records of a seed-3 training forward plus its task loss
+        cfg = ExperimentConfig.from_dict({
+            "seed": 3, "task": task,
+            "data": {"blocks": 3, "nodes_per_block": 12, "d_img": 10, "d_txt": 9},
+            "federation": {"clients": 3, "rounds": 1, "workers": 1},
+            "model": {"hidden_dim": 8}})
+        held: list = []
+
+        def inspect(tape):
+            for slot, backward in tape._records:
+                held.append(slot)
+                held.extend(x for cell in backward.__closure__ or ()
+                            for x in held_objects(cell.cell_contents))
+
+        at_each_backward(monkeypatch, assemble_run(cfg).setup, inspect)
+        assert not [x for x in held if isinstance(x, Tensor)]
+        assert sum(isinstance(x, nx._Slot) for x in held) > 500
 
     def test_backward_frees_an_array_only_a_closure_holds(self):
         x = nx.Tensor(np.ones((3, 2)), requires_grad=True)
@@ -335,6 +435,30 @@ class TestTapeLifetime:
                 tape.backward(loss)
         assert "backward already ran" in str(err.value)
         assert "\n" not in str(err.value)
+
+    def test_training_tape_stays_small_at_backward_entry(self, monkeypatch):
+        # the link-prediction benchmark's shape at a quarter of its nodes:
+        # 2 clients of about 500 nodes. Records that hold their output and
+        # operand tensors leave 30.3 MiB live at backward entry; slots and
+        # only the arrays backward reads leave 14.9 MiB.
+        cfg = ExperimentConfig.from_dict({
+            "task": "lp",
+            "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 250,
+                     "p_in": 0.01, "p_out": 0.001, "d_img": 512, "d_txt": 768},
+            "missingness": {"rate": 0.3, "mode": "node", "p_mask": 0.3},
+            "federation": {"clients": 2, "alpha": 1000.0, "rounds": 1,
+                           "mode": "reliability", "workers": 1},
+            "model": {"hidden_dim": 32, "local_epochs": 1}})
+        setup = assemble_run(cfg).setup
+        live: list[int] = []
+        tracemalloc.start()
+        try:
+            at_each_backward(monkeypatch, setup,
+                             lambda tape: live.append(tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2
+        assert max(live) < 22 * 2**20
 
 
 def masked_sigmoid(x):
