@@ -25,14 +25,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import encoding
 from . import numerics as nx
 from . import tasks as task_ops
-from .fusion import relative_recon_error
+from .fusion import normalized_errors, relative_recon_error
 from .graphdata import (ClientPartition, MaskSet, MultimodalGraph,
                         induced_subgraph, sample_artificial_mask)
 from .metrics import MetricsRow, evaluate_metrics
 from .model import (ForwardBundle, ForwardPlan, GraphCaches, ModelConfig,
-                    forward_pass, init_params, make_plan)
+                    forward_pass, init_params, make_plan, score_recon_cells)
 from .numerics import AdamState, GradientError, ParamStore, Tape
 from .tasks import LossBreakdown, TaskSpec
 
@@ -40,6 +41,7 @@ _EPOCH_TAG = 0xC11E
 _EVAL_TAG = 0xE7A1
 _SERVER_TAG = 0x5E67
 _CAL_TAG = 0xCA11
+_CAL_DRAWS = 8  # fresh mask draws pooled by each client's calibration
 
 
 class ClientRoundError(RuntimeError):
@@ -440,27 +442,38 @@ def assign_lanes(workers: int, sizes: list[int]) -> list[list[int]]:
 
 
 def _calibrate_client(setup: FederationSetup, state: ClientState,
-                      global_params: np.ndarray, round_t: int,
-                      draws: int = 8) -> tuple[np.ndarray, np.ndarray]:
+                      global_params: np.ndarray, round_t: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Uncertainty and normalized reconstruction error of one client's
     recon cells under the final global model. Masks are resampled every
-    epoch during training, so the natural population is pooled over several
-    fresh mask draws."""
+    epoch during training, so the natural population is pooled over
+    ``_CAL_DRAWS`` fresh mask draws.
+
+    No draw changes the natural mask, so the raw features are encoded once.
+    Each draw scores its recon cells alone (``score_recon_cells``); their
+    errors are min-max scaled per modality over that draw's recon cells,
+    as in ``forward_pass``."""
+    data, model_cfg = state.data, setup.model_cfg
     state.store.load(global_params)
+    natural = data.graph.natural_mask
+    raw = encoding.encode_modalities(state.store, data.graph, natural)
     cal_u: list[np.ndarray] = []
     cal_e: list[np.ndarray] = []
-    for draw in range(draws):
+    for draw in range(_CAL_DRAWS):
         rng = np.random.default_rng(
-            [setup.seed & 0xFFFFFFFF, state.data.cid, round_t, draw, _CAL_TAG])
-        masks = sample_artificial_mask(state.data.graph.natural_mask,
-                                       setup.train_cfg.p_mask, rng)
-        plan = make_plan(state.data.graph, state.data.caches, masks,
-                         setup.model_cfg, rng)
-        bundle = forward_pass(state.store, setup.model_cfg, plan, round_t)
+            [setup.seed & 0xFFFFFFFF, data.cid, round_t, draw, _CAL_TAG])
+        masks = sample_artificial_mask(natural, setup.train_cfg.p_mask, rng)
+        plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
         cells = plan.recon_flat == 1.0
-        if bundle.uncertainty is not None and cells.any():
-            cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
-            cal_e.append(bundle.norm_err[cells])
+        if not cells.any():
+            continue
+        uncertainty, errors = score_recon_cells(state.store, model_cfg, plan,
+                                                raw, round_t)
+        cell_errors = np.zeros(cells.size)
+        cell_errors[cells] = errors
+        cal_u.append(uncertainty)
+        cal_e.append(normalized_errors(cell_errors, plan.recon_flat,
+                                       len(model_cfg.modalities))[cells])
     if not cal_u:
         return np.empty(0), np.empty(0)
     return np.concatenate(cal_u), np.concatenate(cal_e)

@@ -30,6 +30,13 @@ class BankBatch:
     # attention call and kept for the mask draw (numerics.attention_batched)
     scatter_cache: dict = field(default_factory=dict, repr=False)
 
+    def take(self, rows: np.ndarray) -> "BankBatch":
+        """The banks of cells ``rows`` alone, in that order. Their slots
+        still index the full stacked context matrix."""
+        return BankBatch(token_index=self.token_index[rows],
+                         additive_mask=self.additive_mask[rows],
+                         empty=self.empty[rows])
+
 
 def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
                      rng: np.random.Generator) -> BankBatch:
@@ -105,11 +112,15 @@ def warmup_coefficient(round_t: int, warmup_rounds: int) -> float:
 def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                         contexts: list[Tensor], excl_flat: Tensor,
                         anchor_flat: Tensor, round_t: int, warmup_rounds: int,
-                        heads: int) -> tuple[Tensor, float]:
-    """Gated mixture of attended evidence, self context, and anchors.
+                        heads: int) -> Tensor:
+    """Gated mixture of attended evidence, self context, and anchors, mixed
+    by ``warmup_coefficient``.
 
-    Empty banks force the gate to zero so those cells use the pure
-    self-context branch inside the warmed-up term.
+    Row r of ``queries``, ``excl_flat`` and ``anchor_flat`` belongs to bank
+    r of ``banks``, which may be cut to some cells (``BankBatch.take``);
+    ``contexts`` always holds every node's, as the attention memory. Empty
+    banks force the gate to zero so those cells use the pure self-context
+    branch inside the warmed-up term.
     """
     d = contexts[0].shape[1]
     stacked = nx.concat(list(contexts) + [const(np.zeros((1, d)))], axis=0)
@@ -130,7 +141,7 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     warmed = nx.add(nx.mul(gate, evidence), nx.mul(nx.sub(one, gate), self_ctx))
     anchored = nx.matmul(anchor_flat, params["gen.anchor_proj.w"])
     generated = nx.add(nx.scale(warmed, gamma), nx.scale(anchored, 1.0 - gamma))
-    return generated, gamma
+    return generated
 
 
 def squared_cell_errors(generated: Tensor, raw_flat: Tensor,

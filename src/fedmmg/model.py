@@ -194,54 +194,71 @@ class ForwardBundle:
     expert_flat: Tensor | None
     generated: Tensor | None
     uncertainty: Tensor | None
-    route_weights: Tensor | None
     rec_loss: Tensor
     align_loss: Tensor
     route_loss: Tensor
-    gamma: float
     cell_errors: np.ndarray | None
     norm_err: np.ndarray | None
     raw_cells: np.ndarray | None = None
-    reliability: np.ndarray | None = None
-    alpha_fb: np.ndarray | None = None
+
+
+@dataclass
+class CellContexts:
+    """What generation reads of one mask draw, cells in g order."""
+
+    contexts: list[Tensor]  # per modality [N, d]: the attention memory
+    anchor_flat: Tensor     # [G, d] structural anchors
+    excl_flat: Tensor       # [G, d] target-exclusive contexts
+    queries: Tensor         # [G, d] generation queries
 
 
 def _flat_cells(per_modality: list[Tensor]) -> Tensor:
     return nx.concat(per_modality, axis=0)
 
 
-def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
-                 round_t: int, frozen: FrozenTargets | None = None
-                 ) -> ForwardBundle:
-    """Run the staged pipeline on one client graph under the plan's masks."""
-    if cfg.bypass_generation:
-        return _forward_bypass(params, cfg, plan)
-
-    caches, masks = plan.caches, plan.masks
-    eff = masks.effective
+def cell_contexts(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
+                  raw: list[Tensor]) -> CellContexts:
+    """Anchors, graph contexts, target-exclusive contexts and queries of
+    every cell, from the encoded raw features ``raw``."""
+    eff = plan.masks.effective
     m_count = eff.shape[1]
-    raw = encoding.encode_modalities(params, plan.graph, masks.natural)
-
     anchors, contexts = [], []
     for m, (name, _dim) in enumerate(cfg.modalities):
         anchor = encoding.structural_anchor(params, name, raw[m], *plan.anchors[m])
         anchors.append(anchor)
         contexts.append(encoding.graph_context(
-            params, name, raw[m], anchor, eff[:, m], caches.neigh_mat,
+            params, name, raw[m], anchor, eff[:, m], plan.caches.neigh_mat,
             cfg.gnn_layers))
     excl = [encoding.target_exclusive_context(contexts, eff, m) for m in range(m_count)]
-    struct_repr = encoding.structure_only_repr(params, caches.degrees,
-                                               caches.neigh_mat, cfg.gnn_layers)
-
-    raw_flat = _flat_cells(raw)
     anchor_flat = _flat_cells(anchors)
     excl_flat = _flat_cells(excl)
-    eff_flat, recon_flat = plan.eff_flat, plan.recon_flat
-
     queries = generation.build_query(params, excl_flat, eff, m_count)
-    generated, gamma = generation.generate_modalities(
-        params, queries, plan.banks, contexts, excl_flat, anchor_flat,
-        round_t, cfg.warmup_rounds, cfg.heads)
+    return CellContexts(contexts=contexts, anchor_flat=anchor_flat,
+                        excl_flat=excl_flat, queries=queries)
+
+
+def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
+                 round_t: int, frozen: FrozenTargets | None = None
+                 ) -> ForwardBundle:
+    """Run the staged pipeline on one client graph under the plan's masks:
+    encoding, ``cell_contexts``, generation, uncertainty and routing, expert
+    mix, fusion, refinement, and the three auxiliary losses."""
+    if cfg.bypass_generation:
+        return _forward_bypass(params, cfg, plan)
+
+    eff = plan.masks.effective
+    m_count = eff.shape[1]
+    raw = encoding.encode_modalities(params, plan.graph, plan.masks.natural)
+    ctx = cell_contexts(params, cfg, plan, raw)
+    struct_repr = encoding.structure_only_repr(params, plan.caches.degrees,
+                                               plan.caches.neigh_mat, cfg.gnn_layers)
+
+    raw_flat = _flat_cells(raw)
+    excl_flat, anchor_flat = ctx.excl_flat, ctx.anchor_flat
+    eff_flat, recon_flat = plan.eff_flat, plan.recon_flat
+    generated = generation.generate_modalities(
+        params, ctx.queries, plan.banks, ctx.contexts, excl_flat,
+        anchor_flat, round_t, cfg.warmup_rounds, cfg.heads)
 
     cell_err = generation.squared_cell_errors(
         generated, raw_flat, frozen.raw_targets if frozen else None)
@@ -259,19 +276,41 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
         uncertainty, norm_err, recon_flat, weights, cfg.lambda_bal)
 
     expert_flat = fusion.expert_mix(params, raw_flat, generated, weights, eff_flat)
-    fused, reliability, alpha_fb = fusion.fuse(
+    fused, _, _ = fusion.fuse(
         params, expert_flat, uncertainty, plan.rho_nodes, struct_repr, m_count)
 
     from .tasks import refine  # local import avoids a module cycle
-    refined = refine(params, fused, caches.neigh_mat)
+    refined = refine(params, fused, plan.caches.neigh_mat)
 
     return ForwardBundle(
         refined=refined, expert_flat=expert_flat, generated=generated,
-        uncertainty=uncertainty, route_weights=weights,
-        rec_loss=rec_loss, align_loss=align_loss, route_loss=route_loss,
-        gamma=gamma, cell_errors=cell_err.data.reshape(-1),
-        norm_err=norm_err, raw_cells=raw_flat.data,
-        reliability=reliability, alpha_fb=alpha_fb)
+        uncertainty=uncertainty, rec_loss=rec_loss, align_loss=align_loss,
+        route_loss=route_loss, cell_errors=cell_err.data.reshape(-1),
+        norm_err=norm_err, raw_cells=raw_flat.data)
+
+
+def score_recon_cells(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
+                      raw: list[Tensor], round_t: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertainty and squared reconstruction error of the plan's
+    reconstruction cells, in g order, as ``forward_pass`` computes them.
+
+    ``raw`` is ``encoding.encode_modalities`` under the plan's natural mask.
+    Generation and the uncertainty head run on the reconstruction cells'
+    rows alone, over the full attention memory; nothing downstream of them
+    is computed."""
+    rows = np.flatnonzero(plan.recon_flat == 1.0)
+    ctx = cell_contexts(params, cfg, plan, raw)
+    excl = nx.rows(ctx.excl_flat, rows)
+    anchor = nx.rows(ctx.anchor_flat, rows)
+    generated = generation.generate_modalities(
+        params, nx.rows(ctx.queries, rows), plan.banks.take(rows),
+        ctx.contexts, excl, anchor, round_t, cfg.warmup_rounds, cfg.heads)
+    cell_err = generation.squared_cell_errors(
+        generated, nx.rows(_flat_cells(raw), rows))
+    uncertainty = fusion.estimate_uncertainty(params, generated, excl, anchor,
+                                              plan.eff_flat[rows])
+    return uncertainty.data.reshape(-1), cell_err.data.reshape(-1)
 
 
 def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
@@ -297,6 +336,5 @@ def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
     zero = const(np.asarray(0.0))
     return ForwardBundle(
         refined=refined, expert_flat=_flat_cells(contexts), generated=None,
-        uncertainty=None, route_weights=None,
-        rec_loss=zero, align_loss=zero, route_loss=zero, gamma=0.0,
+        uncertainty=None, rec_loss=zero, align_loss=zero, route_loss=zero,
         cell_errors=None, norm_err=None)

@@ -644,13 +644,13 @@ class CSRMatrix:
                                     onto_columns=True)
 
 
-def neighbor_mean_matrix(n: int, edges) -> CSRMatrix:
-    """Row-normalized undirected adjacency: row i averages the neighbors of i.
+def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:
+    """Row-normalized undirected adjacency of the [E, 2] integer array
+    ``edges``: row i averages the neighbors of i.
 
     Repeated edges count once; isolated nodes get an empty row."""
-    pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
-                                     pairs[:, 1] * n + pairs[:, 0]]))
+    keys = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                     edges[:, 1] * n + edges[:, 0]]))
     rows, cols = keys // n, keys % n
     pattern = _CSRPattern.from_sorted(n, rows, cols)
     deg = np.diff(pattern.indptr)

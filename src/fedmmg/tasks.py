@@ -125,10 +125,10 @@ def lp_scores(refined: Tensor, pairs: np.ndarray) -> Tensor:
     return nx.sum_axis(nx.mul(left, right), -1, keepdims=True)
 
 
-def edge_keys(edges, n_nodes: int) -> np.ndarray:
-    """Sorted keys min(u, v) * n + max(u, v) of undirected edges."""
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return np.unique(pairs.min(axis=1) * n_nodes + pairs.max(axis=1))
+def edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sorted keys min(u, v) * n + max(u, v) of the undirected edges in the
+    [E, 2] integer array ``edges``."""
+    return np.unique(edges.min(axis=1) * n_nodes + edges.max(axis=1))
 
 
 def has_non_edge(n_nodes: int, keys: np.ndarray) -> bool:

@@ -10,6 +10,11 @@ from fedmmg.model import GraphCaches, ModelConfig, init_params
 from fedmmg.numerics import const
 
 
+def edge_array(pairs) -> np.ndarray:
+    """An [E, 2] integer edge array from a list of (u, v) pairs."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def star_graph(n_leaves=4, d_img=6, d_txt=5, seed=0):
     """Leaves attach only to the hub (node 0)."""
     rng = np.random.default_rng(seed)
@@ -63,7 +68,7 @@ class TestEncoder:
 
 class TestStructuralAnchor:
     def test_uniform_mean_of_visible_neighbors(self):
-        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2)])
+        neigh_mat = nx.neighbor_mean_matrix(3, edge_array([(0, 1), (0, 2)]))
         embed = const(np.array([[9.0, 9.0], [1.0, 0.0], [3.0, 0.0]]))
         coeff, flags = encoding.anchor_coefficients(neigh_mat, np.array([1.0, 1.0, 1.0]))
         anchor = coeff.dot(embed.data)
@@ -108,7 +113,7 @@ class TestStructuralAnchor:
 
     def test_isolated_node_is_flagged(self):
         coeff, flags = encoding.anchor_coefficients(
-            nx.neighbor_mean_matrix(3, [(0, 1)]), np.ones(3))
+            nx.neighbor_mean_matrix(3, edge_array([(0, 1)])), np.ones(3))
         assert flags[2] == 1.0
         np.testing.assert_array_equal(coeff.dot(np.ones((3, 2)))[2], 0.0)
 

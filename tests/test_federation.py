@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fedmmg import federation
+from fedmmg import encoding, federation, fusion, generation, model, tasks
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import (ClientRoundError, ClientState, FederationAborted,
                                FederationSetup, ReliabilityStats, ServerConfig,
@@ -16,10 +16,12 @@ from fedmmg.federation import (ClientRoundError, ClientState, FederationAborted,
                                evaluate_client, fedavg_zero_baseline,
                                fedavg_zero_setup, reliability_score,
                                run_federation)
-from fedmmg.graphdata import Modality, MultimodalGraph
-from fedmmg.model import ModelConfig, init_params
+from fedmmg.graphdata import Modality, MultimodalGraph, sample_artificial_mask
+from fedmmg.model import ModelConfig, forward_pass, init_params, make_plan
 from fedmmg.numerics import AdamState
 from fedmmg.tasks import TaskSpec
+
+from test_pinned_outputs import seed3_config
 
 
 def small_experiment(seed=0, rounds=2, **kw):
@@ -406,6 +408,71 @@ class TestClientLanes:
         with pytest.raises(RuntimeError, match="LocalError: not picklable"):
             run_federation(setup)
         assert multiprocessing.active_children() == []
+
+
+def full_forward_calibration(setup: FederationSetup, state: ClientState,
+                             global_params: np.ndarray, round_t: int
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``federation._calibrate_client``: one full
+    ``forward_pass`` for each of 8 mask draws, read at the recon cells."""
+    state.store.load(global_params)
+    cal_u, cal_e = [], []
+    for draw in range(8):
+        rng = np.random.default_rng(
+            [setup.seed & 0xFFFFFFFF, state.data.cid, round_t, draw,
+             federation._CAL_TAG])
+        masks = sample_artificial_mask(state.data.graph.natural_mask,
+                                       setup.train_cfg.p_mask, rng)
+        plan = make_plan(state.data.graph, state.data.caches, masks,
+                         setup.model_cfg, rng)
+        bundle = forward_pass(state.store, setup.model_cfg, plan, round_t)
+        cells = plan.recon_flat == 1.0
+        if cells.any():
+            cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
+            cal_e.append(bundle.norm_err[cells])
+    if not cal_u:
+        return np.empty(0), np.empty(0)
+    return np.concatenate(cal_u), np.concatenate(cal_e)
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("task", ["nc", "lp", "mr"])
+    def test_matches_the_full_forward_reference(self, task):
+        setup = assemble_run(seed3_config(task, "reliability")).setup
+        history = run_federation(setup)
+        rounds = setup.server_cfg.rounds
+        pairs = [full_forward_calibration(setup, state, history.final_params, rounds)
+                 for state in setup.clients]
+        ref_u = np.concatenate([u for u, _ in pairs])
+        ref_e = np.concatenate([e for _, e in pairs])
+        got_u, got_e = history.calibration["uncertainty"], history.calibration["norm_err"]
+        assert got_u.shape == got_e.shape == ref_u.shape and ref_u.size > 0
+        assert got_e.tobytes() == ref_e.tobytes()
+        np.testing.assert_allclose(got_u, ref_u, rtol=0, atol=1e-15)
+
+    def test_encodes_once_per_client_and_runs_no_full_forward(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((encoding, "encode_modalities"),
+                             (federation, "forward_pass"), (model, "forward_pass"),
+                             (encoding, "structure_only_repr"), (fusion, "fuse"),
+                             (tasks, "refine"), (generation, "alignment_loss")):
+            count(module, name)
+        setup = assemble_run(small_experiment(seed=3)).setup
+        params = init_params(setup.model_cfg, 3).snapshot()
+        cids = list(range(len(setup.clients)))
+        out = federation._serve(setup, cids, ("calibrate", params, 2, None))
+        assert [cid for cid, _ in out] == cids
+        assert all(u.size > 0 for _, (u, _e) in out)
+        assert calls == {"encode_modalities": len(cids)}
 
 
 class TestFedAvgZero:

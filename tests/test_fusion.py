@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from fedmmg import fusion
+from fedmmg import encoding, fusion
 from fedmmg import numerics as nx
 from fedmmg.fusion import (monte_carlo_bound_check, normalized_errors,
                            relative_recon_error, reliability_weights,
                            routing_loss)
-from fedmmg.graphdata import MaskSet
+from fedmmg.graphdata import MaskSet, missing_ratios
 from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
 from fedmmg.numerics import ParamStore, const
 
@@ -57,8 +57,10 @@ class TestUncertainty:
 
 class TestRouting:
     def test_weights_sum_to_one(self):
-        _, _, _, masks, bundle = _bundle(seed=3, keep=np.zeros((5, 2)))
-        w = bundle.route_weights.data
+        cfg, params, _, masks, bundle = _bundle(seed=3, keep=np.zeros((5, 2)))
+        rho = missing_ratios(masks)
+        w = fusion.route(params, masks.effective.T.reshape(-1), bundle.uncertainty,
+                         rho, float(rho.mean()), cfg.router_temperature, 2).data
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert (w > 0).all()
 
@@ -162,11 +164,17 @@ class TestFusion:
         np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
 
     def test_fused_is_finite_and_shaped(self):
-        _, _, graph, _, bundle = _bundle(seed=10, keep=np.zeros((5, 2)))
+        cfg, params, graph, masks, bundle = _bundle(seed=10, keep=np.zeros((5, 2)))
         assert bundle.refined.data.shape == (graph.n, 8)
         assert np.isfinite(bundle.refined.data).all()
-        assert ((bundle.alpha_fb > 0) & (bundle.alpha_fb < 1)).all()
-        np.testing.assert_allclose(bundle.reliability.sum(axis=1), 1.0, atol=1e-12)
+        caches = GraphCaches.build(graph)
+        struct = encoding.structure_only_repr(params, caches.degrees,
+                                              caches.neigh_mat, cfg.gnn_layers)
+        _, reliability, alpha_fb = fusion.fuse(
+            params, bundle.expert_flat, bundle.uncertainty, missing_ratios(masks),
+            struct, 2)
+        assert ((alpha_fb > 0) & (alpha_fb < 1)).all()
+        np.testing.assert_allclose(reliability.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestRoutingLoss:

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmmg import generation
+from fedmmg import encoding, generation
 from fedmmg import numerics as nx
 from fedmmg.generation import (build_bank_batch, reconstruction_loss,
                                squared_cell_errors, warmup_coefficient)
 from fedmmg.graphdata import MaskSet, Modality, MultimodalGraph, sample_artificial_mask
 from fedmmg.model import (GraphCaches, ModelConfig, forward_pass, init_params,
-                          make_plan)
+                          make_plan, score_recon_cells)
 from fedmmg.numerics import const
 
-from test_encoding import small_cfg, star_graph
+from test_encoding import edge_array, small_cfg, star_graph
 
 
 @dataclass
@@ -49,14 +49,14 @@ def build_context_bank(node: int, target: int, neigh_mat: nx.CSRMatrix,
 class TestContextBank:
     def test_self_tokens_only_when_no_neighbors(self):
         eff = np.ones((1, 2))
-        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(1, []), eff, cap=4,
-                                  rng=np.random.default_rng(0))
+        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(1, edge_array([])),
+                                  eff, cap=4, rng=np.random.default_rng(0))
         assert bank.tokens == [(0, 1)]
         assert not bank.empty
 
     def test_target_token_never_included(self):
         rng = np.random.default_rng(1)
-        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2), (1, 2)])
+        neigh_mat = nx.neighbor_mean_matrix(3, edge_array([(0, 1), (0, 2), (1, 2)]))
         eff = np.ones((3, 2))
         for node in range(3):
             for target in range(2):
@@ -65,7 +65,7 @@ class TestContextBank:
 
     def test_cap_enforced_on_high_degree_node(self):
         n = 41
-        neigh_mat = nx.neighbor_mean_matrix(n, [(0, j) for j in range(1, n)])
+        neigh_mat = nx.neighbor_mean_matrix(n, edge_array([(0, j) for j in range(1, n)]))
         eff = np.ones((n, 2))
         bank = build_context_bank(0, 0, neigh_mat, eff, cap=16,
                                   rng=np.random.default_rng(2))
@@ -75,20 +75,22 @@ class TestContextBank:
 
     def test_empty_bank_flagged(self):
         eff = np.zeros((2, 2))
-        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(2, [(0, 1)]), eff, 4,
+        neigh_mat = nx.neighbor_mean_matrix(2, edge_array([(0, 1)]))
+        bank = build_context_bank(0, 0, neigh_mat, eff, 4,
                                   np.random.default_rng(3))
         assert bank.empty and bank.tokens == []
 
     def test_invisible_tokens_excluded(self):
         eff = np.array([[1.0, 0.0], [0.0, 1.0]])
-        bank = build_context_bank(0, 0, nx.neighbor_mean_matrix(2, [(0, 1)]), eff, 4,
+        neigh_mat = nx.neighbor_mean_matrix(2, edge_array([(0, 1)]))
+        bank = build_context_bank(0, 0, neigh_mat, eff, 4,
                                   np.random.default_rng(4))
         assert bank.tokens == [(1, 1)]
 
     def test_batch_layout_matches_per_cell_banks(self):
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        neigh_mat = nx.neighbor_mean_matrix(3, [(0, 1), (0, 2)])
+        neigh_mat = nx.neighbor_mean_matrix(3, edge_array([(0, 1), (0, 2)]))
         eff = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         n = 3
         batch = build_bank_batch(neigh_mat, eff, cap=4, rng=rng_a)
@@ -118,7 +120,7 @@ class TestBankBatchMatchesPerCellBanks:
         n, m_count, edges, cap, p_visible, seed = case
         eff = (np.random.default_rng(seed).random((n, m_count)) < p_visible
                ).astype(np.float64)
-        neigh_mat = nx.neighbor_mean_matrix(n, edges)
+        neigh_mat = nx.neighbor_mean_matrix(n, edge_array(edges))
         rng_batch, rng_cells = np.random.default_rng(seed), np.random.default_rng(seed)
         batch = build_bank_batch(neigh_mat, eff, cap, rng_batch)
         banks = [build_context_bank(i, m, neigh_mat, eff, cap, rng_cells)
@@ -134,6 +136,88 @@ class TestBankBatchMatchesPerCellBanks:
                                       np.where(index == n * m_count, nx.MASK_NEG, 0.0))
         np.testing.assert_array_equal(batch.empty, [float(b.empty) for b in banks])
         assert rng_batch.random() == rng_cells.random()
+
+
+class TestBankCut:
+    @staticmethod
+    def _attend(batch, rows, queries, memory, att):
+        banks = batch if rows is None else batch.take(rows)
+        query = queries if rows is None else nx.rows(queries, rows)
+        out, _ = nx.attention_batched(query, memory, memory, banks.token_index,
+                                      banks.additive_mask, 4, att)
+        return out.data
+
+    @staticmethod
+    def _operands(g_count, rng, d=8):
+        # identity projections are exact for any row count, so BLAS's
+        # shape-dependent summation order stays out of the comparison
+        memory = const(rng.normal(size=(g_count + 1, d)))
+        queries = const(rng.normal(size=(g_count, d)))
+        att = nx.AttentionParams(*(const(np.eye(d)) for _ in range(4)))
+        return queries, memory, att
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_BANK_CASES, pick=st.integers(0, 2 ** 32 - 1))
+    def test_cut_gives_its_rows_attention_bit_for_bit(self, case, pick):
+        n, m_count, edges, cap, p_visible, seed = case
+        rng = np.random.default_rng(seed)
+        eff = (rng.random((n, m_count)) < p_visible).astype(np.float64)
+        batch = build_bank_batch(nx.neighbor_mean_matrix(n, edge_array(edges)),
+                                 eff, cap, rng)
+        queries, memory, att = self._operands(n * m_count, rng)
+        full = self._attend(batch, None, queries, memory, att)
+        rows = np.flatnonzero(np.random.default_rng(pick).random(n * m_count) < 0.5)
+        cut = self._attend(batch, rows, queries, memory, att)
+        assert cut.tobytes() == full[rows].tobytes()
+        np.testing.assert_array_equal(batch.take(rows).empty, batch.empty[rows])
+
+    def test_cut_with_empty_banks_and_with_no_rows(self):
+        # node 2 is isolated with nothing visible: both its banks are empty
+        eff = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        neigh_mat = nx.neighbor_mean_matrix(4, edge_array([(0, 1)]))
+        batch = build_bank_batch(neigh_mat, eff, 4, np.random.default_rng(5))
+        assert batch.empty[[2, 6]].tolist() == [1.0, 1.0]
+        queries, memory, att = self._operands(8, np.random.default_rng(6))
+        full = self._attend(batch, None, queries, memory, att)
+        for rows in ([0, 2, 5, 6, 7], [2, 6], []):
+            rows = np.asarray(rows, dtype=np.intp)
+            cut = self._attend(batch, rows, queries, memory, att)
+            assert cut.shape == (rows.size, 8)
+            assert cut.tobytes() == full[rows].tobytes()
+
+
+class TestScoreReconCells:
+    @staticmethod
+    def _plan(cfg, p_mask, seed=40):
+        graph = star_graph(seed=seed)
+        natural = graph.natural_mask.copy()
+        natural[3, 1] = 0.0  # a naturally missing cell is never scored
+        rng = np.random.default_rng(seed)
+        masks = sample_artificial_mask(natural, p_mask, rng)
+        return graph, make_plan(graph, GraphCaches.build(graph), masks, cfg, rng)
+
+    @pytest.mark.parametrize("round_t", [0, 4, 20])
+    def test_matches_the_full_forward_at_recon_cells(self, round_t):
+        cfg = small_cfg()
+        graph, plan = self._plan(cfg, 0.5)
+        params = init_params(cfg, 40)
+        bundle = forward_pass(params, cfg, plan, round_t)
+        raw = encoding.encode_modalities(params, graph, plan.masks.natural)
+        uncertainty, errors = score_recon_cells(params, cfg, plan, raw, round_t)
+        cells = plan.recon_flat == 1.0
+        assert 0 < cells.sum() < cells.size
+        assert errors.tobytes() == bundle.cell_errors[cells].tobytes()
+        np.testing.assert_allclose(uncertainty,
+                                   bundle.uncertainty.data.reshape(-1)[cells],
+                                   rtol=0, atol=1e-15)
+
+    def test_no_recon_cells_scores_nothing(self):
+        cfg = small_cfg()
+        graph, plan = self._plan(cfg, 0.0)
+        params = init_params(cfg, 40)
+        raw = encoding.encode_modalities(params, graph, plan.masks.natural)
+        uncertainty, errors = score_recon_cells(params, cfg, plan, raw, 4)
+        assert uncertainty.shape == errors.shape == (0,)
 
 
 class TestWarmup:
@@ -195,7 +279,7 @@ class TestForwardPlan:
         assert rng_plan.random() == rng_banks.random()
 
     def test_gradcheck_probes_reuse_the_plan(self, monkeypatch):
-        from fedmmg import encoding, verify
+        from fedmmg import verify
         from fedmmg.tasks import TaskSpec
         calls = {"banks": 0, "anchors": 0}
 
@@ -230,7 +314,6 @@ class TestGeneration:
         params, bundle = _forward(graph, masks, cfg, seed=20, round_t=0)
 
         # expected: generated = anchors @ anchor projection, exactly
-        from fedmmg import encoding
         raw = encoding.encode_modalities(params, graph, masks.natural)
         expected = []
         neigh_mat = GraphCaches.build(graph).neigh_mat
@@ -241,7 +324,7 @@ class TestGeneration:
             expected.append(anc.data @ params["gen.anchor_proj.w"].data)
         np.testing.assert_allclose(bundle.generated.data,
                                    np.vstack(expected), atol=1e-12)
-        assert bundle.gamma == 0.0
+        assert warmup_coefficient(0, cfg.warmup_rounds) == 0.0
 
     def test_gamma_midpoint_mixture_hand_evaluated(self):
         # one node, no neighbors: bank holds only the other modality token
@@ -254,10 +337,9 @@ class TestGeneration:
             labels=np.array([0, 1]), natural_mask=np.ones((2, 2)))
         masks = MaskSet.full_visibility(graph.natural_mask)
         params, bundle = _forward(graph, masks, cfg, seed=21, round_t=15)
-        assert bundle.gamma == 0.5
+        assert warmup_coefficient(15, cfg.warmup_rounds) == 0.5
 
         # hand evaluation of the mixture for cell (node 0, target modality 0)
-        from fedmmg import encoding
         caches = GraphCaches.build(graph)
         raw = encoding.encode_modalities(params, graph, masks.natural)
         anchors, contexts = [], []

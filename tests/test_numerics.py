@@ -17,6 +17,8 @@ from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
                              multi_head_attention, neighbor_mean_matrix,
                              sage_conv)
 
+from test_encoding import edge_array
+
 
 def identity_attention(d: int) -> AttentionParams:
     eye = np.eye(d)
@@ -524,19 +526,19 @@ class TestSoftmax:
 class TestSageConv:
     def test_identity_self_weights(self):
         x = np.random.default_rng(7).normal(size=(4, 3))
-        mat = neighbor_mean_matrix(4, [(0, 1), (1, 2)])
+        mat = neighbor_mean_matrix(4, edge_array([(0, 1), (1, 2)]))
         out = sage_conv(const(x), mat, const(np.eye(3)), const(np.zeros((3, 3))))
         np.testing.assert_allclose(out.data, x)
 
     def test_neighbor_mean(self):
         x = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
-        mat = neighbor_mean_matrix(3, [(2, 0), (2, 1)])
+        mat = neighbor_mean_matrix(3, edge_array([(2, 0), (2, 1)]))
         out = sage_conv(const(x), mat, const(np.zeros((2, 2))), const(np.eye(2)))
         np.testing.assert_allclose(out.data[2], [2.0, 0.0])
 
     def test_isolated_node_gets_zero_neighbor_term(self):
         x = np.random.default_rng(8).normal(size=(3, 2))
-        mat = neighbor_mean_matrix(3, [(0, 1)])
+        mat = neighbor_mean_matrix(3, edge_array([(0, 1)]))
         out = sage_conv(const(x), mat, const(np.zeros((2, 2))), const(np.eye(2)))
         np.testing.assert_allclose(out.data[2], 0.0)
 
@@ -546,13 +548,13 @@ class TestSageConv:
         x = rng.normal(size=(n, d))
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)]
         w_self, w_neigh = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-        out = sage_conv(const(x), neighbor_mean_matrix(n, edges),
+        out = sage_conv(const(x), neighbor_mean_matrix(n, edge_array(edges)),
                         const(w_self), const(w_neigh)).data
 
         perm = rng.permutation(n)
         p_edges = [(perm[u], perm[v]) for u, v in edges]
         p_out = sage_conv(const(x[np.argsort(perm)]),
-                          neighbor_mean_matrix(n, p_edges),
+                          neighbor_mean_matrix(n, edge_array(p_edges)),
                           const(w_self), const(w_neigh)).data
         np.testing.assert_allclose(p_out[perm], out, atol=1e-12)
 
@@ -578,7 +580,7 @@ class TestSparseOps:
     def test_spmm_matches_dense_forward_and_transpose(self, graph, d):
         n, edges, seed = graph
         rng = np.random.default_rng(seed)
-        mat = neighbor_mean_matrix(n, edges)
+        mat = neighbor_mean_matrix(n, edge_array(edges))
         dense = dense_neighbor_mean(n, edges)
         x = rng.normal(size=(n, d))
         np.testing.assert_allclose(nx.spmm(mat, const(x)).data, dense @ x,
@@ -597,7 +599,7 @@ class TestSparseOps:
     def test_spmm_gradients(self, graph):
         n, edges, seed = graph
         rng = np.random.default_rng(seed)
-        mat = neighbor_mean_matrix(n, edges)
+        mat = neighbor_mean_matrix(n, edge_array(edges))
         mat = mat.with_data(rng.normal(size=mat.data.shape))
         store = ParamStore()
         store.add("x", rng.normal(size=(n, 3)))

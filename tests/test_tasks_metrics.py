@@ -15,7 +15,7 @@ from fedmmg.model import GraphCaches, init_params
 from fedmmg.numerics import const, neighbor_mean_matrix
 from fedmmg.tasks import LossBreakdown, TaskSpec, cross_entropy, refine
 
-from test_encoding import small_cfg, star_graph
+from test_encoding import edge_array, small_cfg, star_graph
 
 
 class TestTaskSpec:
@@ -44,7 +44,7 @@ class TestRefine:
         params["refine.b"].data[:] = 0.0
         rng = np.random.default_rng(0)
         fused = rng.normal(size=(3, 8))
-        mat = neighbor_mean_matrix(3, [(0, 1)])
+        mat = neighbor_mean_matrix(3, edge_array([(0, 1)]))
         out = refine(params, const(fused), mat)
         shifted = fused + 0.5
         mu = shifted.mean(axis=1, keepdims=True)
@@ -56,14 +56,14 @@ class TestRefine:
         params = init_params(small_cfg(), 1)
         rng = np.random.default_rng(1)
         out = refine(params, const(rng.normal(size=(4, 8))),
-                     neighbor_mean_matrix(4, [(0, 1), (2, 3)]))
+                     neighbor_mean_matrix(4, edge_array([(0, 1), (2, 3)])))
         np.testing.assert_allclose(out.data.mean(axis=1),
                                    params["refine.ln_b"].data.mean(), atol=1e-10)
 
     def test_isolated_node_finite(self):
         params = init_params(small_cfg(), 2)
         out = refine(params, const(np.random.default_rng(2).normal(size=(2, 8))),
-                     neighbor_mean_matrix(2, []))
+                     neighbor_mean_matrix(2, edge_array([])))
         assert np.isfinite(out.data).all()
 
 
@@ -93,7 +93,7 @@ class TestLosses:
         refined = const(np.array([[10.0, 0.0], [10.0, 0.0], [-10.0, 0.0]]))
         spec = TaskSpec.for_kind("lp")
         loss = tasks.lp_task_loss(refined, np.array([[0, 1]]),
-                                  tasks.edge_keys([(0, 1)], 3), 3,
+                                  tasks.edge_keys(edge_array([(0, 1)]), 3), 3,
                                   spec, np.random.default_rng(4))
         diff = 100.0 - (-100.0)
         assert loss.data < spec.lp_bce_weight * 200  # BCE pos term dominates
@@ -104,7 +104,7 @@ class TestLosses:
         refined = const(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="positive"):
             tasks.lp_task_loss(refined, np.empty((0, 2), dtype=np.intp),
-                               tasks.edge_keys([], 3), 3, TaskSpec.for_kind("lp"),
+                               tasks.edge_keys(edge_array([]), 3), 3, TaskSpec.for_kind("lp"),
                                np.random.default_rng(5))
 
     def test_infonce_singleton_is_zero(self):
@@ -120,7 +120,7 @@ class TestLosses:
         edges = {(0, 1), (2, 3), (4, 5)}
         spec = TaskSpec.for_kind("lp")
         pairs = tasks.sample_hard_negatives(refined, 10, 4,
-                                            tasks.edge_keys(sorted(edges), 10),
+                                            tasks.edge_keys(edge_array(sorted(edges)), 10),
                                             spec, rng)
         for u, v in pairs:
             assert (min(u, v), max(u, v)) not in edges
@@ -128,7 +128,7 @@ class TestLosses:
 
 
     def test_hard_negatives_need_a_non_edge(self):
-        keys = tasks.edge_keys([(0, 1), (1, 2), (0, 2)], 3)
+        keys = tasks.edge_keys(edge_array([(0, 1), (1, 2), (0, 2)]), 3)
         assert not tasks.has_non_edge(3, keys)
         assert tasks.has_non_edge(3, keys[:2])
         with pytest.raises(ValueError, match="non-edge"):
@@ -139,12 +139,12 @@ class TestLosses:
     def test_non_edge_filter_matches_pair_set(self):
         rng = np.random.default_rng(9)
         edges = {(0, 1), (2, 3), (4, 5), (1, 7)}
-        keys = tasks.edge_keys(sorted(edges), 8)
+        keys = tasks.edge_keys(edge_array(sorted(edges)), 8)
         pairs = rng.integers(0, 8, size=(200, 2))
         expected = [p for p in pairs.tolist()
                     if p[0] != p[1] and (min(p), max(p)) not in edges]
         assert tasks.non_edge_pairs(pairs, 8, keys).tolist() == expected
-        assert tasks.non_edge_pairs(pairs, 8, tasks.edge_keys([], 8)).tolist() == \
+        assert tasks.non_edge_pairs(pairs, 8, tasks.edge_keys(edge_array([]), 8)).tolist() == \
             [p for p in pairs.tolist() if p[0] != p[1]]
 
 
