@@ -62,8 +62,8 @@ class FederationSection:
     eta_e: float = 1.0
     eta_rho: float = 1.0
     eps: float = 1e-12
-    # client lanes: min(workers, clients, cores) resident worker processes
-    # (one lane runs in-process); outputs do not depend on it
+    # min(workers, clients, cores) processes run the client jobs (one runs
+    # them in-process); outputs do not depend on it
     workers: int = 1
 
 

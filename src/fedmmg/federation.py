@@ -1,21 +1,26 @@
 """Federated round loop: client training, reliability stats, aggregation.
 
-The clients are split over ``min(workers, clients, cores)`` lanes for the
-whole run (``assign_lanes``). With one lane the clients run in the calling
-process. With more, each lane is a resident worker process, forked once at
-the start of the run so that it inherits its clients' state (graph, caches,
-parameters, Adam moments); per round only the broadcast parameter vector
-goes out and the clients' updates, statistics and metrics come back, over
-one pipe per worker. Within a lane clients run in ascending client order.
-Every client draws from its own (seed, client, round, epoch) RNG stream and
-owns a private parameter copy, and the server reduces results in ascending
-client order, so the outputs do not depend on the worker count.
+A run is a sequence of phases, each one list of ``(kind, client, round)``
+jobs: phase t trains round t and evaluates round t-1, which read the same
+broadcast vector, and a last phase evaluates the final round and
+calibrates. The jobs run on ``min(workers, clients, cores)`` processes. With
+one, they run in the calling process in list order. With more, workers are
+forked once at the start of the run, and the parent hands each next job to
+whichever worker is free: train jobs by descending client size, then
+evaluate jobs, then calibrate jobs. The broadcast vector, the clients'
+update slots and their Adam state live in one shared block mapped before
+the fork, so any worker can run any client's job and only small tuples
+cross the pipes. Every job draws from its own seeded RNG stream, and the
+server reduces results in ascending client order, so the outputs do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -95,7 +100,7 @@ class ServerConfig:
     eta_e: float = 1.0
     eta_rho: float = 1.0
     eps: float = 1e-12
-    workers: int = 1                   # upper bound on client lanes
+    workers: int = 1                   # upper bound on worker processes
 
     def __post_init__(self):
         if self.workers < 1:
@@ -419,26 +424,25 @@ def make_client_states(graph: MultimodalGraph, partition: ClientPartition,
 
 
 # ---------------------------------------------------------------------------
-# Client lanes
+# Jobs and the job runner
 # ---------------------------------------------------------------------------
 
 _JOIN_S = 10.0  # how long a closing worker may take to exit before it is killed
 
 
-def assign_lanes(workers: int, sizes: list[int]) -> list[list[int]]:
-    """Split the clients (by cid) over ``min(workers, clients, cores)`` lanes.
+class _SharedBlock:
+    """One anonymous shared mapping, made before any worker forks: the
+    broadcast vector and, per client, its update slot, its Adam moments and
+    its Adam step count. So any process of the run can train any client,
+    and only job tuples and small outcomes cross the pipes."""
 
-    Greedy by size: in descending size, ties by cid, each client joins the
-    lane with the smallest total size so far, ties by lane index. Each
-    lane's cids ascend."""
-    count = min(workers, len(sizes), os.cpu_count() or 1)
-    lanes: list[list[int]] = [[] for _ in range(count)]
-    loads = [0] * count
-    for cid in sorted(range(len(sizes)), key=lambda c: (-sizes[c], c)):
-        k = loads.index(min(loads))
-        lanes[k].append(cid)
-        loads[k] += sizes[cid]
-    return [sorted(lane) for lane in lanes]
+    def __init__(self, params: np.ndarray, clients: int):
+        size, rows = params.size, 1 + 3 * clients
+        block = np.frombuffer(mmap.mmap(-1, 8 * (rows * size + clients)))
+        self.broadcast = block[:size]
+        self.updates, self.m, self.v = block[size:rows * size].reshape(3, clients, size)
+        self.steps = block[rows * size:]  # float64 holds every count exactly
+        self.broadcast[:] = params
 
 
 def _calibrate_client(setup: FederationSetup, state: ClientState,
@@ -479,56 +483,35 @@ def _calibrate_client(setup: FederationSetup, state: ClientState,
     return np.concatenate(cal_u), np.concatenate(cal_e)
 
 
-def _serve(setup: FederationSetup, cids: list[int], request: tuple) -> list:
-    """Run one request for a lane's clients in ascending cid order; return
-    its (cid, outcome) pairs.
+def _run_job(setup: FederationSetup, shared: _SharedBlock, job: tuple):
+    """Run one ``(kind, cid, round_t)`` job on the broadcast vector and
+    return its outcome.
 
-    - ``("train", params, round_t, selected)``: each selected client's
-      local round. The outcome is its ``ClientRoundResult``, or the message
-      of the ``ClientRoundError`` that failed it.
-    - ``("evaluate", params, round_t, None)``: ``evaluate_client``'s
-      (row, weight) for every client.
-    - ``("calibrate", params, round_t, None)``: ``_calibrate_client``'s
-      (uncertainty, norm_err) for every client."""
-    kind, params, round_t, selected = request
-    out = []
-    for cid in cids:
-        state = setup.clients[cid]
-        if kind == "train":
-            if cid not in selected:
-                continue
-            try:
-                outcome = client_local_round(
-                    state, params, setup.model_cfg, setup.task_spec, round_t,
-                    setup.train_cfg, setup.seed)
-            except ClientRoundError as exc:
-                outcome = str(exc)
-        elif kind == "evaluate":
-            state.store.load(params)
-            outcome = evaluate_client(state.store, setup.model_cfg,
-                                      setup.task_spec, state.data, round_t,
-                                      setup.seed)
-        else:
-            outcome = _calibrate_client(setup, state, params, round_t)
-        out.append((cid, outcome))
-    return out
-
-
-class _LocalLane:
-    """A lane served in the calling process."""
-
-    def __init__(self, setup: FederationSetup, cids: list[int]):
-        self.setup, self.cids = setup, cids
-        self._reply: list = []
-
-    def send(self, request: tuple) -> None:
-        self._reply = _serve(self.setup, self.cids, request)
-
-    def recv(self) -> list:
-        return self._reply
-
-    def close(self, graceful: bool) -> None:
-        pass
+    - ``train``: the client's local round. The update goes into the client's
+      slot and the Adam state stays in the block. The outcome is
+      ``(stats, breakdown)``, or the message of the ``ClientRoundError``
+      that failed the round.
+    - ``evaluate``: ``evaluate_client``'s (row, weight).
+    - ``calibrate``: ``_calibrate_client``'s (uncertainty, norm_err)."""
+    kind, cid, round_t = job
+    state = setup.clients[cid]
+    if kind == "evaluate":
+        state.store.load(shared.broadcast)
+        return evaluate_client(state.store, setup.model_cfg, setup.task_spec,
+                               state.data, round_t, setup.seed)
+    if kind == "calibrate":
+        return _calibrate_client(setup, state, shared.broadcast, round_t)
+    state.adam = AdamState(shared.m[cid], shared.v[cid], int(shared.steps[cid]))
+    try:
+        result = client_local_round(state, shared.broadcast, setup.model_cfg,
+                                    setup.task_spec, round_t, setup.train_cfg,
+                                    setup.seed)
+    except ClientRoundError as exc:
+        return str(exc)
+    finally:
+        shared.steps[cid] = state.adam.step
+    shared.updates[cid] = result.params
+    return result.stats, result.breakdown
 
 
 def _portable(exc: Exception) -> Exception:
@@ -543,17 +526,17 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _lane_worker(conn, setup: FederationSetup, cids: list[int],
-                 inherited: list) -> None:
-    """Worker main loop: serve requests until the parent sends None or
-    closes its end. An exception is sent back, to be raised in the parent."""
+def _worker(conn, setup: FederationSetup, shared: _SharedBlock,
+            inherited: list) -> None:
+    """Worker main loop: run jobs until the parent sends None or closes its
+    end. An exception is sent back, to be raised in the parent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-    for other in inherited:  # earlier lanes' parent ends, copied by the fork
+    for other in inherited:  # earlier workers' parent ends, copied by the fork
         other.close()
     try:
-        while (request := conn.recv()) is not None:
+        while (job := conn.recv()) is not None:
             try:
-                reply = (True, _serve(setup, cids, request))
+                reply = (True, _run_job(setup, shared, job))
             except Exception as exc:
                 reply = (False, _portable(exc))
             conn.send(reply)
@@ -561,159 +544,79 @@ def _lane_worker(conn, setup: FederationSetup, cids: list[int],
         pass  # the parent has gone
 
 
-class _WorkerLane:
-    """A lane served by a resident worker process over one pipe."""
+def _lost(proc, job: tuple) -> FederationAborted:
+    proc.join(_JOIN_S)
+    kind, cid, _ = job
+    return FederationAborted(f"the worker process running the {kind} job of "
+                             f"client {cid} exited with code {proc.exitcode}")
 
-    def __init__(self, ctx, setup: FederationSetup, cids: list[int],
-                 inherited: list):
-        self.cids = cids
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_lane_worker, daemon=True,
-                                args=(child, setup, cids, inherited))
-        self.proc.start()
-        child.close()
 
-    def _lost(self) -> FederationAborted:
-        self.proc.join(_JOIN_S)
-        return FederationAborted(f"the worker process of clients {self.cids} "
-                                 f"exited with code {self.proc.exitcode}")
-
-    def send(self, request: tuple) -> None:
-        try:
-            self.conn.send(request)
-        except OSError:
-            raise self._lost() from None
-
-    def recv(self) -> list:
-        try:
-            ok, value = self.conn.recv()
-        except (EOFError, OSError):
-            raise self._lost() from None
-        if not ok:
-            raise value
-        return value
-
-    def close(self, graceful: bool) -> None:
-        if graceful:
+def _dispatch(workers: dict, jobs: list) -> dict:
+    """Run ``jobs`` on the workers ({parent end: process}), each next job
+    going to whichever worker is free; return {job: outcome}."""
+    todo, busy, outcomes = jobs[::-1], {}, {}
+    free = list(workers)
+    while todo or busy:
+        while free and todo:
+            conn, job = free.pop(), todo.pop()
+            busy[conn] = job
             try:
-                self.conn.send(None)
+                conn.send(job)
             except OSError:
-                pass
-            self.proc.join(_JOIN_S)
-        if self.proc.is_alive():
-            self.proc.terminate()
-            self.proc.join()
-        self.conn.close()
+                raise _lost(workers[conn], job) from None
+        for conn in multiprocessing.connection.wait(list(busy)):
+            job = busy.pop(conn)
+            try:
+                ok, value = conn.recv()
+            except (EOFError, OSError):
+                raise _lost(workers[conn], job) from None
+            if not ok:
+                raise value
+            outcomes[job] = value
+            free.append(conn)
+    return outcomes
 
 
 @contextlib.contextmanager
-def _client_lanes(setup: FederationSetup):
-    """The run's lanes: one in-process lane, or one forked worker per lane.
-    Workers are stopped on the way out, killed if the run failed."""
-    groups = assign_lanes(setup.server_cfg.workers,
-                          [state.data.graph.n for state in setup.clients])
-    lanes: list = []
+def _job_runner(setup: FederationSetup, shared: _SharedBlock):
+    """Yield the run's ``run(jobs) -> {job: outcome}``, which runs a phase's
+    jobs on ``min(workers, clients, cores)`` processes: the calling process
+    alone, in list order, or forked workers. Workers are stopped on the way
+    out, killed if the run failed."""
+    count = min(setup.server_cfg.workers, len(setup.clients), os.cpu_count() or 1)
+    if count == 1:
+        yield lambda jobs: {job: _run_job(setup, shared, job) for job in jobs}
+        return
+    ctx = multiprocessing.get_context("fork")
+    workers: dict = {}
     try:
-        if len(groups) == 1:
-            lanes.append(_LocalLane(setup, groups[0]))
-        else:
-            ctx = multiprocessing.get_context("fork")
-            for cids in groups:
-                lanes.append(_WorkerLane(ctx, setup, cids,
-                                         [lane.conn for lane in lanes]))
-        yield lanes
-    except BaseException:
-        for lane in lanes:
-            lane.close(graceful=False)
-        raise
-    for lane in lanes:
-        lane.close(graceful=True)
+        for _ in range(count):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, daemon=True,
+                               args=(child, setup, shared, list(workers)))
+            proc.start()
+            child.close()
+            workers[conn] = proc
+        yield lambda jobs: _dispatch(workers, jobs)
+        for conn in workers:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+        for proc in workers.values():
+            proc.join(_JOIN_S)
+    finally:
+        for conn, proc in workers.items():
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
 
 
-def _gather(lanes: list, request: tuple) -> dict:
-    """Send ``request`` to every lane, then collect {cid: outcome} in
-    ascending cid order, whatever lane each client runs in."""
-    for lane in lanes:
-        lane.send(request)
-    pairs = [pair for lane in lanes for pair in lane.recv()]
-    return dict(sorted(pairs, key=lambda pair: pair[0]))
-
-
-def run_federation(setup: FederationSetup) -> RoundHistory:
-    """Synchronous rounds: broadcast, local training, aggregate, evaluate."""
-    server = setup.server_cfg
-    mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
-    history = RoundHistory(mode=mode, task=setup.task_spec.kind)
-    global_params = init_params(setup.model_cfg, setup.seed).snapshot()
-    num_clients = len(setup.clients)
-    # every run starts its clients' optimizers afresh, so a reused setup
-    # trains exactly as a new one (and workers never write theirs back)
-    for state in setup.clients:
-        state.adam = AdamState.for_params(state.store)
-
-    with _client_lanes(setup) as lanes:
-        for round_t in range(server.rounds):
-            start = time.perf_counter()
-            if server.fraction < 1.0:
-                rng = np.random.default_rng([setup.seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
-                count = max(1, int(round(server.fraction * num_clients)))
-                selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
-            else:
-                selected = list(range(num_clients))
-
-            outcomes = _gather(lanes, ("train", global_params, round_t, selected))
-            results = {c: r for c, r in outcomes.items() if not isinstance(r, str)}
-            errors = {c: r for c, r in outcomes.items() if isinstance(r, str)}
-            if not results:
-                raise FederationAborted(
-                    f"every client failed in round {round_t}: {errors}")
-
-            scores = {c: (reliability_score(r.stats, server)
-                          if server.mode == "reliability" else 1.0)
-                      for c, r in results.items()}
-            sizes = {c: r.stats.size for c, r in results.items()}
-            global_params, omega = aggregate({c: r.params for c, r in results.items()},
-                                             sizes, scores, server.eps)
-
-            total_size = sum(sizes.values())
-            mean_loss = LossBreakdown(*(
-                sum(getattr(r.breakdown, f.name) * sizes[c] for c, r in results.items())
-                / total_size for f in fields(LossBreakdown)))
-
-            metrics = _evaluate_global(lanes, global_params, round_t)
-            record = RoundRecord(
-                round_index=round_t, client_frac=len(selected) / num_clients,
-                omega=omega, losses={c: r.breakdown for c, r in results.items()},
-                mean_loss=mean_loss, metrics=metrics, errors=errors)
-            history.records.append(record)
-            history.timings_ms.append(1000.0 * (time.perf_counter() - start))
-
-        history.final_params = global_params
-        history.calibration = _collect_calibration(setup, lanes, global_params)
-    return history
-
-
-def _collect_calibration(setup: FederationSetup, lanes: list,
-                         global_params: np.ndarray) -> dict[str, np.ndarray]:
-    """Every client's calibration pairs (``_calibrate_client``), in cid order."""
-    if setup.model_cfg.bypass_generation:
-        return {"uncertainty": np.empty(0), "norm_err": np.empty(0)}
-    pairs = list(_gather(lanes, ("calibrate", global_params,
-                                 setup.server_cfg.rounds, None)).values())
-    if not pairs:
-        return {"uncertainty": np.empty(0), "norm_err": np.empty(0)}
-    return {"uncertainty": np.concatenate([u for u, _ in pairs]),
-            "norm_err": np.concatenate([e for _, e in pairs])}
-
-
-def _evaluate_global(lanes: list, global_params: np.ndarray,
-                     round_t: int) -> MetricsRow:
+def _mean_metrics(evaluations: list) -> MetricsRow:
     """Client-averaged held-out metrics, weighted by client test size."""
     values = np.zeros(2)
     weight_sum = 0
     names = ("metric_1", "metric_2")
-    for row, weight in _gather(lanes, ("evaluate", global_params, round_t,
-                                       None)).values():
+    for row, weight in evaluations:
         if row is not None and weight > 0:
             values += weight * np.asarray(row.values)
             weight_sum += weight
@@ -722,6 +625,84 @@ def _evaluate_global(lanes: list, global_params: np.ndarray,
         return MetricsRow(names=names, values=(0.0, 0.0), valid=False)
     vals = values / weight_sum
     return MetricsRow(names=names, values=(float(vals[0]), float(vals[1])))
+
+
+def run_federation(setup: FederationSetup) -> RoundHistory:
+    """Synchronous rounds: broadcast, local training, aggregate, evaluate.
+
+    Phase t trains round t and evaluates round t-1, which read the same
+    broadcast; a last phase evaluates the final round and calibrates."""
+    server = setup.server_cfg
+    mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
+    history = RoundHistory(mode=mode, task=setup.task_spec.kind)
+    global_params = init_params(setup.model_cfg, setup.seed).snapshot()
+    num_clients = len(setup.clients)
+    cids = range(num_clients)
+    # longest jobs first: by descending client size, ties by cid
+    by_size = sorted(cids, key=lambda c: (-setup.clients[c].data.graph.n, c))
+    # a fresh block, so every run starts its clients' optimizers afresh
+    shared = _SharedBlock(global_params, num_clients)
+    pending = None  # the last round's record fields, waiting for its metrics
+
+    with _job_runner(setup, shared) as run_jobs:
+        for round_t in range(server.rounds + 1):
+            start = time.perf_counter()
+            final = round_t == server.rounds
+            if final:
+                selected = []
+            elif server.fraction < 1.0:
+                rng = np.random.default_rng([setup.seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
+                count = max(1, int(round(server.fraction * num_clients)))
+                selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
+            else:
+                selected = list(cids)
+            calibrate = final and not setup.model_cfg.bypass_generation
+
+            jobs = [("train", c, round_t) for c in by_size if c in selected]
+            if pending is not None:
+                jobs += [("evaluate", c, round_t - 1) for c in by_size]
+            if calibrate:
+                jobs += [("calibrate", c, round_t) for c in by_size]
+            outcomes = run_jobs(jobs)
+
+            if pending is not None:
+                metrics = _mean_metrics([outcomes[("evaluate", c, round_t - 1)]
+                                         for c in cids])
+                history.records.append(RoundRecord(**pending, metrics=metrics))
+            if final:
+                pairs = ([outcomes[("calibrate", c, round_t)] for c in cids]
+                         if calibrate else [(np.empty(0), np.empty(0))])
+                history.calibration = {"uncertainty": np.concatenate([u for u, _ in pairs]),
+                                       "norm_err": np.concatenate([e for _, e in pairs])}
+                break
+
+            trained = {c: outcomes[("train", c, round_t)] for c in selected}
+            results = {c: r for c, r in trained.items() if not isinstance(r, str)}
+            errors = {c: r for c, r in trained.items() if isinstance(r, str)}
+            if not results:
+                raise FederationAborted(
+                    f"every client failed in round {round_t}: {errors}")
+
+            scores = {c: (reliability_score(stats, server)
+                          if server.mode == "reliability" else 1.0)
+                      for c, (stats, _) in results.items()}
+            sizes = {c: stats.size for c, (stats, _) in results.items()}
+            losses = {c: breakdown for c, (_, breakdown) in results.items()}
+            global_params, omega = aggregate({c: shared.updates[c] for c in results},
+                                             sizes, scores, server.eps)
+            shared.broadcast[:] = global_params
+
+            total_size = sum(sizes.values())
+            mean_loss = LossBreakdown(*(
+                sum(getattr(losses[c], f.name) * sizes[c] for c in results)
+                / total_size for f in fields(LossBreakdown)))
+            pending = dict(round_index=round_t,
+                           client_frac=len(selected) / num_clients, omega=omega,
+                           losses=losses, mean_loss=mean_loss, errors=errors)
+            history.timings_ms.append(1000.0 * (time.perf_counter() - start))
+
+    history.final_params = global_params
+    return history
 
 
 def fedavg_zero_setup(setup: FederationSetup) -> FederationSetup:

@@ -927,7 +927,8 @@ class AdamState:
 def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
     """Bias-corrected Adam update of the parameter vector from ``grad``
-    (``ParamStore.take_grads``); a non-finite gradient raises before any write."""
+    (``ParamStore.take_grads``); a non-finite gradient raises before any write.
+    The moments are updated in place, so they may live in shared memory."""
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     if not np.isfinite(grad).all():
@@ -937,8 +938,11 @@ def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray, lr: float,
     b1, b2 = betas
     state.step += 1
     t = state.step
-    m = state.m = b1 * state.m + (1 - b1) * grad
-    v = state.v = b2 * state.v + (1 - b2) * grad * grad
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * grad
+    v *= b2
+    v += (1 - b2) * grad * grad
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
     store.vector[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -333,7 +333,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--workers", "2",
                      "--out", str(tmp_path / "out")]) == 2
         err = capfd.readouterr().err
-        assert err.startswith("run failed: the worker process of clients")
+        assert err.startswith("run failed: the worker process running the train job")
         assert err.count("\n") == 1
         assert multiprocessing.active_children() == []
 

@@ -1,7 +1,8 @@
-"""Client rounds, reliability aggregation, round loop, client lanes,
+"""Client rounds, reliability aggregation, round loop, job runner,
 baseline pairing."""
 
 import multiprocessing
+import multiprocessing.connection
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from fedmmg import encoding, federation, fusion, generation, model, tasks
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import (ClientRoundError, ClientState, FederationAborted,
                                FederationSetup, ReliabilityStats, ServerConfig,
-                               TrainConfig, aggregate, assign_lanes,
+                               TrainConfig, aggregate,
                                build_client_data, client_local_round,
                                evaluate_client, fedavg_zero_baseline,
                                fedavg_zero_setup, reliability_score,
@@ -282,26 +283,31 @@ class TestRunFederation:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # three clients of unequal size: a three-term sum depends on its
-        # order, so merging lanes out of cid order would show
+        # order, so reducing in any order but cid order would show
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        histories = []
-        for workers in (1, 2, 3):
-            cfg = small_experiment(rounds=2)
-            cfg.data.blocks = 3
-            cfg.federation.clients = 3
-            cfg.federation.workers = workers
-            setup = assemble_run(cfg).setup
-            sizes = [state.data.graph.n for state in setup.clients]
-            assert len(set(sizes)) == 3
-            assert len(assign_lanes(workers, sizes)) == workers
-            histories.append(run_federation(setup))
-        ref = histories[0]
-        for h in histories[1:]:
-            assert [r.to_json_dict() for r in h.records] == \
-                [r.to_json_dict() for r in ref.records]
-            assert h.final_params.tobytes() == ref.final_params.tobytes()
-            for key, values in ref.calibration.items():
-                assert h.calibration[key].tobytes() == values.tobytes()
+        forks = count_forks(monkeypatch)
+        for fraction in (1.0, 0.5):
+            histories = []
+            for workers in (1, 2, 3):
+                cfg = small_experiment(rounds=2)
+                cfg.data.blocks = 3
+                cfg.federation.clients = 3
+                cfg.federation.workers = workers
+                cfg.federation.fraction = fraction
+                setup = assemble_run(cfg).setup
+                assert len({state.data.graph.n for state in setup.clients}) == 3
+                forks.clear()
+                histories.append(run_federation(setup))
+                assert len(forks) == (workers if workers > 1 else 0)
+            ref = histories[0]
+            if fraction < 1.0:
+                assert all(len(r.omega) == 2 for r in ref.records)
+            for h in histories[1:]:
+                assert [r.to_json_dict() for r in h.records] == \
+                    [r.to_json_dict() for r in ref.records]
+                assert h.final_params.tobytes() == ref.final_params.tobytes()
+                for key, values in ref.calibration.items():
+                    assert h.calibration[key].tobytes() == values.tobytes()
         assert multiprocessing.active_children() == []
 
     def test_zero_rounds_returns_initial_model(self):
@@ -337,26 +343,65 @@ class TestRunFederation:
             assert rec.client_frac == 0.5
 
 
+def count_forks(monkeypatch) -> list:
+    """Record every worker process a run starts (a list the caller may clear)."""
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+    return started
+
+
 class TestClientLanes:
+    """The job runner's processes: the calling process, or forked workers."""
+
     def test_lane_count_is_capped_by_clients_and_cores(self, monkeypatch):
-        sizes = [30, 10, 20, 10]
+        forks = count_forks(monkeypatch)
+        cfg = small_experiment(rounds=1)
+        cfg.federation.clients = 4
+        cfg.federation.workers = 10**6
+        setup = assemble_run(cfg).setup
         for cores in (1, 2, 3, 64):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            lanes = assign_lanes(10**6, sizes)
-            assert len(lanes) == min(10**6, len(sizes), cores)
-            assert sorted(c for lane in lanes for c in lane) == [0, 1, 2, 3]
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert assign_lanes(1, sizes) == [[0, 1, 2, 3]]
-        # largest first, ties by cid, each onto the lightest lane
-        assert assign_lanes(2, sizes) == [[0, 3], [1, 2]]
-        assert assign_lanes(3, sizes) == [[0], [2], [1, 3]]
-        assert multiprocessing.active_children() == []
+            forks.clear()
+            run_federation(setup)
+            count = min(10**6, len(setup.clients), cores)
+            assert len(forks) == (count if count > 1 else 0)
+            assert multiprocessing.active_children() == []
+
+    def test_jobs_go_out_longest_first(self, monkeypatch):
+        # one process runs each phase's jobs in list order: train jobs by
+        # descending client size (ties by cid), then evaluate, then calibrate
+        cfg = small_experiment(rounds=2)
+        cfg.federation.clients = 4
+        setup = assemble_run(cfg).setup
+        sizes = [state.data.graph.n for state in setup.clients]
+        assert len(set(sizes)) < len(sizes)  # a tie to break
+        jobs = []
+        real_job = federation._run_job
+
+        def record(setup, shared, job):
+            jobs.append(job)
+            return real_job(setup, shared, job)
+        monkeypatch.setattr(federation, "_run_job", record)
+        run_federation(setup)
+        order = sorted(range(4), key=lambda c: (-sizes[c], c))
+        assert jobs == ([("train", c, 0) for c in order]
+                        + [("train", c, 1) for c in order]
+                        + [("evaluate", c, 0) for c in order]
+                        + [("evaluate", c, 1) for c in order]
+                        + [("calibrate", c, 2) for c in order])
 
     def test_one_lane_starts_no_process(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(federation, "_WorkerLane", None)
+        monkeypatch.setattr(federation, "_worker", None)
+        forks = count_forks(monkeypatch)
         history = run_federation(assemble_run(small_experiment(rounds=1)).setup)
         assert len(history.records) == 1
+        assert forks == []
 
     @staticmethod
     def _two_lane_setup(monkeypatch):
@@ -371,15 +416,14 @@ class TestClientLanes:
         real_round = federation.client_local_round
 
         def dying_round(state, *args):
-            if os.getpid() != parent and state.data.cid == 1:
+            if os.getpid() != parent and state.data.cid == 1 and args[3] == 1:
                 os._exit(3)
             return real_round(state, *args)
 
         monkeypatch.setattr(federation, "client_local_round", dying_round)
-        sizes = [state.data.graph.n for state in setup.clients]
-        lane = next(lane for lane in assign_lanes(2, sizes) if 1 in lane)
         with pytest.raises(FederationAborted,
-                           match=rf"clients \{lane}\ exited with code 3"):
+                           match=r"running the train job of client 1 exited "
+                                 r"with code 3"):
             run_federation(setup)
         assert multiprocessing.active_children() == []
 
@@ -408,6 +452,54 @@ class TestClientLanes:
         with pytest.raises(RuntimeError, match="LocalError: not picklable"):
             run_federation(setup)
         assert multiprocessing.active_children() == []
+
+    def test_no_message_is_as_large_as_a_parameter_vector(self, monkeypatch):
+        # the broadcast and the updates stay in the shared block; every
+        # message the parent sends or receives goes through these two
+        setup = self._two_lane_setup(monkeypatch)
+        parent, sizes = os.getpid(), []
+        conn = multiprocessing.connection.Connection
+        real_send, real_recv = conn._send_bytes, conn._recv_bytes
+
+        def send(self, buf):
+            if os.getpid() == parent:
+                sizes.append(len(buf))
+            real_send(self, buf)
+
+        def recv(self, maxsize=None):
+            buf = real_recv(self, maxsize)
+            if os.getpid() == parent:
+                sizes.append(len(buf.getbuffer()))
+            return buf
+        monkeypatch.setattr(conn, "_send_bytes", send)
+        monkeypatch.setattr(conn, "_recv_bytes", recv)
+        history = run_federation(setup)
+        jobs = setup.server_cfg.rounds * 2 * len(setup.clients) + len(setup.clients)
+        assert len(sizes) >= 2 * jobs
+        assert max(sizes) < 8 * history.final_params.size
+
+
+class TestSharedBlock:
+    def test_a_second_copy_continues_the_first_copys_optimizer(self):
+        # client 0's rounds 0 and 1 in two copies of the setup made before
+        # any job, as two forked workers hold them, against both in one
+        # copy. The copies are assembled apart: copy.deepcopy would cut a
+        # ParamStore's tensors loose from its vector (it keeps no views).
+        def setup_and_block():
+            setup = assemble_run(small_experiment(seed=3)).setup
+            params = init_params(setup.model_cfg, 3).snapshot()
+            return setup, federation._SharedBlock(params, len(setup.clients))
+
+        one, one_block = setup_and_block()
+        first, block = setup_and_block()
+        copies = (first, assemble_run(small_experiment(seed=3)).setup)
+        for round_t in (0, 1):
+            for setup, shared in ((copies[round_t], block), (one, one_block)):
+                assert federation._run_job(setup, shared, ("train", 0, round_t))
+                shared.broadcast[:] = shared.updates[0]
+        assert block.steps[0] == 2 * one.train_cfg.local_epochs
+        for name in ("broadcast", "updates", "m", "v", "steps"):
+            assert getattr(block, name).tobytes() == getattr(one_block, name).tobytes()
 
 
 def full_forward_calibration(setup: FederationSetup, state: ClientState,
@@ -468,10 +560,10 @@ class TestCalibration:
             count(module, name)
         setup = assemble_run(small_experiment(seed=3)).setup
         params = init_params(setup.model_cfg, 3).snapshot()
-        cids = list(range(len(setup.clients)))
-        out = federation._serve(setup, cids, ("calibrate", params, 2, None))
-        assert [cid for cid, _ in out] == cids
-        assert all(u.size > 0 for _, (u, _e) in out)
+        shared = federation._SharedBlock(params, len(setup.clients))
+        cids = range(len(setup.clients))
+        out = [federation._run_job(setup, shared, ("calibrate", cid, 2)) for cid in cids]
+        assert all(u.size > 0 for u, _e in out)
         assert calls == {"encode_modalities": len(cids)}
 
 

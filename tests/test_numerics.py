@@ -666,6 +666,37 @@ class TestScatterKernel:
         assert a.grad.tobytes() == expected.tobytes()
 
 
+def out_of_place_adam_step(store: ParamStore, state: AdamState, grad: np.ndarray,
+                           lr: float, betas=(0.9, 0.999), eps=1e-8) -> None:
+    """Reference for ``adam_step``: the expression it used before it
+    updated the moments in place."""
+    b1, b2 = betas
+    state.step += 1
+    t = state.step
+    m = state.m = b1 * state.m + (1 - b1) * grad
+    v = state.v = b2 * state.v + (1 - b2) * grad * grad
+    m_hat = m / (1 - b1 ** t)
+    v_hat = v / (1 - b2 ** t)
+    store.vector[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+# zeros, subnormals, ordinary and huge finite values
+_ADAM_VALUES = st.one_of(
+    st.just(0.0), st.just(-0.0), st.just(5e-324),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _adam_cases(draw):
+    n = draw(st.integers(1, 6))
+    vector = st.lists(_ADAM_VALUES, min_size=n, max_size=n).map(np.array)
+    init = draw(vector)
+    grads = draw(st.lists(vector, min_size=1, max_size=5))
+    lr = draw(st.sampled_from([0.0, 1e-3, 0.005, 1.0]))
+    return init, grads, lr
+
+
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
         store = ParamStore()
@@ -732,6 +763,24 @@ class TestAdam:
             for name in shapes:
                 assert tensors[name].data.shape == shapes[name]
                 assert tensors[name].data.tobytes() == ref[name].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_adam_cases())
+    def test_in_place_moments_match_the_old_expression_bit_for_bit(self, case):
+        init, grads, lr = case
+        store, ref_store = ParamStore(), ParamStore()
+        store.add("p", init)
+        ref_store.add("p", init)
+        state, ref = AdamState.for_params(store), AdamState.for_params(ref_store)
+        m, v = state.m, state.v
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for grad in grads:
+                adam_step(store, state, grad.copy(), lr)
+                out_of_place_adam_step(ref_store, ref, grad.copy(), lr)
+        assert state.m is m and state.v is v
+        assert state.step == ref.step == len(grads)
+        for got, want in ((store.vector, ref_store.vector), (m, ref.m), (v, ref.v)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestParamStoreVector:
