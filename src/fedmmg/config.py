@@ -14,11 +14,11 @@ import typing
 from dataclasses import asdict, dataclass, field
 
 from .federation import (FederationSetup, ServerConfig, TrainConfig,
-                         fedavg_zero_setup, make_client_states)
+                         build_client_data, fedavg_zero_setup)
 from .graphdata import (MISSING_MODES, ClientPartition, MissingnessConfig,
                         MultimodalGraph, apply_natural_missingness,
                         empirical_missing_fraction, generate_sbm_multimodal,
-                        load_graph, partition_dirichlet)
+                        induced_subgraph, load_graph, partition_dirichlet)
 from .model import ModelConfig
 from .tasks import TASK_KINDS, TaskSpec
 
@@ -280,6 +280,8 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         raise ConfigError("task 'mr' needs a graph with at least two modalities")
     if cfg.task == "nc" and graph.labels is None:
         raise ConfigError("task 'nc' needs a graph with node labels")
+    if cfg.task == "lp" and graph.edges.shape[0] == 0:
+        raise ConfigError("task 'lp' needs a graph with at least one edge")
 
     labels = graph.labels
     num_classes = int(labels.max()) + 1 if labels is not None else None
@@ -303,7 +305,8 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
     train_cfg = TrainConfig(lr=cfg.model.lr, local_epochs=cfg.model.local_epochs,
                             clip_norm=cfg.model.clip_norm,
                             p_mask=cfg.missingness.p_mask)
-    clients = make_client_states(graph, partition, model_cfg, cfg.task, cfg.seed)
+    clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
+               for cid, nodes in enumerate(partition.node_lists)]
     setup = FederationSetup(clients=clients, model_cfg=model_cfg,
                             task_spec=task_spec, server_cfg=server_cfg,
                             train_cfg=train_cfg, seed=cfg.seed)

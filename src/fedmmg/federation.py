@@ -10,14 +10,16 @@ whichever worker is free: train jobs by descending client size, then
 evaluate jobs, then calibrate jobs. The broadcast vector, the clients'
 update slots and their Adam state live in one shared block mapped before
 the fork, so any worker can run any client's job and only small tuples
-cross the pipes. Every job draws from its own seeded RNG stream, and the
-server reduces results in ascending client order, so the outputs do not
-depend on the worker count.
+cross the pipes. A client is just its data: each process keeps one working
+model, and every job loads the broadcast into it before it runs. Every job
+draws from its own seeded RNG stream, and the server reduces results in
+ascending client order, so the outputs do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import mmap
 import multiprocessing
 import multiprocessing.connection
@@ -34,8 +36,7 @@ from . import encoding
 from . import numerics as nx
 from . import tasks as task_ops
 from .fusion import normalized_errors, relative_recon_error
-from .graphdata import (ClientPartition, MaskSet, MultimodalGraph,
-                        induced_subgraph, sample_artificial_mask)
+from .graphdata import MaskSet, MultimodalGraph, sample_artificial_mask
 from .metrics import MetricsRow, evaluate_metrics
 from .model import (ForwardBundle, ForwardPlan, GraphCaches, ModelConfig,
                     forward_pass, init_params, make_plan, score_recon_cells)
@@ -139,21 +140,6 @@ class ClientData:
     edge_keys: np.ndarray  # tasks.edge_keys of every graph edge
 
 
-@dataclass
-class ClientState:
-    data: ClientData
-    store: ParamStore
-    adam: AdamState
-
-
-@dataclass
-class ClientRoundResult:
-    cid: int
-    params: np.ndarray  # the client's ParamStore.vector after training
-    stats: ReliabilityStats
-    breakdown: LossBreakdown
-
-
 def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perm = rng.permutation(n)
     if n >= 5:
@@ -201,13 +187,13 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
     raise ValueError(f"unknown task {spec.kind!r}")
 
 
-def client_local_round(state: ClientState, global_params: np.ndarray,
-                       model_cfg: ModelConfig, spec: TaskSpec, round_t: int,
-                       train_cfg: TrainConfig, seed: int) -> ClientRoundResult:
-    """Load the broadcast model, run the local epochs, return update + stats."""
-    data = state.data
-    store = state.store
-    store.load(global_params)
+def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamState,
+                       data: ClientData, round_t: int
+                       ) -> tuple[ReliabilityStats, LossBreakdown]:
+    """Run the local epochs on the broadcast model loaded in ``store``, which
+    holds the update afterwards; return the uploaded stats and last losses."""
+    model_cfg, spec, train_cfg, seed = (setup.model_cfg, setup.task_spec,
+                                        setup.train_cfg, setup.seed)
     store.zero_grads()
 
     last_bundle: ForwardBundle | None = None
@@ -246,7 +232,7 @@ def client_local_round(state: ClientState, global_params: np.ndarray,
             grad = store.take_grads()
             nx.clip_grad_norm(grad, train_cfg.clip_norm)
             try:
-                nx.adam_step(store, state.adam, grad, train_cfg.lr)
+                nx.adam_step(store, adam, grad, train_cfg.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
         last_bundle, last_plan = bundle, plan
@@ -267,8 +253,7 @@ def client_local_round(state: ClientState, global_params: np.ndarray,
     stats = ReliabilityStats(mean_uncertainty=mean_u, mean_recon_error=mean_err,
                              missing_ratio=float((natural == 0.0).mean()),
                              size=data.graph.n)
-    return ClientRoundResult(cid=data.cid, params=store.snapshot(), stats=stats,
-                             breakdown=breakdown)
+    return stats, breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +387,12 @@ class RoundHistory:
 class FederationSetup:
     """Everything the round loop needs, in pre-validated form."""
 
-    clients: list[ClientState]
+    clients: list[ClientData]  # by cid
     model_cfg: ModelConfig
     task_spec: TaskSpec
     server_cfg: ServerConfig
     train_cfg: TrainConfig
     seed: int
-
-
-def make_client_states(graph: MultimodalGraph, partition: ClientPartition,
-                       model_cfg: ModelConfig, task: str, seed: int
-                       ) -> list[ClientState]:
-    states = []
-    for cid, nodes in enumerate(partition.node_lists):
-        sub = induced_subgraph(graph, nodes)
-        data = build_client_data(cid, sub, task, seed)
-        store = init_params(model_cfg, seed)
-        states.append(ClientState(data=data, store=store,
-                                  adam=AdamState.for_params(store)))
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +417,8 @@ class _SharedBlock:
         self.broadcast[:] = params
 
 
-def _calibrate_client(setup: FederationSetup, state: ClientState,
-                      global_params: np.ndarray, round_t: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def _calibrate_client(setup: FederationSetup, store: ParamStore, data: ClientData,
+                      round_t: int) -> tuple[np.ndarray, np.ndarray]:
     """Uncertainty and normalized reconstruction error of one client's
     recon cells under the final global model. Masks are resampled every
     epoch during training, so the natural population is pooled over
@@ -457,10 +428,9 @@ def _calibrate_client(setup: FederationSetup, state: ClientState,
     Each draw scores its recon cells alone (``score_recon_cells``); their
     errors are min-max scaled per modality over that draw's recon cells,
     as in ``forward_pass``."""
-    data, model_cfg = state.data, setup.model_cfg
-    state.store.load(global_params)
+    model_cfg = setup.model_cfg
     natural = data.graph.natural_mask
-    raw = encoding.encode_modalities(state.store, data.graph, natural)
+    raw = encoding.encode_modalities(store, data.graph, natural)
     cal_u: list[np.ndarray] = []
     cal_e: list[np.ndarray] = []
     for draw in range(_CAL_DRAWS):
@@ -471,8 +441,7 @@ def _calibrate_client(setup: FederationSetup, state: ClientState,
         cells = plan.recon_flat == 1.0
         if not cells.any():
             continue
-        uncertainty, errors = score_recon_cells(state.store, model_cfg, plan,
-                                                raw, round_t)
+        uncertainty, errors = score_recon_cells(store, model_cfg, plan, raw, round_t)
         cell_errors = np.zeros(cells.size)
         cell_errors[cells] = errors
         cal_u.append(uncertainty)
@@ -483,9 +452,10 @@ def _calibrate_client(setup: FederationSetup, state: ClientState,
     return np.concatenate(cal_u), np.concatenate(cal_e)
 
 
-def _run_job(setup: FederationSetup, shared: _SharedBlock, job: tuple):
-    """Run one ``(kind, cid, round_t)`` job on the broadcast vector and
-    return its outcome.
+def _run_job(setup: FederationSetup, store: ParamStore, shared: _SharedBlock,
+             job: tuple):
+    """Load the broadcast vector into the process's working model ``store``,
+    run one ``(kind, cid, round_t)`` job on it and return its outcome.
 
     - ``train``: the client's local round. The update goes into the client's
       slot and the Adam state stays in the block. The outcome is
@@ -494,24 +464,22 @@ def _run_job(setup: FederationSetup, shared: _SharedBlock, job: tuple):
     - ``evaluate``: ``evaluate_client``'s (row, weight).
     - ``calibrate``: ``_calibrate_client``'s (uncertainty, norm_err)."""
     kind, cid, round_t = job
-    state = setup.clients[cid]
+    data = setup.clients[cid]
+    store.load(shared.broadcast)
     if kind == "evaluate":
-        state.store.load(shared.broadcast)
-        return evaluate_client(state.store, setup.model_cfg, setup.task_spec,
-                               state.data, round_t, setup.seed)
+        return evaluate_client(store, setup.model_cfg, setup.task_spec, data,
+                               round_t, setup.seed)
     if kind == "calibrate":
-        return _calibrate_client(setup, state, shared.broadcast, round_t)
-    state.adam = AdamState(shared.m[cid], shared.v[cid], int(shared.steps[cid]))
+        return _calibrate_client(setup, store, data, round_t)
+    adam = AdamState(shared.m[cid], shared.v[cid], int(shared.steps[cid]))
     try:
-        result = client_local_round(state, shared.broadcast, setup.model_cfg,
-                                    setup.task_spec, round_t, setup.train_cfg,
-                                    setup.seed)
+        outcome = client_local_round(setup, store, adam, data, round_t)
     except ClientRoundError as exc:
         return str(exc)
     finally:
-        shared.steps[cid] = state.adam.step
-    shared.updates[cid] = result.params
-    return result.stats, result.breakdown
+        shared.steps[cid] = adam.step
+    shared.updates[cid] = store.vector
+    return outcome
 
 
 def _portable(exc: Exception) -> Exception:
@@ -526,8 +494,7 @@ def _portable(exc: Exception) -> Exception:
     return exc
 
 
-def _worker(conn, setup: FederationSetup, shared: _SharedBlock,
-            inherited: list) -> None:
+def _worker(conn, run_job, inherited: list) -> None:
     """Worker main loop: run jobs until the parent sends None or closes its
     end. An exception is sent back, to be raised in the parent."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
@@ -536,7 +503,7 @@ def _worker(conn, setup: FederationSetup, shared: _SharedBlock,
     try:
         while (job := conn.recv()) is not None:
             try:
-                reply = (True, _run_job(setup, shared, job))
+                reply = (True, run_job(job))
             except Exception as exc:
                 reply = (False, _portable(exc))
             conn.send(reply)
@@ -578,14 +545,13 @@ def _dispatch(workers: dict, jobs: list) -> dict:
 
 
 @contextlib.contextmanager
-def _job_runner(setup: FederationSetup, shared: _SharedBlock):
+def _job_runner(count: int, run_job):
     """Yield the run's ``run(jobs) -> {job: outcome}``, which runs a phase's
-    jobs on ``min(workers, clients, cores)`` processes: the calling process
-    alone, in list order, or forked workers. Workers are stopped on the way
-    out, killed if the run failed."""
-    count = min(setup.server_cfg.workers, len(setup.clients), os.cpu_count() or 1)
+    jobs with ``run_job`` on ``count`` processes: the calling process alone,
+    in list order, or forked workers. Workers are stopped on the way out,
+    killed if the run failed."""
     if count == 1:
-        yield lambda jobs: {job: _run_job(setup, shared, job) for job in jobs}
+        yield lambda jobs: {job: run_job(job) for job in jobs}
         return
     ctx = multiprocessing.get_context("fork")
     workers: dict = {}
@@ -593,7 +559,7 @@ def _job_runner(setup: FederationSetup, shared: _SharedBlock):
         for _ in range(count):
             conn, child = ctx.Pipe()
             proc = ctx.Process(target=_worker, daemon=True,
-                               args=(child, setup, shared, list(workers)))
+                               args=(child, run_job, list(workers)))
             proc.start()
             child.close()
             workers[conn] = proc
@@ -635,16 +601,19 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     server = setup.server_cfg
     mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
     history = RoundHistory(mode=mode, task=setup.task_spec.kind)
-    global_params = init_params(setup.model_cfg, setup.seed).snapshot()
+    store = init_params(setup.model_cfg, setup.seed)  # each process's working model
+    global_params = store.snapshot()
     num_clients = len(setup.clients)
     cids = range(num_clients)
     # longest jobs first: by descending client size, ties by cid
-    by_size = sorted(cids, key=lambda c: (-setup.clients[c].data.graph.n, c))
+    by_size = sorted(cids, key=lambda c: (-setup.clients[c].graph.n, c))
     # a fresh block, so every run starts its clients' optimizers afresh
     shared = _SharedBlock(global_params, num_clients)
     pending = None  # the last round's record fields, waiting for its metrics
+    processes = min(server.workers, num_clients, os.cpu_count() or 1)
+    run_job = functools.partial(_run_job, setup, store, shared)
 
-    with _job_runner(setup, shared) as run_jobs:
+    with _job_runner(processes, run_job) as run_jobs:
         for round_t in range(server.rounds + 1):
             start = time.perf_counter()
             final = round_t == server.rounds
@@ -714,7 +683,3 @@ def fedavg_zero_setup(setup: FederationSetup) -> FederationSetup:
     return FederationSetup(clients=setup.clients, model_cfg=model_cfg,
                            task_spec=setup.task_spec, server_cfg=server_cfg,
                            train_cfg=train_cfg, seed=setup.seed)
-
-
-def fedavg_zero_baseline(setup: FederationSetup) -> RoundHistory:
-    return run_federation(fedavg_zero_setup(setup))

@@ -13,7 +13,7 @@ import pytest
 from fedmmg import numerics as nx
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import (ReliabilityStats, ServerConfig, aggregate,
-                               fedavg_zero_baseline, reliability_score,
+                               fedavg_zero_setup, reliability_score,
                                run_federation)
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
@@ -52,7 +52,7 @@ def smoke_runs():
         full = run_federation(assemble_run(smoke_config(seed)).setup)
         full_secs = time.perf_counter() - t0
         t0 = time.perf_counter()
-        zero = fedavg_zero_baseline(assemble_run(smoke_config(seed)).setup)
+        zero = run_federation(fedavg_zero_setup(assemble_run(smoke_config(seed)).setup))
         zero_secs = time.perf_counter() - t0
         out.append((full, zero, full_secs, zero_secs))
     return out

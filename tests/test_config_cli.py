@@ -267,6 +267,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "labels" in err
 
+    def test_link_prediction_without_edges_exits_one(self, tmp_path, capsys):
+        def drop_edges(doc):
+            doc["edges"] = []
+        cfg_path = self._graph_file(tmp_path, drop_edges)
+        assert main(["run", "--config", str(cfg_path), "--task", "lp",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "edge" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("labels", [lambda n: [-1] * n,
                                         lambda n: [[0]] * n,
                                         lambda n: [0] * (n - 1),
@@ -321,10 +332,10 @@ class TestCli:
         parent = os.getpid()
         real_round = federation.client_local_round
 
-        def dying_round(state, *args):
+        def dying_round(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            return real_round(state, *args)
+            return real_round(*args)
 
         monkeypatch.setattr(federation, "client_local_round", dying_round)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -356,7 +367,7 @@ class TestCli:
         loaded = assemble_run(parse_config(str(file_path))).setup.clients
         assert len(built) == len(loaded) == 2
         for a, b in zip(built, loaded):
-            ga, gb = a.data.graph, b.data.graph
+            ga, gb = a.graph, b.graph
             np.testing.assert_array_equal(ga.edges, gb.edges)
             np.testing.assert_array_equal(ga.natural_mask, gb.natural_mask)
             for m, (ma, mb) in enumerate(zip(ga.modalities, gb.modalities)):

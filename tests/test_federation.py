@@ -1,6 +1,8 @@
 """Client rounds, reliability aggregation, round loop, job runner,
 baseline pairing."""
 
+import copy
+import inspect
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -8,18 +10,17 @@ import os
 import numpy as np
 import pytest
 
-from fedmmg import encoding, federation, fusion, generation, model, tasks
+from fedmmg import encoding, federation, fusion, generation, model, numerics, tasks
 from fedmmg.config import ExperimentConfig, assemble_run
-from fedmmg.federation import (ClientRoundError, ClientState, FederationAborted,
+from fedmmg.federation import (ClientData, ClientRoundError, FederationAborted,
                                FederationSetup, ReliabilityStats, ServerConfig,
                                TrainConfig, aggregate,
                                build_client_data, client_local_round,
-                               evaluate_client, fedavg_zero_baseline,
-                               fedavg_zero_setup, reliability_score,
-                               run_federation)
+                               evaluate_client, fedavg_zero_setup,
+                               reliability_score, run_federation)
 from fedmmg.graphdata import Modality, MultimodalGraph, sample_artificial_mask
 from fedmmg.model import ModelConfig, forward_pass, init_params, make_plan
-from fedmmg.numerics import AdamState
+from fedmmg.numerics import AdamState, ParamStore
 from fedmmg.tasks import TaskSpec
 
 from test_pinned_outputs import seed3_config
@@ -164,34 +165,32 @@ class TestAggregate:
                       {0: 1, 1: 1}, {0: 1.0, 1: 1.0})
 
 
+def train_client_zero(setup: FederationSetup) -> tuple[ParamStore, ReliabilityStats]:
+    """Client 0's round 0 from the initial model; the store holds its update."""
+    store = init_params(setup.model_cfg, setup.seed)
+    stats, _ = client_local_round(setup, store, AdamState.for_params(store),
+                                  setup.clients[0], 0)
+    return store, stats
+
+
 class TestClientRound:
     def test_zero_lr_returns_global_exactly(self):
         cfg = small_experiment(rounds=1)
         cfg.model.lr = 0.0
-        asm = assemble_run(cfg)
-        from fedmmg.federation import client_local_round
-        from fedmmg.model import init_params
-        global_params = init_params(asm.setup.model_cfg, cfg.seed).snapshot()
-        result = client_local_round(asm.setup.clients[0], global_params,
-                                    asm.setup.model_cfg, asm.setup.task_spec,
-                                    0, asm.setup.train_cfg, cfg.seed)
-        np.testing.assert_array_equal(result.params, global_params)
+        setup = assemble_run(cfg).setup
+        store, _ = train_client_zero(setup)
+        global_params = init_params(setup.model_cfg, cfg.seed).snapshot()
+        np.testing.assert_array_equal(store.vector, global_params)
 
     @staticmethod
     def _missing_ratio_and_hand_count(p_mask):
         cfg = small_experiment(rounds=1)
         cfg.missingness.rate = 0.4
         cfg.missingness.p_mask = p_mask
-        asm = assemble_run(cfg)
-        from fedmmg.federation import client_local_round
-        from fedmmg.model import init_params
-        state = asm.setup.clients[0]
-        global_params = init_params(asm.setup.model_cfg, cfg.seed).snapshot()
-        result = client_local_round(state, global_params, asm.setup.model_cfg,
-                                    asm.setup.task_spec, 0,
-                                    asm.setup.train_cfg, cfg.seed)
-        natural = state.data.graph.natural_mask
-        return result.stats.missing_ratio, (natural == 0).sum() / natural.size
+        setup = assemble_run(cfg).setup
+        _, stats = train_client_zero(setup)
+        natural = setup.clients[0].graph.natural_mask
+        return stats.missing_ratio, (natural == 0).sum() / natural.size
 
     def test_missing_ratio_matches_hand_count(self):
         rho, hand = self._missing_ratio_and_hand_count(p_mask=0.0)
@@ -225,24 +224,26 @@ class TestLinkPredictionWithoutNonEdges:
                           warmup_rounds=5)
         data = build_client_data(cid, graph, "lp", seed=0)
         assert data.test_edges.shape[0] > 0
-        store = init_params(cfg, 0)
-        return ClientState(data=data, store=store,
-                           adam=AdamState.for_params(store)), cfg
+        return data, cfg
 
     @classmethod
     def _triangle_client(cls):
         return cls._lp_client(0, 3, [(0, 1), (1, 2), (0, 2)])
 
     def test_evaluation_reports_no_metrics(self):
-        state, cfg = self._triangle_client()
-        assert evaluate_client(state.store, cfg, TaskSpec.for_kind("lp"),
-                               state.data, 0, 0) == (None, 0)
+        data, cfg = self._triangle_client()
+        assert evaluate_client(init_params(cfg, 0), cfg, TaskSpec.for_kind("lp"),
+                               data, 0, 0) == (None, 0)
 
     def test_training_fails_the_client_round(self):
-        state, cfg = self._triangle_client()
+        data, cfg = self._triangle_client()
+        setup = FederationSetup(clients=[data], model_cfg=cfg,
+                                task_spec=TaskSpec.for_kind("lp"),
+                                server_cfg=ServerConfig(), train_cfg=TrainConfig(),
+                                seed=0)
+        store = init_params(cfg, 0)
         with pytest.raises(ClientRoundError, match="non-edge"):
-            client_local_round(state, state.store.snapshot(), cfg,
-                               TaskSpec.for_kind("lp"), 0, TrainConfig(), 0)
+            client_local_round(setup, store, AdamState.for_params(store), data, 0)
 
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -295,7 +296,7 @@ class TestRunFederation:
                 cfg.federation.workers = workers
                 cfg.federation.fraction = fraction
                 setup = assemble_run(cfg).setup
-                assert len({state.data.graph.n for state in setup.clients}) == 3
+                assert len({data.graph.n for data in setup.clients}) == 3
                 forks.clear()
                 histories.append(run_federation(setup))
                 assert len(forks) == (workers if workers > 1 else 0)
@@ -313,7 +314,6 @@ class TestRunFederation:
     def test_zero_rounds_returns_initial_model(self):
         cfg = small_experiment(rounds=0)
         asm = assemble_run(cfg)
-        from fedmmg.model import init_params
         history = run_federation(asm.setup)
         assert history.records == []
         init = init_params(asm.setup.model_cfg, cfg.seed).snapshot()
@@ -332,6 +332,23 @@ class TestRunFederation:
         h_avg = run_federation(assemble_run(cfg_avg).setup)
         np.testing.assert_allclose(h_rel.final_params, h_avg.final_params,
                                    atol=1e-12)
+
+    def test_one_model_is_initialised_per_run(self, monkeypatch):
+        # clients hold no parameters: the run makes the one working model
+        # that seeds the broadcast, whatever the client count
+        calls = []
+        real_init = federation.init_params
+
+        def counting_init(*args):
+            calls.append(args)
+            return real_init(*args)
+        monkeypatch.setattr(federation, "init_params", counting_init)
+        cfg = small_experiment(rounds=1)
+        cfg.federation.clients = 3
+        setup = assemble_run(cfg).setup
+        assert len(calls) == 0
+        run_federation(setup)
+        assert len(calls) == 1
 
     def test_fraction_selects_subset(self):
         cfg = small_experiment(rounds=2)
@@ -378,14 +395,14 @@ class TestClientLanes:
         cfg = small_experiment(rounds=2)
         cfg.federation.clients = 4
         setup = assemble_run(cfg).setup
-        sizes = [state.data.graph.n for state in setup.clients]
+        sizes = [data.graph.n for data in setup.clients]
         assert len(set(sizes)) < len(sizes)  # a tie to break
         jobs = []
         real_job = federation._run_job
 
-        def record(setup, shared, job):
+        def record(setup, store, shared, job):
             jobs.append(job)
-            return real_job(setup, shared, job)
+            return real_job(setup, store, shared, job)
         monkeypatch.setattr(federation, "_run_job", record)
         run_federation(setup)
         order = sorted(range(4), key=lambda c: (-sizes[c], c))
@@ -415,10 +432,10 @@ class TestClientLanes:
         parent = os.getpid()
         real_round = federation.client_local_round
 
-        def dying_round(state, *args):
-            if os.getpid() != parent and state.data.cid == 1 and args[3] == 1:
+        def dying_round(setup, store, adam, data, round_t):
+            if os.getpid() != parent and data.cid == 1 and round_t == 1:
                 os._exit(3)
-            return real_round(state, *args)
+            return real_round(setup, store, adam, data, round_t)
 
         monkeypatch.setattr(federation, "client_local_round", dying_round)
         with pytest.raises(FederationAborted,
@@ -430,8 +447,8 @@ class TestClientLanes:
     def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
         setup = self._two_lane_setup(monkeypatch)
 
-        def failing_round(state, *args):
-            raise ValueError(f"simulated failure of client {state.data.cid}")
+        def failing_round(setup, store, adam, data, round_t):
+            raise ValueError(f"simulated failure of client {data.cid}")
 
         monkeypatch.setattr(federation, "client_local_round", failing_round)
         with pytest.raises(ValueError, match="simulated failure of client") as info:
@@ -445,7 +462,7 @@ class TestClientLanes:
         class LocalError(Exception):  # a local class does not pickle
             pass
 
-        def failing_round(state, *args):
+        def failing_round(setup, store, adam, data, round_t):
             raise LocalError("not picklable")
 
         monkeypatch.setattr(federation, "client_local_round", failing_round)
@@ -481,10 +498,9 @@ class TestClientLanes:
 
 class TestSharedBlock:
     def test_a_second_copy_continues_the_first_copys_optimizer(self):
-        # client 0's rounds 0 and 1 in two copies of the setup made before
-        # any job, as two forked workers hold them, against both in one
-        # copy. The copies are assembled apart: copy.deepcopy would cut a
-        # ParamStore's tensors loose from its vector (it keeps no views).
+        # client 0's rounds 0 and 1 in two copies of the setup, each with its
+        # own working model, as two forked workers hold them, against both
+        # in one copy
         def setup_and_block():
             setup = assemble_run(small_experiment(seed=3)).setup
             params = init_params(setup.model_cfg, 3).snapshot()
@@ -492,32 +508,33 @@ class TestSharedBlock:
 
         one, one_block = setup_and_block()
         first, block = setup_and_block()
-        copies = (first, assemble_run(small_experiment(seed=3)).setup)
+        copies = [(s, init_params(s.model_cfg, 3)) for s in (first, copy.deepcopy(first))]
+        single = (one, init_params(one.model_cfg, 3))
         for round_t in (0, 1):
-            for setup, shared in ((copies[round_t], block), (one, one_block)):
-                assert federation._run_job(setup, shared, ("train", 0, round_t))
+            for (setup, store), shared in ((copies[round_t], block), (single, one_block)):
+                assert federation._run_job(setup, store, shared, ("train", 0, round_t))
                 shared.broadcast[:] = shared.updates[0]
         assert block.steps[0] == 2 * one.train_cfg.local_epochs
         for name in ("broadcast", "updates", "m", "v", "steps"):
             assert getattr(block, name).tobytes() == getattr(one_block, name).tobytes()
 
 
-def full_forward_calibration(setup: FederationSetup, state: ClientState,
+def full_forward_calibration(setup: FederationSetup, data: ClientData,
                              global_params: np.ndarray, round_t: int
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Reference for ``federation._calibrate_client``: one full
     ``forward_pass`` for each of 8 mask draws, read at the recon cells."""
-    state.store.load(global_params)
+    store = init_params(setup.model_cfg, setup.seed)
+    store.load(global_params)
     cal_u, cal_e = [], []
     for draw in range(8):
         rng = np.random.default_rng(
-            [setup.seed & 0xFFFFFFFF, state.data.cid, round_t, draw,
+            [setup.seed & 0xFFFFFFFF, data.cid, round_t, draw,
              federation._CAL_TAG])
-        masks = sample_artificial_mask(state.data.graph.natural_mask,
+        masks = sample_artificial_mask(data.graph.natural_mask,
                                        setup.train_cfg.p_mask, rng)
-        plan = make_plan(state.data.graph, state.data.caches, masks,
-                         setup.model_cfg, rng)
-        bundle = forward_pass(state.store, setup.model_cfg, plan, round_t)
+        plan = make_plan(data.graph, data.caches, masks, setup.model_cfg, rng)
+        bundle = forward_pass(store, setup.model_cfg, plan, round_t)
         cells = plan.recon_flat == 1.0
         if cells.any():
             cal_u.append(bundle.uncertainty.data.reshape(-1)[cells])
@@ -533,8 +550,8 @@ class TestCalibration:
         setup = assemble_run(seed3_config(task, "reliability")).setup
         history = run_federation(setup)
         rounds = setup.server_cfg.rounds
-        pairs = [full_forward_calibration(setup, state, history.final_params, rounds)
-                 for state in setup.clients]
+        pairs = [full_forward_calibration(setup, data, history.final_params, rounds)
+                 for data in setup.clients]
         ref_u = np.concatenate([u for u, _ in pairs])
         ref_e = np.concatenate([e for _, e in pairs])
         got_u, got_e = history.calibration["uncertainty"], history.calibration["norm_err"]
@@ -559,10 +576,11 @@ class TestCalibration:
                              (tasks, "refine"), (generation, "alignment_loss")):
             count(module, name)
         setup = assemble_run(small_experiment(seed=3)).setup
-        params = init_params(setup.model_cfg, 3).snapshot()
-        shared = federation._SharedBlock(params, len(setup.clients))
+        store = init_params(setup.model_cfg, 3)
+        shared = federation._SharedBlock(store.vector, len(setup.clients))
         cids = range(len(setup.clients))
-        out = [federation._run_job(setup, shared, ("calibrate", cid, 2)) for cid in cids]
+        out = [federation._run_job(setup, store, shared, ("calibrate", cid, 2))
+               for cid in cids]
         assert all(u.size > 0 for u, _e in out)
         assert calls == {"encode_modalities": len(cids)}
 
@@ -573,14 +591,12 @@ class TestFedAvgZero:
         cfg.missingness.rate = 0.5
         asm = assemble_run(cfg)
         setup = fedavg_zero_setup(asm.setup)
-        from fedmmg import encoding
-        state = setup.clients[0]
-        graph = state.data.graph
+        graph = setup.clients[0].graph
         m = 0
         hidden = np.flatnonzero(graph.natural_mask[:, m] == 0)
         if hidden.size:
-            z = encoding.encode_modality(state.store, "img",
-                                         graph.modalities[m].features,
+            store = init_params(setup.model_cfg, cfg.seed)
+            z = encoding.encode_modality(store, "img", graph.modalities[m].features,
                                          graph.natural_mask[:, m])
             np.testing.assert_array_equal(z.data[hidden], 0.0)
 
@@ -603,7 +619,7 @@ class TestFedAvgZero:
         h_bypass = run_federation(asm_a.setup)
 
         asm_b = assemble_run(cfg_b)
-        h_zero = fedavg_zero_baseline(asm_b.setup)
+        h_zero = run_federation(fedavg_zero_setup(asm_b.setup))
 
         for a, b in zip(h_bypass.records, h_zero.records):
             assert abs(a.mean_loss.task - b.mean_loss.task) < 1e-6
@@ -616,15 +632,31 @@ class TestFedAvgZero:
         cfg_rel = small_experiment(rounds=2)
         cfg_zero.task = cfg_rel.task = task
         h_cfg = run_federation(assemble_run(cfg_zero).setup)
-        h_fn = fedavg_zero_baseline(assemble_run(cfg_rel).setup)
+        h_fn = run_federation(fedavg_zero_setup(assemble_run(cfg_rel).setup))
         assert h_cfg.mode == h_fn.mode == "fedavg-zero"
         assert [r.to_json_dict() for r in h_cfg.records] == \
             [r.to_json_dict() for r in h_fn.records]
 
     def test_deterministic(self):
         cfg = small_experiment(rounds=2)
-        h1 = fedavg_zero_baseline(assemble_run(cfg).setup)
-        h2 = fedavg_zero_baseline(assemble_run(cfg).setup)
+        h1 = run_federation(fedavg_zero_setup(assemble_run(cfg).setup))
+        h2 = run_federation(fedavg_zero_setup(assemble_run(cfg).setup))
         for a, b in zip(h1.records, h2.records):
             assert a.to_json_dict() == b.to_json_dict()
         assert h1.mode == "fedavg-zero"
+
+
+class TestTracedNames:
+    """The names and argument positions the benchmark's span tracer reads."""
+
+    def test_round_index_is_the_fifth_positional_argument(self):
+        params = list(inspect.signature(client_local_round).parameters.values())
+        assert params[4].name == "round_t"
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+                   for p in params[:5])
+
+    def test_wrapped_functions_keep_their_names(self):
+        assert hasattr(ParamStore, "snapshot") and hasattr(ParamStore, "load")
+        assert hasattr(numerics, "adam_step")
+        assert hasattr(federation, "evaluate_client")
+        assert hasattr(federation, "aggregate")
