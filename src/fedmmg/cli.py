@@ -233,7 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GraphFileError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FederationAborted as exc:
+    except (FederationAborted, OSError) as exc:
+        # an OSError is an output that cannot be written; a file that
+        # cannot be read raises ConfigError or GraphFileError above
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
 

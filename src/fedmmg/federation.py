@@ -10,10 +10,13 @@ whichever worker is free: train jobs by descending client size, then
 evaluate jobs, then calibrate jobs. The broadcast vector, the clients'
 update slots and their Adam state live in one shared block mapped before
 the fork, so any worker can run any client's job and only small tuples
-cross the pipes. A client is just its data: each process keeps one working
-model, and every job loads the broadcast into it before it runs. Every job
-draws from its own seeded RNG stream, and the server reduces results in
-ascending client order, so the outputs do not depend on the worker count.
+cross the pipes. A client is just its data: a job lays the model's
+parameter layout over a row of the block. A train job lays it over its
+client's update slot, loads the broadcast there and trains in place;
+evaluate and calibrate jobs lay it over a read-only view of the
+broadcast. Every job draws from its own seeded RNG stream, and the server
+reduces results in ascending client order, so the outputs do not depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -179,10 +182,10 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
                                      data.train_nodes)
     if spec.kind == "lp":
         return task_ops.lp_task_loss(bundle.refined, data.train_edges,
-                                     data.edge_keys, graph.n, spec, rng)
+                                     data.edge_keys, graph.n, rng)
     if spec.kind == "mr":
         return task_ops.mr_task_loss(params, bundle.expert_flat, graph.n,
-                                     graph.num_modalities, data.train_nodes, spec,
+                                     graph.num_modalities, data.train_nodes,
                                      refined=bundle.refined, labels=graph.labels)
     raise ValueError(f"unknown task {spec.kind!r}")
 
@@ -329,7 +332,7 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
         if data.test_nodes.size == 0:
             return None, 0
         queries, gallery = task_ops.mr_embeddings(store, bundle.expert_flat,
-                                                  graph.n, graph.num_modalities, spec)
+                                                  graph.n, graph.num_modalities)
         sim = task_ops.cosine_matrix(nx.rows(queries, data.test_nodes),
                                      nx.rows(gallery, data.test_nodes))
         targets = np.arange(data.test_nodes.size)
@@ -452,34 +455,37 @@ def _calibrate_client(setup: FederationSetup, store: ParamStore, data: ClientDat
     return np.concatenate(cal_u), np.concatenate(cal_e)
 
 
-def _run_job(setup: FederationSetup, store: ParamStore, shared: _SharedBlock,
+def _run_job(setup: FederationSetup, model: ParamStore, shared: _SharedBlock,
              job: tuple):
-    """Load the broadcast vector into the process's working model ``store``,
-    run one ``(kind, cid, round_t)`` job on it and return its outcome.
+    """Run one ``(kind, cid, round_t)`` job on ``model``'s layout laid over
+    a row of the block and return its outcome.
 
-    - ``train``: the client's local round. The update goes into the client's
-      slot and the Adam state stays in the block. The outcome is
-      ``(stats, breakdown)``, or the message of the ``ClientRoundError``
-      that failed the round.
-    - ``evaluate``: ``evaluate_client``'s (row, weight).
-    - ``calibrate``: ``_calibrate_client``'s (uncertainty, norm_err)."""
+    - ``train``: the client's local round, trained in place in the client's
+      update slot after loading the broadcast there; the Adam state stays
+      in the block. The outcome is ``(stats, breakdown)``, or the message
+      of the ``ClientRoundError`` that failed the round.
+    - ``evaluate``: ``evaluate_client``'s (row, weight), and
+    - ``calibrate``: ``_calibrate_client``'s (uncertainty, norm_err), both
+      on a read-only view of the broadcast."""
     kind, cid, round_t = job
     data = setup.clients[cid]
-    store.load(shared.broadcast)
+    if kind == "train":
+        store = model.over(shared.updates[cid])
+        store.load(shared.broadcast)
+        adam = AdamState(shared.m[cid], shared.v[cid], int(shared.steps[cid]))
+        try:
+            return client_local_round(setup, store, adam, data, round_t)
+        except ClientRoundError as exc:
+            return str(exc)
+        finally:
+            shared.steps[cid] = adam.step
+    broadcast = shared.broadcast.view()
+    broadcast.flags.writeable = False
+    store = model.over(broadcast)
     if kind == "evaluate":
         return evaluate_client(store, setup.model_cfg, setup.task_spec, data,
                                round_t, setup.seed)
-    if kind == "calibrate":
-        return _calibrate_client(setup, store, data, round_t)
-    adam = AdamState(shared.m[cid], shared.v[cid], int(shared.steps[cid]))
-    try:
-        outcome = client_local_round(setup, store, adam, data, round_t)
-    except ClientRoundError as exc:
-        return str(exc)
-    finally:
-        shared.steps[cid] = adam.step
-    shared.updates[cid] = store.vector
-    return outcome
+    return _calibrate_client(setup, store, data, round_t)
 
 
 def _portable(exc: Exception) -> Exception:
@@ -601,8 +607,8 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     server = setup.server_cfg
     mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
     history = RoundHistory(mode=mode, task=setup.task_spec.kind)
-    store = init_params(setup.model_cfg, setup.seed)  # each process's working model
-    global_params = store.snapshot()
+    model = init_params(setup.model_cfg, setup.seed)  # the layout every job uses
+    global_params = model.snapshot()
     num_clients = len(setup.clients)
     cids = range(num_clients)
     # longest jobs first: by descending client size, ties by cid
@@ -611,7 +617,7 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     shared = _SharedBlock(global_params, num_clients)
     pending = None  # the last round's record fields, waiting for its metrics
     processes = min(server.workers, num_clients, os.cpu_count() or 1)
-    run_job = functools.partial(_run_job, setup, store, shared)
+    run_job = functools.partial(_run_job, setup, model, shared)
 
     with _job_runner(processes, run_job) as run_jobs:
         for round_t in range(server.rounds + 1):

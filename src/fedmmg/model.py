@@ -18,6 +18,9 @@ from . import numerics as nx
 from .graphdata import MaskSet, MultimodalGraph, missing_ratios
 from .numerics import ParamStore, Tensor, const, glorot, param_rng
 
+MASK_EMBED_DIM = 16      # width of a query's mask-pattern embedding
+MODALITY_EMBED_DIM = 16  # width of a query's target-modality embedding
+
 
 @dataclass
 class ModelConfig:
@@ -28,8 +31,6 @@ class ModelConfig:
     warmup_rounds: int = 30
     router_temperature: float = 1.0
     gnn_layers: int = 2
-    mask_embed_dim: int = 16
-    modality_embed_dim: int = 16
     num_classes: int | None = None
     bypass_generation: bool = False
     lambda_bal: float = 0.5
@@ -47,19 +48,19 @@ class ModelConfig:
         return max(4, self.hidden_dim // 2)
 
 
-def _add_linear(store: ParamStore, seed: int, name: str, fan_in: int,
+def _add_linear(params: dict, seed: int, name: str, fan_in: int,
                 fan_out: int, bias: bool = True) -> None:
     rng = param_rng(seed, name)
-    store.add(f"{name}.w", glorot(rng, fan_in, fan_out))
+    params[f"{name}.w"] = glorot(rng, fan_in, fan_out)
     if bias:
         # small nonzero biases keep hidden units off their relu kink even for
         # all-zero input rows (masked cells), which finite differences need
-        store.add(f"{name}.b", rng.uniform(-0.05, 0.05, size=fan_out))
+        params[f"{name}.b"] = rng.uniform(-0.05, 0.05, size=fan_out)
 
 
-def _add_layer_norm(store: ParamStore, name: str, dim: int) -> None:
-    store.add(f"{name}_g", np.ones(dim))
-    store.add(f"{name}_b", np.zeros(dim))
+def _add_layer_norm(params: dict, name: str, dim: int) -> None:
+    params[f"{name}_g"] = np.ones(dim)
+    params[f"{name}_b"] = np.zeros(dim)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -67,61 +68,61 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
     dedicated stream per parameter name, so the values do not depend on
     creation order or on which mode will be run."""
     d = cfg.hidden_dim
-    store = ParamStore()
+    params: dict[str, np.ndarray] = {}
 
     for name, raw_dim in cfg.modalities:
-        _add_linear(store, seed, f"enc.{name}", raw_dim, d)
-        _add_layer_norm(store, f"enc.{name}.ln", d)
-        _add_linear(store, seed, f"adapter.{name}", d, d)
-        store.add(f"anchor.null.{name}", np.zeros(d))
+        _add_linear(params, seed, f"enc.{name}", raw_dim, d)
+        _add_layer_norm(params, f"enc.{name}.ln", d)
+        _add_linear(params, seed, f"adapter.{name}", d, d)
+        params[f"anchor.null.{name}"] = np.zeros(d)
 
     for layer in range(1, cfg.gnn_layers + 1):
         for prefix in ("gnn", "strenc"):
             rng = param_rng(seed, f"{prefix}.l{layer}")
-            store.add(f"{prefix}.l{layer}.w_self", glorot(rng, d, d))
-            store.add(f"{prefix}.l{layer}.w_neigh", glorot(rng, d, d))
-            store.add(f"{prefix}.l{layer}.b", rng.uniform(-0.05, 0.05, size=d))
-    _add_linear(store, seed, "strenc.in", 1, d)
+            params[f"{prefix}.l{layer}.w_self"] = glorot(rng, d, d)
+            params[f"{prefix}.l{layer}.w_neigh"] = glorot(rng, d, d)
+            params[f"{prefix}.l{layer}.b"] = rng.uniform(-0.05, 0.05, size=d)
+    _add_linear(params, seed, "strenc.in", 1, d)
 
     m_count = len(cfg.modalities)
-    e_mask, e_mod = cfg.mask_embed_dim, cfg.modality_embed_dim
-    _add_linear(store, seed, "gen.query", d + e_mask + e_mod, d)
-    store.add("gen.mask_embed.w", glorot(param_rng(seed, "gen.mask_embed"), m_count, e_mask))
-    store.add("gen.mod_embed", 0.1 * param_rng(seed, "gen.mod_embed").normal(size=(m_count, e_mod)))
+    e_mask, e_mod = MASK_EMBED_DIM, MODALITY_EMBED_DIM
+    _add_linear(params, seed, "gen.query", d + e_mask + e_mod, d)
+    params["gen.mask_embed.w"] = glorot(param_rng(seed, "gen.mask_embed"), m_count, e_mask)
+    params["gen.mod_embed"] = 0.1 * param_rng(seed, "gen.mod_embed").normal(size=(m_count, e_mod))
     for proj in ("wq", "wk", "wv", "wo"):
-        store.add(f"gen.att.{proj}", glorot(param_rng(seed, f"gen.att.{proj}"), d, d))
-    _add_linear(store, seed, "gen.gate", 2 * d, d)
-    store.add("gen.self_proj.w", glorot(param_rng(seed, "gen.self_proj"), d, d))
-    store.add("gen.anchor_proj.w", glorot(param_rng(seed, "gen.anchor_proj"), d, d))
-    store.add("gen.align.w", glorot(param_rng(seed, "gen.align"), d, d))
+        params[f"gen.att.{proj}"] = glorot(param_rng(seed, f"gen.att.{proj}"), d, d)
+    _add_linear(params, seed, "gen.gate", 2 * d, d)
+    params["gen.self_proj.w"] = glorot(param_rng(seed, "gen.self_proj"), d, d)
+    params["gen.anchor_proj.w"] = glorot(param_rng(seed, "gen.anchor_proj"), d, d)
+    params["gen.align.w"] = glorot(param_rng(seed, "gen.align"), d, d)
 
     hid = cfg.estimator_hidden
-    _add_linear(store, seed, "unc.l1", 3 * d, hid)
-    _add_linear(store, seed, "unc.l2", hid, 1)
-    _add_linear(store, seed, "router.l1", 4, hid)
-    _add_linear(store, seed, "router.l2", hid, 2, bias=False)
+    _add_linear(params, seed, "unc.l1", 3 * d, hid)
+    _add_linear(params, seed, "unc.l2", hid, 1)
+    _add_linear(params, seed, "router.l1", 4, hid)
+    _add_linear(params, seed, "router.l2", hid, 2, bias=False)
     # routing weights only act on visible cells, where the observed expert
     # is the safe prior; start there and let training open the recovered path
-    store.add("router.l2.b", np.array([1.5, 0.0]))
+    params["router.l2.b"] = np.array([1.5, 0.0])
     for expert in ("obs", "rec", "struct"):
-        _add_linear(store, seed, f"expert.{expert}", d, d)
-    _add_linear(store, seed, "fallback", 2, 1, bias=False)
+        _add_linear(params, seed, f"expert.{expert}", d, d)
+    _add_linear(params, seed, "fallback", 2, 1, bias=False)
     # start with a mostly-closed fallback gate; it opens as missingness
     # and uncertainty push the logit up during training
-    store.add("fallback.b", np.full(1, -2.0))
-    _add_layer_norm(store, "fuse.ln", d)
+    params["fallback.b"] = np.full(1, -2.0)
+    _add_layer_norm(params, "fuse.ln", d)
 
     rng = param_rng(seed, "refine")
-    store.add("refine.w_self", glorot(rng, d, d))
-    store.add("refine.w_neigh", glorot(rng, d, d))
-    store.add("refine.b", np.zeros(d))
-    _add_layer_norm(store, "refine.ln", d)
+    params["refine.w_self"] = glorot(rng, d, d)
+    params["refine.w_neigh"] = glorot(rng, d, d)
+    params["refine.b"] = np.zeros(d)
+    _add_layer_norm(params, "refine.ln", d)
 
     if cfg.num_classes is not None:
-        _add_linear(store, seed, "head.nc", d, cfg.num_classes)
-    store.add("head.mr.query.w", glorot(param_rng(seed, "head.mr.query"), d, d))
-    store.add("head.mr.gallery.w", glorot(param_rng(seed, "head.mr.gallery"), d, d))
-    return store
+        _add_linear(params, seed, "head.nc", d, cfg.num_classes)
+    params["head.mr.query.w"] = glorot(param_rng(seed, "head.mr.query"), d, d)
+    params["head.mr.gallery.w"] = glorot(param_rng(seed, "head.mr.gallery"), d, d)
+    return ParamStore.pack(params)
 
 
 @dataclass

@@ -5,18 +5,21 @@ arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, products with a constant sparse
 (CSR) matrix, a mean-aggregating graph convolution, and multi-head attention
 over the usable slots of padded banks. Operations record onto the innermost
-open tape. A tape holds, per op, the output's gradient slot and a closure
-over only the arrays that op's backward reads (never a ``Tensor``), so an
-intermediate whose values no gradient formula reads is freed as soon as the
-caller drops it. ``Tape.backward`` runs once per tape and frees each op's
-saved arrays as soon as that op's gradient has been passed on. Values are never
-mutated in place, except a ``ParamStore``'s parameters (views into its flat
-vector), which only ``ParamStore.load``, ``adam_step`` and ``grad_check``
-probes write, never while a tape is open.
+open tape through one recorder, ``_record``: an op gives its forward value
+and one vector-Jacobian product (vjp) per operand, and the tape keeps the
+vjps of the operands that take a gradient. A vjp captures only the arrays
+its formula reads (never a ``Tensor``), so an intermediate whose values no
+kept vjp reads is freed as soon as the caller drops it. ``Tape.backward``
+runs once per tape and frees each op's saved arrays as soon as that op's
+gradient has been passed on. Values are never mutated in place, except a
+``ParamStore``'s parameters (views into the vector it is laid over), which
+only ``ParamStore.load``, ``adam_step`` and ``grad_check`` probes write,
+never while a tape is open.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -55,14 +58,14 @@ class Tape:
 
     Each record is the output's gradient slot (``_Slot``) and the op's
     backward closure. The closure holds the slots of the operands that take
-    a gradient, their shapes, and the arrays its gradient formulas read,
-    such as ``matmul``'s operands or ``relu``'s mask; an operand's values
-    that only a const operand's gradient would read are not kept. Holding
-    a record keeps no ``Tensor`` alive. ``backward`` runs once. It frees each
-    record as soon as its closure has run, so the arrays an op saved are
-    released as the pass goes instead of when the tape dies. ``len`` still
-    counts every op recorded, and the ``.grad`` slots of tensors the caller
-    holds stay set.
+    a gradient and their vjps, which hold shapes and the arrays their
+    formulas read, such as ``matmul``'s operands or ``relu``'s mask; an
+    operand's values that only a const operand's vjp would read are not
+    kept. Holding a record keeps no ``Tensor`` alive. ``backward`` runs
+    once. It frees each record as soon as its closure has run, so the
+    arrays an op saved are released as the pass goes instead of when the
+    tape dies. ``len`` still counts every op recorded, and the ``.grad``
+    slots of tensors the caller holds stay set.
     """
 
     def __init__(self):
@@ -177,13 +180,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
+def _result(data: np.ndarray, takes_grad: bool, backward) -> Tensor:
+    """The op output ``data``; with ``backward`` recorded on the open tape
+    when there is one and some operand ``takes_grad``."""
     tape = _active_tape()
-    needs = tape is not None and any(p.slot is not None for p in parents)
+    needs = takes_grad and tape is not None
     out = Tensor(data, requires_grad=needs)
     if needs:
         tape.record(out, backward)
     return out
+
+
+def _record(data: np.ndarray, *operands) -> Tensor:
+    """Record an op with output ``data`` and operands given as (tensor, vjp)
+    pairs, where vjp maps the output's gradient to that operand's. Only the
+    vjps of operands that take a gradient are kept, and backward runs them
+    in operand order. A vjp may capture arrays and shapes, never a Tensor,
+    so an operand's values live on only if a kept vjp reads them. With no
+    tape open, nothing is kept."""
+    if not _TAPES:
+        return Tensor(data)
+    pulls = [(t.slot, vjp) for t, vjp in operands if t.slot is not None]
+
+    def backward(g):
+        for slot, vjp in pulls:
+            slot.accumulate(vjp(g))
+
+    return _result(data, bool(pulls), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -192,99 +215,49 @@ def _result(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.slot, b.slot
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(_unbroadcast(g, a_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(g, b_shape))
-
-    return _result(a.data + b.data, (a, b), backward)
+    a_shape, b_shape = a.shape, b.shape
+    return _record(a.data + b.data, (a, lambda g: _unbroadcast(g, a_shape)),
+                   (b, lambda g: _unbroadcast(g, b_shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.slot, b.slot
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(_unbroadcast(g, a_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(-g, b_shape))
-
-    return _result(a.data - b.data, (a, b), backward)
+    a_shape, b_shape = a.shape, b.shape
+    return _record(a.data - b.data, (a, lambda g: _unbroadcast(g, a_shape)),
+                   (b, lambda g: _unbroadcast(-g, b_shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(-g)
-
-    return _result(-a.data, (a,), backward)
+    return _record(-a.data, (a, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.slot, b.slot
-    a_shape, b_shape = a.data.shape, b.data.shape
-    # each operand's values are kept only for the other operand's gradient
-    ad = a.data if sb is not None else None
-    bd = b.data if sa is not None else None
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(_unbroadcast(g * bd, a_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(g * ad, b_shape))
-
-    return _result(a.data * b.data, (a, b), backward)
+    ad, bd = a.data, b.data
+    a_shape, b_shape = ad.shape, bd.shape
+    return _record(ad * bd, (a, lambda g: _unbroadcast(g * bd, a_shape)),
+                   (b, lambda g: _unbroadcast(g * ad, b_shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.slot, b.slot
-    a_shape, bd = a.data.shape, b.data
-    ad = a.data if sb is not None else None  # only b's gradient reads it
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(_unbroadcast(g / bd, a_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    return _result(a.data / b.data, (a, b), backward)
+    ad, bd = a.data, b.data
+    a_shape = ad.shape
+    return _record(ad / bd, (a, lambda g: _unbroadcast(g / bd, a_shape)),
+                   (b, lambda g: _unbroadcast(-g * ad / (bd * bd), bd.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * c)
-
-    return _result(a.data * c, (a,), backward)
+    return _record(a.data * c, (a, lambda g: g * c))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; operands must be >= 2-D (leading axes broadcast)."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    sa, sb = a.slot, b.slot
-    a_shape, b_shape = a.data.shape, b.data.shape
-    # each operand's values are kept only for the other operand's gradient
-    ad = a.data if sb is not None else None
-    bd = b.data if sa is not None else None
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape))
-
-    return _result(a.data @ b.data, (a, b), backward)
+    ad, bd = a.data, b.data
+    a_shape, b_shape = ad.shape, bd.shape
+    return _record(ad @ bd,
+                   (a, lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape)),
+                   (b, lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape)))
 
 
 class KinkWatch:
@@ -313,24 +286,12 @@ def relu(a: Tensor) -> Tensor:
     watch = KinkWatch.active
     if watch is not None and a.data.size:
         watch.margin = min(watch.margin, float(np.abs(a.data).min()))
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * mask)
-
-    return _result(a.data * mask, (a,), backward)
+    return _record(a.data * mask, (a, lambda g: g * mask))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     data = _sigmoid_np(a.data)
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * data * (1.0 - data))
-
-    return _result(data, (a,), backward)
+    return _record(data, (a, lambda g: g * data * (1.0 - data)))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -341,36 +302,18 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * data)
-
-    return _result(data, (a,), backward)
+    return _record(data, (a, lambda g: g * data))
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = np.sqrt(a.data)
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * 0.5 / data)
-
-    return _result(data, (a,), backward)
+    return _record(data, (a, lambda g: g * 0.5 / data))
 
 
 def softplus(a: Tensor) -> Tensor:
     x = a.data
     data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g * _sigmoid_np(x))
-
-    return _result(data, (a,), backward)
+    return _record(data, (a, lambda g: g * _sigmoid_np(x)))
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
@@ -385,14 +328,12 @@ def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
     x = x - x.max(axis=axis, keepdims=True)
     e = np.exp(x)
     data = e / e.sum(axis=axis, keepdims=True)
-    sa = a.slot
 
-    def backward(g):
-        if sa is not None:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            sa.accumulate(data * (g - dot) / temperature)
+    def vjp(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        return data * (g - dot) / temperature
 
-    return _result(data, (a,), backward)
+    return _record(data, (a, vjp))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -400,13 +341,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     m = x.max(axis=axis, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
     data = x - lse
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _result(data, (a,), backward)
+    return _record(data, (a, lambda g: g - np.exp(data) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> Tensor:
@@ -420,32 +355,23 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _LN_EPS) -> T
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
     gd = gain.data
-    sa, sg, sb = a.slot, gain.slot, bias.slot
-    g_shape, b_shape = gd.shape, bias.data.shape
+    g_shape, b_shape = gd.shape, bias.shape
 
-    def backward(g):
+    def a_vjp(g):
         dy = g * gd
-        if sa is not None:
-            m1 = dy.mean(axis=-1, keepdims=True)
-            m2 = (dy * y).mean(axis=-1, keepdims=True)
-            sa.accumulate(inv * (dy - m1 - y * m2))
-        if sg is not None:
-            sg.accumulate(_unbroadcast(g * y, g_shape))
-        if sb is not None:
-            sb.accumulate(_unbroadcast(g, b_shape))
+        m1 = dy.mean(axis=-1, keepdims=True)
+        m2 = (dy * y).mean(axis=-1, keepdims=True)
+        return inv * (dy - m1 - y * m2)
 
-    return _result(gd * y + bias.data, (a, gain, bias), backward)
+    return _record(gd * y + bias.data, (a, a_vjp),
+                   (gain, lambda g: _unbroadcast(g * y, g_shape)),
+                   (bias, lambda g: _unbroadcast(g, b_shape)))
 
 
 def total_sum(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(np.broadcast_to(g, shape).copy())
-
-    return _result(np.asarray(a.data.sum()), (a,), backward)
+    shape = a.shape
+    return _record(np.asarray(a.data.sum()),
+                   (a, lambda g: np.broadcast_to(g, shape).copy()))
 
 
 def mean(a: Tensor) -> Tensor:
@@ -453,69 +379,47 @@ def mean(a: Tensor) -> Tensor:
 
 
 def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    shape = a.data.shape
-    sa = a.slot
+    shape = a.shape
 
-    def backward(g):
-        if sa is not None:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            sa.accumulate(np.broadcast_to(gg, shape).copy())
+    def vjp(g):
+        return np.broadcast_to(g if keepdims else np.expand_dims(g, axis), shape).copy()
 
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    parts = [(t.slot, t.data.shape[axis]) for t in tensors]
+    ends = list(itertools.accumulate(t.data.shape[axis] for t in tensors))
 
-    def backward(g):
-        offset = 0
-        for slot, size in parts:
-            if slot is not None:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + size)
-                slot.accumulate(g[tuple(index)])
-            offset += size
+    def piece(start: int, stop: int):
+        index = (slice(None),) * (axis % data.ndim) + (slice(start, stop),)
+        return lambda g: g[index]
 
-    return _result(data, tuple(tensors), backward)
+    return _record(data, *((t, piece(start, stop))
+                           for t, start, stop in zip(tensors, [0] + ends, ends)))
 
 
 def rows(a: Tensor, index) -> Tensor:
     """Gather rows along axis 0 (``index`` of any shape). Backward
     scatter-adds, in index order (deterministic)."""
     idx = np.asarray(index, dtype=np.intp)
-    shape = a.data.shape
-    sa = a.slot
+    shape = a.shape
 
-    def backward(g):
-        if sa is not None:
-            width = math.prod(shape[1:])
-            flat = scatter_index(idx.reshape(-1), width)
-            sa.accumulate(scatter_sum(g.reshape(idx.size, width), flat,
-                                      shape[0]).reshape(shape))
+    def vjp(g):
+        width = math.prod(shape[1:])
+        flat = scatter_index(idx.reshape(-1), width)
+        return scatter_sum(g.reshape(idx.size, width), flat, shape[0]).reshape(shape)
 
-    return _result(a.data[idx], (a,), backward)
+    return _record(a.data[idx], (a, vjp))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(g.reshape(orig))
-
-    return _result(a.data.reshape(shape), (a,), backward)
+    orig = a.shape
+    return _record(a.data.reshape(shape), (a, lambda g: g.reshape(orig)))
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    sa = a.slot
-
-    def backward(g):
-        if sa is not None:
-            sa.accumulate(np.swapaxes(g, ax1, ax2))
-
-    return _result(np.swapaxes(a.data, ax1, ax2), (a,), backward)
+    return _record(np.swapaxes(a.data, ax1, ax2), (a, lambda g: np.swapaxes(g, ax1, ax2)))
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -659,13 +563,7 @@ def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:
 
 def spmm(s: CSRMatrix, x: Tensor) -> Tensor:
     """Product of a constant sparse matrix and a tensor; backward is S^T g."""
-    sx = x.slot
-
-    def backward(g):
-        if sx is not None:
-            sx.accumulate(s.tdot(g))
-
-    return _result(s.dot(x.data), (x,), backward)
+    return _record(s.dot(x.data), (x, s.tdot))
 
 
 def sage_conv(x: Tensor, neigh_mat: CSRMatrix, w_self: Tensor, w_neigh: Tensor,
@@ -764,7 +662,7 @@ def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
                 sk.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
                                             True, t_count))
 
-    return _result(data, (q, k, v), backward), w
+    return _result(data, any(slot is not None for slot in (sq, sk, sv)), backward), w
 
 
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
@@ -827,55 +725,46 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
 
 
 class ParamStore:
-    """Named trainable tensors backed by one contiguous float64 vector.
+    """Named trainable tensors laid out over one flat float64 vector.
 
-    Parameters are added one at a time. The first use of ``vector`` packs
-    them, in sorted-name order, into one buffer; from then on each tensor's
-    ``data`` is a reshaped view into it (so the tensor ``add`` returned stays
-    the live parameter) and no parameter can be added."""
+    ``pack`` joins named arrays, in sorted-name order, into a new vector;
+    ``over`` lays the same layout over another vector of that length. Each
+    parameter's ``data`` is a reshaped view into ``vector``, so writing the
+    vector writes the parameters. A copy or pickle rebuilds the views over
+    its own vector."""
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._vector: np.ndarray | None = None
-        self._layout: list[tuple[str, slice]] = []
+    def __init__(self, layout: tuple, vector: np.ndarray):
+        """Lay ``layout``, (name, slice, shape) triples, over ``vector``."""
+        self._layout = layout
+        self.vector = vector
+        self._params = {name: Tensor(vector[span].reshape(shape), requires_grad=True)
+                        for name, span, shape in layout}
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if self._vector is not None:
-            raise ValueError(f"cannot add parameter {name!r} to a packed store")
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-        self._params[name] = t
-        return t
+    @classmethod
+    def pack(cls, arrays: dict) -> "ParamStore":
+        names = sorted(arrays)
+        values = [np.asarray(arrays[name], dtype=np.float64) for name in names]
+        ends = np.cumsum([0] + [v.size for v in values]).tolist()
+        layout = tuple((name, slice(a, b), v.shape)
+                       for name, v, a, b in zip(names, values, ends, ends[1:]))
+        return cls(layout, np.concatenate([v.reshape(-1) for v in values]))
+
+    def over(self, vector: np.ndarray) -> "ParamStore":
+        """The same layout over ``vector``, with fresh gradient slots."""
+        if vector.shape != self.vector.shape or vector.dtype != np.float64:
+            raise ValueError(f"cannot lay a store of shape {self.vector.shape} over "
+                             f"a {vector.dtype} vector of shape {vector.shape}")
+        return ParamStore(self._layout, vector)
+
+    def __reduce__(self):
+        return ParamStore, (self._layout, self.vector)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return sorted(self._params)
-
-    def items(self):
-        for name in self.names():
-            yield name, self._params[name]
-
-    @property
-    def vector(self) -> np.ndarray:
-        """All parameter values, flattened and joined in sorted-name order."""
-        if self._vector is None:
-            ends = np.cumsum([0] + [p.data.size for _, p in self.items()]).tolist()
-            self._layout = [(name, slice(a, b))
-                            for name, a, b in zip(self.names(), ends, ends[1:])]
-            self._vector = np.empty(ends[-1])
-            for name, span in self._layout:
-                p = self._params[name]
-                self._vector[span] = p.data.reshape(-1)
-                p.data = self._vector[span].reshape(p.data.shape)
-        return self._vector
-
     def layout(self) -> list[tuple[str, slice]]:
         """Each parameter's name and its slice of ``vector``, in that order."""
-        self.vector  # packs on first use
-        return self._layout
+        return [(name, span) for name, span, _ in self._layout]
 
     def zero_grads(self) -> None:
         for p in self._params.values():
@@ -884,7 +773,7 @@ class ParamStore:
     def take_grads(self) -> np.ndarray:
         """Gather the gradient slots into one vector (zeros where empty), clear them."""
         grad = np.zeros_like(self.vector)
-        for name, span in self._layout:
+        for name, span, _ in self._layout:
             p = self._params[name]
             if p.grad is not None:
                 grad[span] = p.grad.reshape(-1)

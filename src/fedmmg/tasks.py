@@ -17,6 +17,14 @@ from .numerics import ParamStore, Tensor, const
 
 TASK_KINDS = ("nc", "lp", "mr")
 
+# link prediction: weights of the BCE, pairwise-rank and margin terms, the
+# margin, and the hard-negative pool size max(MIN_POOL, SCALE * batch)
+LP_BCE_WEIGHT, LP_BPR_WEIGHT, LP_MARGIN_WEIGHT, LP_MARGIN = 1.0, 0.5, 0.3, 0.1
+HARD_NEGATIVE_SCALE, HARD_NEGATIVE_MIN_POOL = 4.0, 256
+# retrieval: InfoNCE temperature, auxiliary classifier weight, and the
+# query modality (the image-like side queries the text-like gallery)
+NCE_TEMPERATURE, LAMBDA_CLS, QUERY_MODALITY = 0.07, 0.2, 0
+
 
 @dataclass
 class TaskSpec:
@@ -24,15 +32,6 @@ class TaskSpec:
     lambda_rec: float
     lambda_align: float = 0.01
     lambda_route: float = 0.01
-    lp_bce_weight: float = 1.0
-    lp_bpr_weight: float = 0.5
-    lp_margin_weight: float = 0.3
-    lp_margin: float = 0.1
-    nce_temperature: float = 0.07
-    hard_negative_scale: float = 4.0
-    hard_negative_min_pool: int = 256
-    lambda_cls: float = 0.2
-    query_modality: int = 0   # image-like side queries the text-like gallery
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -40,8 +39,6 @@ class TaskSpec:
         for lam in (self.lambda_rec, self.lambda_align, self.lambda_route):
             if lam < 0:
                 raise ValueError("loss weights must be nonnegative")
-        if self.nce_temperature <= 0:
-            raise ValueError("contrastive temperature must be positive")
 
     @classmethod
     def for_kind(cls, kind: str, lambda_rec: float | None = None,
@@ -147,25 +144,25 @@ def non_edge_pairs(pairs: np.ndarray, n_nodes: int, keys: np.ndarray) -> np.ndar
 
 def sample_hard_negatives(refined_detached: np.ndarray, n_nodes: int,
                           batch: int, keys: np.ndarray,
-                          spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """Top-scoring non-edges from a random pool of size max(min_pool, scale*B).
+                          rng: np.random.Generator) -> np.ndarray:
+    """Top-scoring non-edges from a random pool of
+    max(HARD_NEGATIVE_MIN_POOL, HARD_NEGATIVE_SCALE * B) pairs.
 
     ``keys`` are the graph's ``edge_keys``; raises ValueError when every
     pair of distinct nodes is an edge."""
     if not has_non_edge(n_nodes, keys):
         raise ValueError("the graph has no non-edge to sample negatives from")
-    pool_size = max(spec.hard_negative_min_pool, int(spec.hard_negative_scale * batch))
-    cand = rng.integers(0, n_nodes, size=(pool_size * 2, 2))
-    pool = non_edge_pairs(cand, n_nodes, keys)[:pool_size].astype(np.intp)
-    if pool.shape[0] == 0:
-        pool = np.array([(0, min(1, n_nodes - 1))], dtype=np.intp)
+    pool_size = max(HARD_NEGATIVE_MIN_POOL, int(HARD_NEGATIVE_SCALE * batch))
+    pool = np.empty((0, 2), dtype=np.intp)
+    while pool.shape[0] == 0:  # a non-edge exists, so some draw finds one
+        cand = rng.integers(0, n_nodes, size=(pool_size * 2, 2))
+        pool = non_edge_pairs(cand, n_nodes, keys)[:pool_size].astype(np.intp)
     scores = (refined_detached[pool[:, 0]] * refined_detached[pool[:, 1]]).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:batch]
     return pool[np.sort(order)]
 
 
-def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
-                 spec: TaskSpec) -> Tensor:
+def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray) -> Tensor:
     """Composite of BCE, pairwise-rank, and margin losses; row b of
     ``neg_pairs`` is ranked against row b of ``pos_pairs``."""
     batch = pos_pairs.shape[0]
@@ -177,25 +174,24 @@ def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray,
 
     diff = nx.sub(s_pos, s_neg)
     bpr = nx.mean(nx.softplus(nx.neg(diff)))
-    margin = nx.mean(nx.relu(nx.sub(const(np.full((batch, 1), spec.lp_margin)), diff)))
+    margin = nx.mean(nx.relu(nx.sub(const(np.full((batch, 1), LP_MARGIN)), diff)))
 
-    total = nx.scale(bce, spec.lp_bce_weight)
-    total = nx.add(total, nx.scale(bpr, spec.lp_bpr_weight))
-    return nx.add(total, nx.scale(margin, spec.lp_margin_weight))
+    total = nx.scale(bce, LP_BCE_WEIGHT)
+    total = nx.add(total, nx.scale(bpr, LP_BPR_WEIGHT))
+    return nx.add(total, nx.scale(margin, LP_MARGIN_WEIGHT))
 
 
-def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
-                 keys: np.ndarray, n_nodes: int,
-                 spec: TaskSpec, rng: np.random.Generator) -> Tensor:
+def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray, keys: np.ndarray,
+                 n_nodes: int, rng: np.random.Generator) -> Tensor:
     """``lp_pair_loss`` against one hard negative per positive edge."""
     if pos_pairs.shape[0] == 0:
         raise ValueError("link prediction batch contains no positive edges")
     batch = pos_pairs.shape[0]
-    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, keys, spec, rng)
+    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, keys, rng)
     if neg_pairs.shape[0] < batch:
         reps = -(-batch // neg_pairs.shape[0])
         neg_pairs = np.tile(neg_pairs, (reps, 1))[:batch]
-    return lp_pair_loss(refined, pos_pairs, neg_pairs, spec)
+    return lp_pair_loss(refined, pos_pairs, neg_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +200,9 @@ def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray,
 
 
 def mr_embeddings(params: ParamStore, expert_flat: Tensor, n_nodes: int,
-                  m_count: int, spec: TaskSpec) -> tuple[Tensor, Tensor]:
+                  m_count: int) -> tuple[Tensor, Tensor]:
     """Project the per-modality expert outputs into query/gallery spaces."""
-    query_m = spec.query_modality
+    query_m = QUERY_MODALITY
     gallery_m = 1 if query_m == 0 else 0
     q_rows = np.arange(query_m * n_nodes, (query_m + 1) * n_nodes)
     g_rows = np.arange(gallery_m * n_nodes, (gallery_m + 1) * n_nodes)
@@ -225,17 +221,16 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mr_task_loss(params: ParamStore, expert_flat: Tensor, n_nodes: int,
-                 m_count: int, batch_idx: np.ndarray, spec: TaskSpec,
-                 refined: Tensor | None = None,
+                 m_count: int, batch_idx: np.ndarray, refined: Tensor | None = None,
                  labels: np.ndarray | None = None) -> Tensor:
     """In-batch InfoNCE on cosine similarities, plus the auxiliary classifier
     when labels are available."""
-    queries, gallery = mr_embeddings(params, expert_flat, n_nodes, m_count, spec)
+    queries, gallery = mr_embeddings(params, expert_flat, n_nodes, m_count)
     q_batch = nx.rows(queries, batch_idx)
     g_batch = nx.rows(gallery, batch_idx)
-    logits = nx.scale(cosine_matrix(q_batch, g_batch), 1.0 / spec.nce_temperature)
+    logits = nx.scale(cosine_matrix(q_batch, g_batch), 1.0 / NCE_TEMPERATURE)
     loss = cross_entropy(logits, np.arange(batch_idx.size))
-    if labels is not None and refined is not None and spec.lambda_cls > 0:
+    if labels is not None and refined is not None:
         aux = nc_task_loss(params, refined, labels, batch_idx)
-        loss = nx.add(loss, nx.scale(aux, spec.lambda_cls))
+        loss = nx.add(loss, nx.scale(aux, LAMBDA_CLS))
     return loss

@@ -67,13 +67,13 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
                                          train_idx)
         elif spec.kind == "mr":
             task = task_ops.mr_task_loss(store, bundle.expert_flat, graph.n,
-                                         graph.num_modalities, train_idx, spec,
+                                         graph.num_modalities, train_idx,
                                          refined=bundle.refined,
                                          labels=graph.labels)
         else:
             pos = graph.edges[:3]
             neg = np.array([[0, 4], [1, 5], [2, 5]], dtype=np.intp)
-            task = task_ops.lp_pair_loss(bundle.refined, pos, neg, spec)
+            task = task_ops.lp_pair_loss(bundle.refined, pos, neg)
         total, _ = task_ops.local_objective(spec, task, bundle.rec_loss,
                                             bundle.align_loss, bundle.route_loss)
         return total

@@ -324,6 +324,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "run failed: simulated failure inside the run\n"
 
+    @pytest.mark.parametrize("command, out", [("run", "results"),
+                                              ("gen-data", "graph.json")])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, command, out):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(blocker / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and str(blocker) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_dead_worker_exits_two(self, tmp_path, capfd, monkeypatch):
         # fd-level capture: a worker's own output would show here too
         import multiprocessing

@@ -334,8 +334,9 @@ class TestRunFederation:
                                    atol=1e-12)
 
     def test_one_model_is_initialised_per_run(self, monkeypatch):
-        # clients hold no parameters: the run makes the one working model
-        # that seeds the broadcast, whatever the client count
+        # clients hold no parameters: the run makes the one model that seeds
+        # the broadcast and whose layout every job uses, whatever the client
+        # count
         calls = []
         real_init = federation.init_params
 
@@ -499,7 +500,7 @@ class TestClientLanes:
 class TestSharedBlock:
     def test_a_second_copy_continues_the_first_copys_optimizer(self):
         # client 0's rounds 0 and 1 in two copies of the setup, each with its
-        # own working model, as two forked workers hold them, against both
+        # own parameter layout, as two forked workers hold them, against both
         # in one copy
         def setup_and_block():
             setup = assemble_run(small_experiment(seed=3)).setup
@@ -517,6 +518,25 @@ class TestSharedBlock:
         assert block.steps[0] == 2 * one.train_cfg.local_epochs
         for name in ("broadcast", "updates", "m", "v", "steps"):
             assert getattr(block, name).tobytes() == getattr(one_block, name).tobytes()
+
+    def test_evaluate_and_calibrate_jobs_read_the_broadcast_only(self, monkeypatch):
+        stores = []
+        for name in ("evaluate_client", "_calibrate_client"):
+            def spy(*args, real=getattr(federation, name)):
+                stores.extend(a for a in args if isinstance(a, ParamStore))
+                return real(*args)
+            monkeypatch.setattr(federation, name, spy)
+        setup = assemble_run(small_experiment(seed=3)).setup
+        model = init_params(setup.model_cfg, 3)
+        shared = federation._SharedBlock(model.vector, len(setup.clients))
+        for kind in ("evaluate", "calibrate"):
+            federation._run_job(setup, model, shared, (kind, 0, 0))
+        assert len(stores) == 2
+        for store in stores:
+            assert np.shares_memory(store.vector, shared.broadcast)
+            assert not any(store[name].data.flags.writeable for name, _ in store.layout())
+            with pytest.raises(ValueError, match="read-only"):
+                store.load(shared.broadcast)
 
 
 def full_forward_calibration(setup: FederationSetup, data: ClientData,

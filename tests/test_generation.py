@@ -462,9 +462,9 @@ class TestReconstructionLoss:
 
     def test_gradient_stops_at_target(self):
         from fedmmg.numerics import ParamStore, Tape
-        store = ParamStore()
-        gen = store.add("gen", np.array([[1.0, 2.0]]))
-        target = store.add("target", np.array([[0.5, 0.5]]))
+        store = ParamStore.pack({"gen": np.array([[1.0, 2.0]]),
+                                 "target": np.array([[0.5, 0.5]])})
+        gen, target = store["gen"], store["target"]
         with Tape() as tape:
             loss = reconstruction_loss(squared_cell_errors(gen, target),
                                        np.array([1.0]))

@@ -1,5 +1,7 @@
 """Tensor engine: gradients, attention masking, conv, optimizer, layer norm."""
 
+import copy
+import pickle
 import tracemalloc
 import weakref
 
@@ -25,13 +27,14 @@ def identity_attention(d: int) -> AttentionParams:
     return AttentionParams(wq=const(eye), wk=const(eye), wv=const(eye), wo=const(eye))
 
 
-def random_attention(store: ParamStore, rng, dq, dk, dv, da) -> AttentionParams:
-    return AttentionParams(
-        wq=store.add("wq", rng.normal(size=(dq, da)) * 0.3),
-        wk=store.add("wk", rng.normal(size=(dk, da)) * 0.3),
-        wv=store.add("wv", rng.normal(size=(dv, da)) * 0.3),
-        wo=store.add("wo", rng.normal(size=(da, dv)) * 0.3),
-    )
+def attention_arrays(rng, dq, dk, dv, da) -> dict:
+    """Random projection arrays named wq, wk, wv, wo."""
+    return {"wq": rng.normal(size=(dq, da)) * 0.3, "wk": rng.normal(size=(dk, da)) * 0.3,
+            "wv": rng.normal(size=(dv, da)) * 0.3, "wo": rng.normal(size=(da, dv)) * 0.3}
+
+
+def attention_of(store: ParamStore) -> AttentionParams:
+    return AttentionParams(*(store[name] for name in ("wq", "wk", "wv", "wo")))
 
 
 class TestAttention:
@@ -90,8 +93,8 @@ class TestAttention:
 
     def test_attention_gradients(self):
         rng = np.random.default_rng(4)
-        store = ParamStore()
-        params = random_attention(store, rng, 6, 6, 6, 8)
+        store = ParamStore.pack(attention_arrays(rng, 6, 6, 6, 8))
+        params = attention_of(store)
         query = const(rng.normal(size=(1, 6)))
         bank = const(rng.normal(size=(4, 6)))
         mask = np.array([0.0, 0.0, MASK_NEG, 0.0])
@@ -167,8 +170,7 @@ def with_padding_columns(rng, index, mask, extra, pad_row):
 class TestSharedMemoryAttention:
     def test_matches_gather_then_project(self):
         rng = np.random.default_rng(11)
-        store = ParamStore()
-        params = random_attention(store, rng, 5, 6, 6, 8)
+        params = attention_of(ParamStore.pack(attention_arrays(rng, 5, 6, 6, 8)))
         memory = np.vstack([rng.normal(size=(7, 6)), np.zeros((1, 6))])
         index, mask = shared_memory_banks(rng, 7, 9, 5)
         query = rng.normal(size=(9, 5))
@@ -186,9 +188,9 @@ class TestSharedMemoryAttention:
 
     def test_gradients_of_projections_and_memory_rows(self):
         rng = np.random.default_rng(12)
-        store = ParamStore()
-        params = random_attention(store, rng, 5, 6, 6, 8)
-        memory = store.add("memory", rng.normal(size=(7, 6)))
+        arrays = attention_arrays(rng, 5, 6, 6, 8)
+        store = ParamStore.pack({**arrays, "memory": rng.normal(size=(7, 6))})
+        params = attention_of(store)
         pad_row = const(np.zeros((1, 6)))
         index, mask = shared_memory_banks(rng, 7, 9, 5, empty=(2, 6))
         query = const(rng.normal(size=(9, 5)))
@@ -222,8 +224,7 @@ class TestSharedMemoryAttention:
 
     def _setup(self, seed, empty=()):
         rng = np.random.default_rng(seed)
-        store = ParamStore()
-        params = random_attention(store, rng, 5, 6, 6, 8)
+        params = attention_of(ParamStore.pack(attention_arrays(rng, 5, 6, 6, 8)))
         memory = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
         query = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
         index, mask = shared_memory_banks(rng, 7, 9, 5, empty)
@@ -342,10 +343,12 @@ def at_each_backward(monkeypatch, setup, inspect):
 
 
 def held_objects(value):
-    """``value`` and, recursively, the items of the lists and tuples in it."""
+    """``value`` and, recursively, the items of the lists and tuples in it
+    and the contents of the closure cells of the functions in it."""
     if isinstance(value, (list, tuple)):
         return [x for item in value for x in held_objects(item)]
-    return [value]
+    cells = getattr(value, "__closure__", None) or ()
+    return [value] + [x for cell in cells for x in held_objects(cell.cell_contents)]
 
 
 class TestTapeLifetime:
@@ -399,10 +402,7 @@ class TestTapeLifetime:
         held: list = []
 
         def inspect(tape):
-            for slot, backward in tape._records:
-                held.append(slot)
-                held.extend(x for cell in backward.__closure__ or ()
-                            for x in held_objects(cell.cell_contents))
+            held.extend(held_objects(tape._records))
 
         at_each_backward(monkeypatch, assemble_run(cfg).setup, inspect)
         assert not [x for x in held if isinstance(x, Tensor)]
@@ -511,8 +511,7 @@ class TestSoftmax:
 
     def test_softmax_dot_gradients(self):
         rng = np.random.default_rng(6)
-        store = ParamStore()
-        store.add("w", rng.normal(size=(5, 5)))
+        store = ParamStore.pack({"w": rng.normal(size=(5, 5))})
         x = const(rng.normal(size=(3, 5)))
         probe = const(rng.normal(size=(3, 5)))
 
@@ -601,8 +600,7 @@ class TestSparseOps:
         rng = np.random.default_rng(seed)
         mat = neighbor_mean_matrix(n, edge_array(edges))
         mat = mat.with_data(rng.normal(size=mat.data.shape))
-        store = ParamStore()
-        store.add("x", rng.normal(size=(n, 3)))
+        store = ParamStore.pack({"x": rng.normal(size=(n, 3))})
         probe = const(rng.normal(size=(n, 3)))
 
         def f(s):
@@ -699,16 +697,16 @@ def _adam_cases(draw):
 
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
-        store = ParamStore()
-        p = store.add("p", np.array([1.0, -2.0]))
+        store = ParamStore.pack({"p": np.array([1.0, -2.0])})
+        p = store["p"]
         state = AdamState.for_params(store)
         adam_step(store, state, store.take_grads(), lr=0.01)
         np.testing.assert_allclose(p.data, [1.0, -2.0])
 
     def test_first_step_matches_closed_form(self):
         # m_hat = g, v_hat = g^2 => step = lr * g / (|g| + eps)
-        store = ParamStore()
-        p = store.add("p", np.array([0.7]))
+        store = ParamStore.pack({"p": np.array([0.7])})
+        p = store["p"]
         state = AdamState.for_params(store)
         p.grad = np.array([1.0])
         lr, eps = 0.005, 1e-8
@@ -719,16 +717,16 @@ class TestAdam:
         assert p.grad is None  # cleared after the step
 
     def test_zero_lr_is_identity(self):
-        store = ParamStore()
-        p = store.add("p", np.array([3.0]))
+        store = ParamStore.pack({"p": np.array([3.0])})
+        p = store["p"]
         state = AdamState.for_params(store)
         p.grad = np.array([123.0])
         adam_step(store, state, store.take_grads(), lr=0.0)
         np.testing.assert_allclose(p.data, [3.0])
 
     def test_nan_gradient_raises_with_name(self):
-        store = ParamStore()
-        p = store.add("bad.weight", np.array([1.0]))
+        store = ParamStore.pack({"bad.weight": np.array([1.0])})
+        p = store["bad.weight"]
         state = AdamState.for_params(store)
         p.grad = np.array([np.nan])
         with pytest.raises(GradientError, match="bad.weight"):
@@ -740,8 +738,8 @@ class TestAdam:
         shapes = {"a": (), "b": (3,), "c": (2, 3), "d": (2,)}
         rng = np.random.default_rng(21)
         init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
-        store = ParamStore()
-        tensors = {name: store.add(name, value) for name, value in init.items()}
+        store = ParamStore.pack(init)
+        tensors = {name: store[name] for name in init}
         state = AdamState.for_params(store)
         ref = {name: np.array(value) for name, value in init.items()}
         m = {name: np.zeros(shape) for name, shape in shapes.items()}
@@ -768,9 +766,7 @@ class TestAdam:
     @given(case=_adam_cases())
     def test_in_place_moments_match_the_old_expression_bit_for_bit(self, case):
         init, grads, lr = case
-        store, ref_store = ParamStore(), ParamStore()
-        store.add("p", init)
-        ref_store.add("p", init)
+        store, ref_store = ParamStore.pack({"p": init}), ParamStore.pack({"p": init})
         state, ref = AdamState.for_params(store), AdamState.for_params(ref_store)
         m, v = state.m, state.v
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -787,16 +783,14 @@ class TestParamStoreVector:
     @staticmethod
     def _store():
         rng = np.random.default_rng(8)
-        store = ParamStore()
-        w = store.add("w", rng.normal(size=(3, 2)))
-        b = store.add("b", rng.normal(size=2))
-        s = store.add("s", np.asarray(0.5))
-        return store, {"w": w, "b": b, "s": s}
+        store = ParamStore.pack({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2),
+                                 "s": np.asarray(0.5)})
+        return store, {name: store[name] for name in ("w", "b", "s")}
 
     @staticmethod
     def _all_views(store):
         return all(np.shares_memory(store[name].data, store.vector)
-                   for name in store.names())
+                   for name, _ in store.layout())
 
     def test_vector_is_sorted_name_concatenation(self):
         store, tensors = self._store()
@@ -806,9 +800,8 @@ class TestParamStoreVector:
         assert self._all_views(store)
 
     def test_rejected_load_leaves_store_untouched(self):
-        store = ParamStore()
-        a = store.add("a", np.ones(2))
-        store.add("b", np.zeros(1))
+        store = ParamStore.pack({"a": np.ones(2), "b": np.zeros(1)})
+        a = store["a"]
         for bad in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             with pytest.raises(ValueError):
                 store.load(bad)
@@ -857,11 +850,33 @@ class TestParamStoreVector:
         assert all(probed) and len(set(probed)) == 3  # base point, +h, -h
         assert store.vector.tobytes() == at_check.tobytes()
 
-    def test_add_after_packing_is_rejected(self):
+    def test_over_lays_the_layout_over_another_vector(self):
+        store, tensors = self._store()
+        other = np.arange(store.vector.size, dtype=np.float64)
+        laid = store.over(other)
+        assert laid.vector is other and self._all_views(laid)
+        assert laid.layout() == store.layout()
+        tensors["w"].grad = np.ones((3, 2))
+        assert laid["w"].grad is None  # fresh slots
+        laid.load(store.vector)
+        for name, t in tensors.items():
+            assert laid[name].data.tobytes() == t.data.tobytes()
+        for bad in (np.zeros(other.size + 1), np.zeros(other.size, dtype=np.float32)):
+            with pytest.raises(ValueError):
+                store.over(bad)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda s: pickle.loads(pickle.dumps(s))])
+    def test_a_copy_loads_into_its_own_parameters(self, clone):
         store, _ = self._store()
-        store.vector
-        with pytest.raises(ValueError, match="late"):
-            store.add("late", np.zeros(1))
+        saved = store.snapshot()
+        twin = clone(store)
+        assert self._all_views(twin)
+        assert not np.shares_memory(twin.vector, store.vector)
+        twin.load(saved + 1.0)
+        for name, span in twin.layout():
+            assert twin[name].data.reshape(-1).tobytes() == (saved[span] + 1.0).tobytes()
+        assert store.vector.tobytes() == saved.tobytes()
 
     def test_clip_scales_in_place_to_the_bound(self):
         grad = np.array([3.0, 4.0])
@@ -894,10 +909,8 @@ class TestLayerNorm:
 
     def test_gradients(self):
         rng = np.random.default_rng(11)
-        store = ParamStore()
-        store.add("x", rng.normal(size=(3, 6)))
-        store.add("g", rng.normal(size=6))
-        store.add("b", rng.normal(size=6))
+        store = ParamStore.pack({"x": rng.normal(size=(3, 6)), "g": rng.normal(size=6),
+                                 "b": rng.normal(size=6)})
         probe = const(rng.normal(size=(3, 6)))
 
         def f(s):
@@ -908,8 +921,7 @@ class TestLayerNorm:
 
 class TestGradCheckHarness:
     def test_simple_square(self):
-        store = ParamStore()
-        store.add("x", np.array([3.0]))
+        store = ParamStore.pack({"x": np.array([3.0])})
 
         def f(s):
             return nx.total_sum(nx.mul(s["x"], s["x"]))
@@ -918,14 +930,12 @@ class TestGradCheckHarness:
         assert report.max_rel_err < 1e-8
 
     def test_rejects_bad_step(self):
-        store = ParamStore()
-        store.add("x", np.array([1.0]))
+        store = ParamStore.pack({"x": np.array([1.0])})
         with pytest.raises(ValueError):
             grad_check(lambda s: nx.total_sum(s["x"]), store, h=1e-2)
 
     def test_nonfinite_objective_raises(self):
-        store = ParamStore()
-        store.add("x", np.array([0.0]))
+        store = ParamStore.pack({"x": np.array([0.0])})
 
         def f(s):
             return nx.div(const(np.asarray(1.0)), nx.total_sum(nx.mul(s["x"], s["x"])))
@@ -937,9 +947,7 @@ class TestGradCheckHarness:
 class TestMixedOps:
     def test_broadcasting_and_gather_gradients(self):
         rng = np.random.default_rng(12)
-        store = ParamStore()
-        store.add("w", rng.normal(size=(4, 3)))
-        store.add("col", rng.normal(size=(5, 1)))
+        store = ParamStore.pack({"w": rng.normal(size=(4, 3)), "col": rng.normal(size=(5, 1))})
         x = const(rng.normal(size=(5, 4)))
         idx = np.array([0, 2, 2, 4])
 
@@ -952,8 +960,8 @@ class TestMixedOps:
         assert grad_check(f, store, h=1e-5).max_rel_err < 1e-5
 
     def test_stop_gradient_blocks_flow(self):
-        store = ParamStore()
-        p = store.add("p", np.array([2.0]))
+        store = ParamStore.pack({"p": np.array([2.0])})
+        p = store["p"]
         with Tape() as tape:
             loss = nx.total_sum(nx.mul(nx.stop_gradient(p), p))
             tape.backward(loss)

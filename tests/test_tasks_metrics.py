@@ -25,11 +25,11 @@ class TestTaskSpec:
         assert TaskSpec.for_kind("mr").lambda_rec == 0.5
         spec = TaskSpec.for_kind("nc")
         assert spec.lambda_align == 0.01 and spec.lambda_route == 0.01
-        assert spec.nce_temperature == 0.07
-        assert (spec.lp_bce_weight, spec.lp_bpr_weight, spec.lp_margin_weight,
-                spec.lp_margin) == (1.0, 0.5, 0.3, 0.1)
-        assert spec.hard_negative_scale == 4.0
-        assert spec.hard_negative_min_pool == 256
+        assert tasks.NCE_TEMPERATURE == 0.07
+        assert (tasks.LP_BCE_WEIGHT, tasks.LP_BPR_WEIGHT, tasks.LP_MARGIN_WEIGHT,
+                tasks.LP_MARGIN) == (1.0, 0.5, 0.3, 0.1)
+        assert tasks.HARD_NEGATIVE_SCALE == 4.0
+        assert tasks.HARD_NEGATIVE_MIN_POOL == 256
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -91,12 +91,11 @@ class TestLosses:
     def test_bpr_saturates_for_wide_margin(self):
         # positive score far above negative: pairwise-rank term goes to 0
         refined = const(np.array([[10.0, 0.0], [10.0, 0.0], [-10.0, 0.0]]))
-        spec = TaskSpec.for_kind("lp")
         loss = tasks.lp_task_loss(refined, np.array([[0, 1]]),
                                   tasks.edge_keys(edge_array([(0, 1)]), 3), 3,
-                                  spec, np.random.default_rng(4))
+                                  np.random.default_rng(4))
         diff = 100.0 - (-100.0)
-        assert loss.data < spec.lp_bce_weight * 200  # BCE pos term dominates
+        assert loss.data < tasks.LP_BCE_WEIGHT * 200  # BCE pos term dominates
         bpr_part = np.log1p(np.exp(-diff))
         assert bpr_part < 1e-12
 
@@ -104,27 +103,28 @@ class TestLosses:
         refined = const(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="positive"):
             tasks.lp_task_loss(refined, np.empty((0, 2), dtype=np.intp),
-                               tasks.edge_keys(edge_array([]), 3), 3, TaskSpec.for_kind("lp"),
+                               tasks.edge_keys(edge_array([]), 3), 3,
                                np.random.default_rng(5))
 
     def test_infonce_singleton_is_zero(self):
         params = init_params(small_cfg(), 3)
         expert = const(np.random.default_rng(6).normal(size=(2, 8)))  # 1 node, 2 cells
-        loss = tasks.mr_task_loss(params, expert, 1, 2, np.array([0]),
-                                  TaskSpec.for_kind("mr"))
+        loss = tasks.mr_task_loss(params, expert, 1, 2, np.array([0]))
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_hard_negatives_avoid_real_edges(self):
-        rng = np.random.default_rng(7)
-        refined = rng.normal(size=(10, 4))
-        edges = {(0, 1), (2, 3), (4, 5)}
-        spec = TaskSpec.for_kind("lp")
-        pairs = tasks.sample_hard_negatives(refined, 10, 4,
-                                            tasks.edge_keys(edge_array(sorted(edges)), 10),
-                                            spec, rng)
-        for u, v in pairs:
-            assert (min(u, v), max(u, v)) not in edges
-            assert u != v
+        # the second graph has one non-edge in 780 pairs, which a first
+        # pool of 512 draws often misses
+        complete = {(u, v) for u in range(40) for v in range(u + 1, 40)}
+        for n, edges, draws in ((10, {(0, 1), (2, 3), (4, 5)}, 1),
+                                (40, complete - {(3, 17)}, 20)):
+            rng = np.random.default_rng(7)
+            refined = rng.normal(size=(n, 4))
+            keys = tasks.edge_keys(edge_array(sorted(edges)), n)
+            for _ in range(draws):
+                for u, v in tasks.sample_hard_negatives(refined, n, 4, keys, rng):
+                    assert (min(u, v), max(u, v)) not in edges
+                    assert u != v
 
 
     def test_hard_negatives_need_a_non_edge(self):
@@ -133,7 +133,6 @@ class TestLosses:
         assert tasks.has_non_edge(3, keys[:2])
         with pytest.raises(ValueError, match="non-edge"):
             tasks.sample_hard_negatives(np.zeros((3, 2)), 3, 2, keys,
-                                        TaskSpec.for_kind("lp"),
                                         np.random.default_rng(8))
 
     def test_non_edge_filter_matches_pair_set(self):

@@ -39,11 +39,12 @@ def test_every_trace_target_resolves():
     assert not missing, f"perfbench trace targets not found in fedmmg: {missing}"
 
 
-def test_every_observer_reads_real_return_values():
+def test_every_observer_reads_real_return_values(tmp_path):
     # a traced 3-client, 2-round in-process run calls each observer on the
     # values fedmmg really returns, so a renamed field fails here rather
     # than inside a traced benchmark child
-    from fedmmg.config import ExperimentConfig, assemble_run
+    from fedmmg import cli, config
+    from fedmmg.config import ExperimentConfig
     from fedmmg.federation import run_federation
 
     tr = _load_tracing()
@@ -73,14 +74,21 @@ def test_every_observer_reads_real_return_values():
     tracer = tr.Tracer("tooling")
     inst = tr.install(tracer)
     try:
-        setup = assemble_run(cfg).setup
+        assembly = config.assemble_run(cfg)  # looked up as the tracer wraps it
         with tracer.root():
-            run_federation(setup)
+            history = run_federation(assembly.setup)
+        cli.write_outputs(str(tmp_path), cfg, history, assembly.missing_fraction)
     finally:
         inst.restore()
 
     assert all(called.values()), f"observers never called: {called}"
     out = tr.summarize(tracer)
+    # the spans perfbench/selftest.py expects of a link-prediction
+    # (scale-lp) run, which the selftest checks outside this suite
+    expected = {tr.span_name(m, q) for m, q in tr.TARGETS} - {
+        "tasks.nc_task_loss", "numerics.grad_check"}
+    silent = sorted(name for name in expected if out[f"{name}.calls"] < 1)
+    assert not silent, f"spans never fired: {silent}"
     for key in ("generation.bank_slots", "numerics.tape_ops",
                 "model.graph_cache_bytes"):
         assert out[key] > 0, key
