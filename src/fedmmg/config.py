@@ -2,6 +2,8 @@
 
 Config files are JSON with nested sections. Every value is type-checked,
 then range-checked, before a run starts; unknown keys are rejected by name.
+Every range check lives in ``validate_config``: the run reads the validated
+config itself, through the setup ``assemble_run`` builds.
 CLI flags override file values. A parsed config serializes back to an equal
 config.
 """
@@ -9,16 +11,16 @@ config.
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import asdict, dataclass, field
 
-from .federation import (FederationSetup, ServerConfig, TrainConfig,
-                         build_client_data, fedavg_zero_setup)
-from .graphdata import (MISSING_MODES, ClientPartition, MissingnessConfig,
-                        MultimodalGraph, apply_natural_missingness,
-                        empirical_missing_fraction, generate_sbm_multimodal,
-                        induced_subgraph, load_graph, partition_dirichlet)
+from .federation import FederationSetup, build_client_data
+from .graphdata import (MISSING_MODES, ClientPartition, MultimodalGraph,
+                        apply_natural_missingness, empirical_missing_fraction,
+                        generate_sbm_multimodal, induced_subgraph, load_graph,
+                        partition_dirichlet)
 from .model import ModelConfig
 from .tasks import TASK_KINDS, TaskSpec
 
@@ -146,6 +148,8 @@ def _check_types(target, where: str = "") -> None:
                               f"got {type(value).__name__}")
         if key in _SECTIONS:
             _check_types(value, f"{key}.")
+        elif isinstance(value, float):  # json reads Infinity and NaN
+            _check(where + key, math.isfinite(value))
 
 
 def _check(name: str, ok: bool) -> None:
@@ -257,7 +261,7 @@ def build_data(cfg: ExperimentConfig) -> tuple[MultimodalGraph, ClientPartition]
 
     A graph file brings its own mask; an SBM graph draws one here. Both
     ``gen-data`` and ``assemble_run`` build their data through this."""
-    d, m = cfg.data, cfg.missingness
+    d = cfg.data
     if d.kind == "file":
         graph = load_graph(d.path)
     else:
@@ -268,13 +272,15 @@ def build_data(cfg: ExperimentConfig) -> tuple[MultimodalGraph, ClientPartition]
     partition = partition_dirichlet(graph, cfg.federation.clients,
                                     cfg.federation.alpha, cfg.seed)
     if d.kind == "sbm":
-        mcfg = MissingnessConfig(rate=m.rate, mode=m.mode, seed=cfg.seed,
-                                 per_client_rates=m.per_client_rates)
-        graph.set_natural_mask(apply_natural_missingness(graph, mcfg, partition))
+        graph.set_natural_mask(apply_natural_missingness(
+            graph, cfg.missingness, cfg.seed, partition))
     return graph, partition
 
 
 def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
+    """Validate ``cfg`` and build the data and the setup the run reads it
+    through; ``fedavg-zero`` turns on ``ModelConfig.bypass_generation``."""
+    validate_config(cfg)
     graph, partition = build_data(cfg)
     if cfg.task == "mr" and graph.num_modalities < 2:
         raise ConfigError("task 'mr' needs a graph with at least two modalities")
@@ -285,7 +291,6 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
 
     labels = graph.labels
     num_classes = int(labels.max()) + 1 if labels is not None else None
-    baseline = cfg.federation.mode == "fedavg-zero"
     model_cfg = ModelConfig(
         modalities=[(mod.name, mod.dim) for mod in graph.modalities],
         hidden_dim=cfg.model.hidden_dim, heads=cfg.model.heads,
@@ -293,24 +298,13 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         warmup_rounds=cfg.model.warmup_rounds,
         router_temperature=cfg.model.router_temperature,
         gnn_layers=cfg.model.gnn_layers, num_classes=num_classes,
+        bypass_generation=cfg.federation.mode == "fedavg-zero",
         lambda_bal=cfg.model.lambda_bal)
     task_spec = TaskSpec.for_kind(cfg.task, cfg.model.lambda_rec,
                                   cfg.model.lambda_align, cfg.model.lambda_route)
-    server_cfg = ServerConfig(
-        rounds=cfg.federation.rounds, fraction=cfg.federation.fraction,
-        mode="fedavg" if baseline else cfg.federation.mode,
-        eta_u=cfg.federation.eta_u, eta_e=cfg.federation.eta_e,
-        eta_rho=cfg.federation.eta_rho, eps=cfg.federation.eps,
-        workers=cfg.federation.workers)
-    train_cfg = TrainConfig(lr=cfg.model.lr, local_epochs=cfg.model.local_epochs,
-                            clip_norm=cfg.model.clip_norm,
-                            p_mask=cfg.missingness.p_mask)
     clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
                for cid, nodes in enumerate(partition.node_lists)]
-    setup = FederationSetup(clients=clients, model_cfg=model_cfg,
-                            task_spec=task_spec, server_cfg=server_cfg,
-                            train_cfg=train_cfg, seed=cfg.seed)
-    if baseline:
-        setup = fedavg_zero_setup(setup)
+    setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg,
+                            task_spec=task_spec)
     return RunAssembly(setup=setup,
                        missing_fraction=empirical_missing_fraction(graph.natural_mask))

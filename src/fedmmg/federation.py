@@ -17,6 +17,12 @@ evaluate and calibrate jobs lay it over a read-only view of the
 broadcast. Every job draws from its own seeded RNG stream, and the server
 reduces results in ascending client order, so the outputs do not depend
 on the worker count.
+
+Every setting is read from the validated ``ExperimentConfig`` the setup
+holds. ``federation.mode`` is the run's mode as given: ``reliability``
+weights each client by its size and ``reliability_score``, ``fedavg`` and
+``fedavg-zero`` by size alone, and ``fedavg-zero`` also bypasses
+generation (``ModelConfig.bypass_generation``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ import pickle
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,6 +52,9 @@ from .model import (ForwardBundle, ForwardPlan, GraphCaches, ModelConfig,
                     forward_pass, init_params, make_plan, score_recon_cells)
 from .numerics import AdamState, GradientError, ParamStore, Tape
 from .tasks import LossBreakdown, TaskSpec
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import ExperimentConfig, FederationSection
 
 _EPOCH_TAG = 0xC11E
 _EVAL_TAG = 0xE7A1
@@ -93,40 +103,6 @@ class ReliabilityStats:
                 raise ValueError("reliability statistics must lie in [0, 1]")
         if self.size < 1:
             raise ValueError("client size must be at least 1")
-
-
-@dataclass
-class ServerConfig:
-    rounds: int = 30
-    fraction: float = 1.0
-    mode: str = "reliability"          # reliability | fedavg
-    eta_u: float = 1.0
-    eta_e: float = 1.0
-    eta_rho: float = 1.0
-    eps: float = 1e-12
-    workers: int = 1                   # upper bound on worker processes
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
-        if not (0.0 < self.fraction <= 1.0):
-            raise ValueError("client fraction must lie in (0, 1]")
-        if self.mode not in ("reliability", "fedavg"):
-            raise ValueError("aggregation mode must be reliability or fedavg")
-        if min(self.eta_u, self.eta_e, self.eta_rho) < 0:
-            raise ValueError("reliability coefficients must be nonnegative")
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 0.005
-    local_epochs: int = 3
-    clip_norm: float = 1.0
-    p_mask: float = 0.3
-
-    def __post_init__(self):
-        if self.lr < 0 or self.local_epochs < 0:
-            raise ValueError("invalid training configuration")
 
 
 @dataclass
@@ -185,8 +161,8 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
                                      data.edge_keys, graph.n, rng)
     if spec.kind == "mr":
         return task_ops.mr_task_loss(params, bundle.expert_flat, graph.n,
-                                     graph.num_modalities, data.train_nodes,
-                                     refined=bundle.refined, labels=graph.labels)
+                                     data.train_nodes, refined=bundle.refined,
+                                     labels=graph.labels)
     raise ValueError(f"unknown task {spec.kind!r}")
 
 
@@ -195,22 +171,21 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
                        ) -> tuple[ReliabilityStats, LossBreakdown]:
     """Run the local epochs on the broadcast model loaded in ``store``, which
     holds the update afterwards; return the uploaded stats and last losses."""
-    model_cfg, spec, train_cfg, seed = (setup.model_cfg, setup.task_spec,
-                                        setup.train_cfg, setup.seed)
+    cfg, model_cfg, spec = setup.cfg, setup.model_cfg, setup.task_spec
     store.zero_grads()
 
     last_bundle: ForwardBundle | None = None
     last_plan: ForwardPlan | None = None
     breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    for epoch in range(max(1, train_cfg.local_epochs)):
+    for epoch in range(max(1, cfg.model.local_epochs)):
         rng = np.random.default_rng(
-            [seed & 0xFFFFFFFF, data.cid, round_t, epoch, _EPOCH_TAG])
+            [cfg.seed & 0xFFFFFFFF, data.cid, round_t, epoch, _EPOCH_TAG])
         if model_cfg.bypass_generation:
             masks = MaskSet.full_visibility(data.graph.natural_mask)
         else:
             masks = sample_artificial_mask(data.graph.natural_mask,
-                                           train_cfg.p_mask, rng)
+                                           cfg.missingness.p_mask, rng)
         plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
 
         with Tape() as tape:
@@ -225,17 +200,17 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
             if not np.isfinite(total.data).all():
                 raise ClientRoundError(
                     data.cid, f"non-finite loss at round {round_t} epoch {epoch}")
-            if train_cfg.local_epochs > 0 and train_cfg.lr > 0:
+            if cfg.model.local_epochs > 0 and cfg.model.lr > 0:
                 try:
                     tape.backward(total)
                 except GradientError as exc:
                     raise ClientRoundError(data.cid, str(exc)) from exc
 
-        if train_cfg.local_epochs > 0:
+        if cfg.model.local_epochs > 0:
             grad = store.take_grads()
-            nx.clip_grad_norm(grad, train_cfg.clip_norm)
+            nx.clip_grad_norm(grad, cfg.model.clip_norm)
             try:
-                nx.adam_step(store, adam, grad, train_cfg.lr)
+                nx.adam_step(store, adam, grad, cfg.model.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
         last_bundle, last_plan = bundle, plan
@@ -264,7 +239,7 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
 # ---------------------------------------------------------------------------
 
 
-def reliability_score(stats: ReliabilityStats, cfg: ServerConfig) -> float:
+def reliability_score(stats: ReliabilityStats, cfg: FederationSection) -> float:
     """exp(-eta_u u - eta_e e - eta_rho rho); always positive, so clients are
     softly rescaled rather than excluded."""
     return float(np.exp(-cfg.eta_u * stats.mean_uncertainty
@@ -331,8 +306,7 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
     if spec.kind == "mr":
         if data.test_nodes.size == 0:
             return None, 0
-        queries, gallery = task_ops.mr_embeddings(store, bundle.expert_flat,
-                                                  graph.n, graph.num_modalities)
+        queries, gallery = task_ops.mr_embeddings(store, bundle.expert_flat, graph.n)
         sim = task_ops.cosine_matrix(nx.rows(queries, data.test_nodes),
                                      nx.rows(gallery, data.test_nodes))
         targets = np.arange(data.test_nodes.size)
@@ -388,14 +362,14 @@ class RoundHistory:
 
 @dataclass
 class FederationSetup:
-    """Everything the round loop needs, in pre-validated form."""
+    """Everything the round loop needs. The run reads every setting from
+    ``cfg``, the validated experiment config; ``model_cfg`` and
+    ``task_spec`` are the model shape and the loss weights built from it."""
 
     clients: list[ClientData]  # by cid
+    cfg: ExperimentConfig
     model_cfg: ModelConfig
     task_spec: TaskSpec
-    server_cfg: ServerConfig
-    train_cfg: TrainConfig
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +412,8 @@ def _calibrate_client(setup: FederationSetup, store: ParamStore, data: ClientDat
     cal_e: list[np.ndarray] = []
     for draw in range(_CAL_DRAWS):
         rng = np.random.default_rng(
-            [setup.seed & 0xFFFFFFFF, data.cid, round_t, draw, _CAL_TAG])
-        masks = sample_artificial_mask(natural, setup.train_cfg.p_mask, rng)
+            [setup.cfg.seed & 0xFFFFFFFF, data.cid, round_t, draw, _CAL_TAG])
+        masks = sample_artificial_mask(natural, setup.cfg.missingness.p_mask, rng)
         plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
         cells = plan.recon_flat == 1.0
         if not cells.any():
@@ -484,7 +458,7 @@ def _run_job(setup: FederationSetup, model: ParamStore, shared: _SharedBlock,
     store = model.over(broadcast)
     if kind == "evaluate":
         return evaluate_client(store, setup.model_cfg, setup.task_spec, data,
-                               round_t, setup.seed)
+                               round_t, setup.cfg.seed)
     return _calibrate_client(setup, store, data, round_t)
 
 
@@ -604,10 +578,9 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
 
     Phase t trains round t and evaluates round t-1, which read the same
     broadcast; a last phase evaluates the final round and calibrates."""
-    server = setup.server_cfg
-    mode = "fedavg-zero" if setup.model_cfg.bypass_generation else server.mode
-    history = RoundHistory(mode=mode, task=setup.task_spec.kind)
-    model = init_params(setup.model_cfg, setup.seed)  # the layout every job uses
+    server, seed = setup.cfg.federation, setup.cfg.seed
+    history = RoundHistory(mode=server.mode, task=setup.task_spec.kind)
+    model = init_params(setup.model_cfg, seed)  # the layout every job uses
     global_params = model.snapshot()
     num_clients = len(setup.clients)
     cids = range(num_clients)
@@ -626,7 +599,7 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
             if final:
                 selected = []
             elif server.fraction < 1.0:
-                rng = np.random.default_rng([setup.seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
+                rng = np.random.default_rng([seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
                 count = max(1, int(round(server.fraction * num_clients)))
                 selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
             else:
@@ -682,10 +655,8 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
 
 def fedavg_zero_setup(setup: FederationSetup) -> FederationSetup:
     """Baseline variant: zero-filled missing cells straight into the backbone,
-    no generator/router/fallback, data-size FedAvg aggregation."""
-    model_cfg = ModelConfig(**{**vars(setup.model_cfg), "bypass_generation": True})
-    server_cfg = ServerConfig(**{**vars(setup.server_cfg), "mode": "fedavg"})
-    train_cfg = TrainConfig(**{**vars(setup.train_cfg), "p_mask": 0.0})
-    return FederationSetup(clients=setup.clients, model_cfg=model_cfg,
-                           task_spec=setup.task_spec, server_cfg=server_cfg,
-                           train_cfg=train_cfg, seed=setup.seed)
+    no generator/router/fallback, data-size FedAvg aggregation. The caller's
+    setup and config are left as they are."""
+    federation = replace(setup.cfg.federation, mode="fedavg-zero")
+    return replace(setup, cfg=replace(setup.cfg, federation=federation),
+                   model_cfg=replace(setup.model_cfg, bypass_generation=True))

@@ -10,8 +10,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import MissingnessSection
 
 GRAPH_SCHEMA_VERSION = 1
 
@@ -130,24 +134,6 @@ class ClientPartition:
         return len(self.node_lists)
 
 
-@dataclass
-class MissingnessConfig:
-    rate: float
-    mode: str = "node"
-    seed: int = 0
-    per_client_rates: list[float] | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.rate < 1.0):
-            raise ValueError("missing rate must lie in [0, 1)")
-        if self.mode not in MISSING_MODES:
-            raise ValueError(f"mode must be one of {MISSING_MODES}")
-        if self.per_client_rates is not None:
-            for r in self.per_client_rates:
-                if not (0.0 <= r < 1.0):
-                    raise ValueError("per-client rates must lie in [0, 1)")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation
 # ---------------------------------------------------------------------------
@@ -255,36 +241,38 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def apply_natural_missingness(graph: MultimodalGraph, cfg: MissingnessConfig,
-                              partition: ClientPartition | None = None) -> np.ndarray:
-    """Draw the natural availability mask for a graph.
+def apply_natural_missingness(graph: MultimodalGraph, missingness: MissingnessSection,
+                              seed: int, partition: ClientPartition | None = None
+                              ) -> np.ndarray:
+    """Draw the natural availability mask for a graph from the config's
+    ``missingness`` section (its ``rate``, ``mode`` and ``per_client_rates``).
 
     node: each (node, modality) cell goes missing independently with
     probability ``rate``. client: one whole modality is dropped on a
     ceil(rate * K) subset of clients. mixed: both effects. Per-client rates,
     when given, replace the single node-level rate.
     """
-    rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, 0x315])
+    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x315])
     n, m = graph.n, graph.num_modalities
     mask = np.ones((n, m))
 
-    if cfg.per_client_rates is not None:
+    if missingness.per_client_rates is not None:
         if partition is None:
             raise ValueError("per-client rates require a partition")
-        if len(cfg.per_client_rates) != partition.num_clients:
+        if len(missingness.per_client_rates) != partition.num_clients:
             raise ValueError("one rate per client required")
-        for nodes, rate in zip(partition.node_lists, cfg.per_client_rates):
+        for nodes, rate in zip(partition.node_lists, missingness.per_client_rates):
             cells = rng.random((len(nodes), m)) < rate
             mask[nodes] = np.where(cells, 0.0, mask[nodes])
         return mask
 
-    if cfg.mode in ("node", "mixed"):
-        mask[rng.random((n, m)) < cfg.rate] = 0.0
-    if cfg.mode in ("client", "mixed"):
+    if missingness.mode in ("node", "mixed"):
+        mask[rng.random((n, m)) < missingness.rate] = 0.0
+    if missingness.mode in ("client", "mixed"):
         if partition is None:
-            raise ValueError(f"{cfg.mode!r} missingness requires a partition")
+            raise ValueError(f"{missingness.mode!r} missingness requires a partition")
         k = partition.num_clients
-        affected = rng.permutation(k)[: math.ceil(cfg.rate * k)]
+        affected = rng.permutation(k)[: math.ceil(missingness.rate * k)]
         for cid in affected:
             dropped = int(rng.integers(m))  # at most one modality per client
             mask[partition.node_lists[cid], dropped] = 0.0

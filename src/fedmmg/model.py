@@ -35,14 +35,6 @@ class ModelConfig:
     bypass_generation: bool = False
     lambda_bal: float = 0.5
 
-    def __post_init__(self):
-        if self.hidden_dim % self.heads:
-            raise ValueError("hidden_dim must be divisible by the head count")
-        if self.router_temperature <= 0:
-            raise ValueError("router temperature must be positive")
-        if self.gnn_layers not in (1, 2):
-            raise ValueError("conv stack depth must be 1 or 2")
-
     @property
     def estimator_hidden(self) -> int:
         return max(4, self.hidden_dim // 2)

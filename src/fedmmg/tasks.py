@@ -199,8 +199,7 @@ def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray, keys: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def mr_embeddings(params: ParamStore, expert_flat: Tensor, n_nodes: int,
-                  m_count: int) -> tuple[Tensor, Tensor]:
+def mr_embeddings(params: ParamStore, expert_flat: Tensor, n_nodes: int) -> tuple[Tensor, Tensor]:
     """Project the per-modality expert outputs into query/gallery spaces."""
     query_m = QUERY_MODALITY
     gallery_m = 1 if query_m == 0 else 0
@@ -221,11 +220,11 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mr_task_loss(params: ParamStore, expert_flat: Tensor, n_nodes: int,
-                 m_count: int, batch_idx: np.ndarray, refined: Tensor | None = None,
+                 batch_idx: np.ndarray, refined: Tensor | None = None,
                  labels: np.ndarray | None = None) -> Tensor:
     """In-batch InfoNCE on cosine similarities, plus the auxiliary classifier
     when labels are available."""
-    queries, gallery = mr_embeddings(params, expert_flat, n_nodes, m_count)
+    queries, gallery = mr_embeddings(params, expert_flat, n_nodes)
     q_batch = nx.rows(queries, batch_idx)
     g_batch = nx.rows(gallery, batch_idx)
     logits = nx.scale(cosine_matrix(q_batch, g_batch), 1.0 / NCE_TEMPERATURE)

@@ -67,8 +67,7 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
                                          train_idx)
         elif spec.kind == "mr":
             task = task_ops.mr_task_loss(store, bundle.expert_flat, graph.n,
-                                         graph.num_modalities, train_idx,
-                                         refined=bundle.refined,
+                                         train_idx, refined=bundle.refined,
                                          labels=graph.labels)
         else:
             pos = graph.edges[:3]

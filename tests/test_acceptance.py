@@ -12,9 +12,8 @@ import pytest
 
 from fedmmg import numerics as nx
 from fedmmg.config import ExperimentConfig, assemble_run
-from fedmmg.federation import (ReliabilityStats, ServerConfig, aggregate,
-                               fedavg_zero_setup, reliability_score,
-                               run_federation)
+from fedmmg.federation import (ReliabilityStats, aggregate, fedavg_zero_setup,
+                               reliability_score, run_federation)
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
 from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
@@ -125,7 +124,7 @@ def test_criterion_3_aggregation_reduction():
         ok = ok and all(w > 0 for w in omega.values())
         ok = ok and 0 <= 1.0 - sum(omega.values()) < 1e-9
     # strict monotone decrease in mean uncertainty, others increasing
-    server = ServerConfig()
+    server = ExperimentConfig().federation
     for _ in range(100):
         k = int(rng.integers(2, 6))
         sizes = {i: int(rng.integers(1, 80)) for i in range(k)}

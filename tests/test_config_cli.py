@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import math
 import os
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -25,6 +28,16 @@ _JSON = st.recursive(
 _VALUE = (st.integers(-3, 300) | st.floats(-1.0, 2.0)
           | st.sampled_from(["sbm", "file", "node", "mixed", "fedavg", "nc", "mr"])
           | st.lists(st.floats(0.0, 1.0), max_size=4) | _JSON)
+
+
+def _float_settings():
+    """(dotted key, holds a list) of every float setting of the four sections."""
+    for section in ("data", "missingness", "federation", "model"):
+        hints = typing.get_type_hints(type(getattr(ExperimentConfig(), section)))
+        for key, hint in hints.items():
+            args = typing.get_args(hint)
+            if hint is float or float in args or list[float] in args:
+                yield f"{section}.{key}", list[float] in args
 
 
 def _section_docs(cls):
@@ -122,6 +135,17 @@ class TestConfigValidation:
             return
         assert isinstance(cfg, ExperimentConfig)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key, is_list", list(_float_settings()))
+    def test_non_finite_float_rejected(self, key, is_list, value):
+        # json reads Infinity and NaN; no setting may take one
+        section, name = key.split(".")
+        doc = {section: {name: [value] if is_list else value}}
+        with pytest.raises(ConfigError,
+                           match=f"^value out of range for {re.escape(repr(key))}$"):
+            ExperimentConfig.from_dict(doc)
+
     def test_invalid_mode_strings(self):
         cfg = ExperimentConfig()
         cfg.federation.mode = "secure-agg"
@@ -215,6 +239,15 @@ class TestCli:
         assert [line.split(":")[0] for line in rounds] == \
             ["round 0", "round 1", "round 2"]
         assert all(line.endswith(" ms") for line in rounds)
+
+    @pytest.mark.parametrize("key", ["federation.eta_u", "federation.alpha"])
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(f'{{"{section}": {{"{name}": Infinity}}}}')
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"invalid configuration: value out of range for '{key}'\n"
 
     def test_wrong_type_exits_one_without_traceback(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 baseline pairing."""
 
 import copy
+import dataclasses
 import inspect
 import multiprocessing
 import multiprocessing.connection
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from fedmmg import encoding, federation, fusion, generation, model, numerics, tasks
-from fedmmg.config import ExperimentConfig, assemble_run
+from fedmmg.config import (ConfigError, ExperimentConfig, FederationSection,
+                           assemble_run)
 from fedmmg.federation import (ClientData, ClientRoundError, FederationAborted,
-                               FederationSetup, ReliabilityStats, ServerConfig,
-                               TrainConfig, aggregate,
+                               FederationSetup, ReliabilityStats, aggregate,
                                build_client_data, client_local_round,
                                evaluate_client, fedavg_zero_setup,
                                reliability_score, run_federation)
@@ -43,19 +44,58 @@ def small_experiment(seed=0, rounds=2, **kw):
     return cfg
 
 
+class TestSetupReadsTheConfig:
+    """A setup holds the validated config itself, and the run reads every
+    setting from it."""
+
+    @pytest.mark.parametrize("mode", ["reliability", "fedavg-zero"])
+    def test_setup_holds_the_config_and_no_mirror(self, mode):
+        cfg = small_experiment(**{"federation.mode": mode})
+        setup = assemble_run(cfg).setup
+        assert [f.name for f in dataclasses.fields(setup)] == \
+            ["clients", "cfg", "model_cfg", "task_spec"]
+        assert setup.cfg.to_dict() == cfg.to_dict()
+        assert setup.cfg.federation.mode == mode
+        assert setup.model_cfg.bypass_generation == (mode == "fedavg-zero")
+
+    def test_assembly_validates_the_config(self):
+        cfg = small_experiment()
+        cfg.federation.workers = 0
+        with pytest.raises(ConfigError, match="federation.workers"):
+            assemble_run(cfg)
+
+    def test_run_reads_the_rounds_from_the_setups_config(self):
+        setup = assemble_run(small_experiment(rounds=2)).setup
+        setup.cfg.federation.rounds = 1
+        assert len(run_federation(setup).records) == 1
+
+    def test_fedavg_zero_setup_leaves_the_callers_setup_alone(self):
+        cfg = small_experiment()
+        setup = assemble_run(cfg).setup
+        before, model_before = cfg.to_dict(), dict(vars(setup.model_cfg))
+        zero = fedavg_zero_setup(setup)
+        expected = copy.deepcopy(before)
+        expected["federation"]["mode"] = "fedavg-zero"
+        assert zero.cfg.to_dict() == expected
+        assert vars(zero.model_cfg) == {**model_before, "bypass_generation": True}
+        assert zero.clients is setup.clients and zero.task_spec is setup.task_spec
+        assert setup.cfg is cfg and cfg.to_dict() == before
+        assert vars(setup.model_cfg) == model_before
+
+
 class TestReliabilityScore:
     def test_zero_stats_give_unit_score(self):
         stats = ReliabilityStats(0.0, 0.0, 0.0, size=5)
-        assert reliability_score(stats, ServerConfig()) == 1.0
+        assert reliability_score(stats, FederationSection()) == 1.0
 
     def test_hand_value(self):
         stats = ReliabilityStats(0.5, 0.5, 0.5, size=5)
-        np.testing.assert_allclose(reliability_score(stats, ServerConfig()),
+        np.testing.assert_allclose(reliability_score(stats, FederationSection()),
                                    np.exp(-1.5), atol=1e-9)
-        assert abs(reliability_score(stats, ServerConfig()) - 0.22313) < 1e-5
+        assert abs(reliability_score(stats, FederationSection()) - 0.22313) < 1e-5
 
     def test_zero_coefficients_degenerate_to_fedavg(self):
-        cfg = ServerConfig(eta_u=0.0, eta_e=0.0, eta_rho=0.0)
+        cfg = FederationSection(eta_u=0.0, eta_e=0.0, eta_rho=0.0)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             stats = ReliabilityStats(*rng.uniform(0, 1, 3), size=7)
@@ -63,7 +103,7 @@ class TestReliabilityScore:
 
     def test_score_positive_always(self):
         stats = ReliabilityStats(1.0, 1.0, 1.0, size=1)
-        assert reliability_score(stats, ServerConfig()) > 0
+        assert reliability_score(stats, FederationSection()) > 0
 
     def test_stats_range_checked(self):
         with pytest.raises(ValueError):
@@ -107,7 +147,7 @@ class TestAggregate:
             assert 0 <= deficit < 1e-9
 
     def test_monotone_in_uncertainty(self):
-        server = ServerConfig()
+        server = FederationSection()
         rng = np.random.default_rng(2)
         for _ in range(100):
             k = int(rng.integers(2, 6))
@@ -167,7 +207,7 @@ class TestAggregate:
 
 def train_client_zero(setup: FederationSetup) -> tuple[ParamStore, ReliabilityStats]:
     """Client 0's round 0 from the initial model; the store holds its update."""
-    store = init_params(setup.model_cfg, setup.seed)
+    store = init_params(setup.model_cfg, setup.cfg.seed)
     stats, _ = client_local_round(setup, store, AdamState.for_params(store),
                                   setup.clients[0], 0)
     return store, stats
@@ -237,10 +277,8 @@ class TestLinkPredictionWithoutNonEdges:
 
     def test_training_fails_the_client_round(self):
         data, cfg = self._triangle_client()
-        setup = FederationSetup(clients=[data], model_cfg=cfg,
-                                task_spec=TaskSpec.for_kind("lp"),
-                                server_cfg=ServerConfig(), train_cfg=TrainConfig(),
-                                seed=0)
+        setup = FederationSetup(clients=[data], cfg=ExperimentConfig(),
+                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp"))
         store = init_params(cfg, 0)
         with pytest.raises(ClientRoundError, match="non-edge"):
             client_local_round(setup, store, AdamState.for_params(store), data, 0)
@@ -252,10 +290,11 @@ class TestLinkPredictionWithoutNonEdges:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         triangle, cfg = self._triangle_client()
         path, _ = self._lp_client(1, 6, [(i, i + 1) for i in range(5)])
-        setup = FederationSetup(clients=[triangle, path], model_cfg=cfg,
-                                task_spec=TaskSpec.for_kind("lp"),
-                                server_cfg=ServerConfig(rounds=2, workers=workers),
-                                train_cfg=TrainConfig(), seed=0)
+        run_cfg = ExperimentConfig()
+        run_cfg.federation.rounds = 2
+        run_cfg.federation.workers = workers
+        setup = FederationSetup(clients=[triangle, path], cfg=run_cfg,
+                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp"))
         history = run_federation(setup)
         for rec in history.records:
             assert list(rec.errors) == [0] and "non-edge" in rec.errors[0]
@@ -492,7 +531,7 @@ class TestClientLanes:
         monkeypatch.setattr(conn, "_send_bytes", send)
         monkeypatch.setattr(conn, "_recv_bytes", recv)
         history = run_federation(setup)
-        jobs = setup.server_cfg.rounds * 2 * len(setup.clients) + len(setup.clients)
+        jobs = setup.cfg.federation.rounds * 2 * len(setup.clients) + len(setup.clients)
         assert len(sizes) >= 2 * jobs
         assert max(sizes) < 8 * history.final_params.size
 
@@ -515,7 +554,7 @@ class TestSharedBlock:
             for (setup, store), shared in ((copies[round_t], block), (single, one_block)):
                 assert federation._run_job(setup, store, shared, ("train", 0, round_t))
                 shared.broadcast[:] = shared.updates[0]
-        assert block.steps[0] == 2 * one.train_cfg.local_epochs
+        assert block.steps[0] == 2 * one.cfg.model.local_epochs
         for name in ("broadcast", "updates", "m", "v", "steps"):
             assert getattr(block, name).tobytes() == getattr(one_block, name).tobytes()
 
@@ -544,15 +583,15 @@ def full_forward_calibration(setup: FederationSetup, data: ClientData,
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Reference for ``federation._calibrate_client``: one full
     ``forward_pass`` for each of 8 mask draws, read at the recon cells."""
-    store = init_params(setup.model_cfg, setup.seed)
+    store = init_params(setup.model_cfg, setup.cfg.seed)
     store.load(global_params)
     cal_u, cal_e = [], []
     for draw in range(8):
         rng = np.random.default_rng(
-            [setup.seed & 0xFFFFFFFF, data.cid, round_t, draw,
+            [setup.cfg.seed & 0xFFFFFFFF, data.cid, round_t, draw,
              federation._CAL_TAG])
         masks = sample_artificial_mask(data.graph.natural_mask,
-                                       setup.train_cfg.p_mask, rng)
+                                       setup.cfg.missingness.p_mask, rng)
         plan = make_plan(data.graph, data.caches, masks, setup.model_cfg, rng)
         bundle = forward_pass(store, setup.model_cfg, plan, round_t)
         cells = plan.recon_flat == 1.0
@@ -569,7 +608,7 @@ class TestCalibration:
     def test_matches_the_full_forward_reference(self, task):
         setup = assemble_run(seed3_config(task, "reliability")).setup
         history = run_federation(setup)
-        rounds = setup.server_cfg.rounds
+        rounds = setup.cfg.federation.rounds
         pairs = [full_forward_calibration(setup, data, history.final_params, rounds)
                  for data in setup.clients]
         ref_u = np.concatenate([u for u, _ in pairs])
@@ -635,7 +674,7 @@ class TestFedAvgZero:
 
         asm_a = assemble_run(cfg_a)
         asm_a.setup.model_cfg.bypass_generation = True
-        asm_a.setup.server_cfg.mode = "fedavg"
+        asm_a.setup.cfg.federation.mode = "fedavg"
         h_bypass = run_federation(asm_a.setup)
 
         asm_b = assemble_run(cfg_b)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmmg import graphdata
-from fedmmg.graphdata import (GraphFileError, MaskSet, MissingnessConfig,
-                              MultimodalGraph, Modality,
+from fedmmg.config import MissingnessSection
+from fedmmg.graphdata import (GraphFileError, MaskSet, MultimodalGraph, Modality,
                               apply_natural_missingness,
                               empirical_missing_fraction,
                               generate_sbm_multimodal, induced_subgraph,
@@ -165,13 +165,13 @@ class TestPartition:
 class TestMissingness:
     def test_zero_rate_keeps_everything(self):
         g = generate_sbm_multimodal(2, 10, 0.4, 0.1, d_img=4, d_txt=4, seed=0)
-        mask = apply_natural_missingness(g, MissingnessConfig(rate=0.0, seed=0))
+        mask = apply_natural_missingness(g, MissingnessSection(rate=0.0), 0)
         assert (mask == 1).all()
 
     def test_node_level_rate_matches_target(self):
         g = generate_sbm_multimodal(4, 250, 0.01, 0.001, d_img=2, d_txt=2, seed=1)
         assert g.n * 2 == 2000
-        mask = apply_natural_missingness(g, MissingnessConfig(rate=0.3, seed=7))
+        mask = apply_natural_missingness(g, MissingnessSection(rate=0.3), 7)
         frac = empirical_missing_fraction(mask)
         assert abs(frac - 0.30) < 0.03
 
@@ -179,7 +179,7 @@ class TestMissingness:
         g = generate_sbm_multimodal(4, 25, 0.3, 0.05, d_img=4, d_txt=4, seed=2)
         part = partition_dirichlet(g, 4, alpha=0.5, seed=2)
         mask = apply_natural_missingness(
-            g, MissingnessConfig(rate=0.3, mode="client", seed=2), part)
+            g, MissingnessSection(rate=0.3, mode="client"), 2, part)
         dropped_clients = 0
         for nodes in part.node_lists:
             col_gone = [(mask[nodes, m] == 0).all() for m in range(2)]
@@ -190,9 +190,8 @@ class TestMissingness:
     def test_per_client_rates(self):
         g = generate_sbm_multimodal(4, 50, 0.3, 0.05, d_img=2, d_txt=2, seed=3)
         part = partition_dirichlet(g, 4, alpha=100.0, seed=3)
-        cfg = MissingnessConfig(rate=0.3, seed=3,
-                                per_client_rates=[0.8, 0.1, 0.1, 0.1])
-        mask = apply_natural_missingness(g, cfg, part)
+        cfg = MissingnessSection(rate=0.3, per_client_rates=[0.8, 0.1, 0.1, 0.1])
+        mask = apply_natural_missingness(g, cfg, 3, part)
         rates = [1.0 - mask[nodes].mean() for nodes in part.node_lists]
         assert rates[0] > 0.6
         assert max(rates[1:]) < 0.3
@@ -216,7 +215,7 @@ class TestGraphIO:
     def _graph(self):
         g = generate_sbm_multimodal(2, 4, 0.5, 0.1, d_img=3, d_txt=2,
                                     noise=0.7, seed=9)
-        g.set_natural_mask(apply_natural_missingness(g, MissingnessConfig(rate=0.4, seed=9)))
+        g.set_natural_mask(apply_natural_missingness(g, MissingnessSection(rate=0.4), 9))
         return g
 
     def test_round_trip_is_exact(self, tmp_path):

@@ -109,7 +109,7 @@ class TestLosses:
     def test_infonce_singleton_is_zero(self):
         params = init_params(small_cfg(), 3)
         expert = const(np.random.default_rng(6).normal(size=(2, 8)))  # 1 node, 2 cells
-        loss = tasks.mr_task_loss(params, expert, 1, 2, np.array([0]))
+        loss = tasks.mr_task_loss(params, expert, 1, np.array([0]))
         np.testing.assert_allclose(loss.data, 0.0, atol=1e-12)
 
     def test_hard_negatives_avoid_real_edges(self):

@@ -1,17 +1,20 @@
-"""Tooling that reaches into fedmmg by name still finds what it names."""
+"""Tooling that reaches into fedmmg by name still finds what it names, and
+the benchmark's configs still build runs."""
 
 import importlib
 import importlib.util
 import inspect
 import os
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_tracing():
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load_perfbench(name: str):
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -33,7 +36,7 @@ def _resolves(module: str, qualname: str) -> bool:
 
 
 def test_every_trace_target_resolves():
-    targets = _load_tracing().TARGETS
+    targets = _load_perfbench("tracing").TARGETS
     assert targets
     missing = [f"{m}.{q}" for m, q in targets if not _resolves(m, q)]
     assert not missing, f"perfbench trace targets not found in fedmmg: {missing}"
@@ -47,7 +50,7 @@ def test_every_observer_reads_real_return_values(tmp_path):
     from fedmmg.config import ExperimentConfig
     from fedmmg.federation import run_federation
 
-    tr = _load_tracing()
+    tr = _load_perfbench("tracing")
     called = {name: 0 for name in tr.OBSERVERS}
 
     def counting(name, observe):
@@ -97,3 +100,19 @@ def test_every_observer_reads_real_return_values(tmp_path):
     tags = {s.tag for s in tracer.spans if s.name == "federation.client_local_round"}
     assert tags == {0, 1}
     assert out["federation.client_local_round.calls"] == 6
+
+
+def test_benchmark_workload_configs_build_runs():
+    # each federated workload's full and dry configs parse, and its dry
+    # config assembles into as many clients as it asks for
+    from fedmmg.config import ExperimentConfig, assemble_run
+
+    workloads = _load_perfbench("workloads")
+    federated = {name: wl for name, wl in workloads.WORKLOADS.items()
+                 if isinstance(wl, workloads.Federated)}
+    assert federated
+    for name, workload in federated.items():
+        ExperimentConfig.from_dict(workload.experiment(0, dry=False))
+        cfg = ExperimentConfig.from_dict(workload.experiment(0, dry=True))
+        setup = assemble_run(cfg).setup
+        assert len(setup.clients) == cfg.federation.clients, name
