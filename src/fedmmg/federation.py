@@ -166,6 +166,18 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
     raise ValueError(f"unknown task {spec.kind!r}")
 
 
+def _uploaded_errors(bundle: ForwardBundle, plan: ForwardPlan) -> tuple[float, float]:
+    """The uploaded u and e (see ReliabilityStats) of one epoch's forward: u
+    over effective-mask hidden cells, e as relative error over recon cells."""
+    if bundle.uncertainty is None:
+        return 0.0, 0.0
+    u_vals = bundle.uncertainty.data.reshape(-1)
+    hidden = plan.eff_flat == 0.0
+    mean_u = float(u_vals[hidden].mean()) if hidden.any() else 0.0
+    return mean_u, relative_recon_error(bundle.cell_errors, bundle.raw_cells,
+                                        plan.recon_flat)
+
+
 def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamState,
                        data: ClientData, round_t: int
                        ) -> tuple[ReliabilityStats, LossBreakdown]:
@@ -173,12 +185,9 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
     holds the update afterwards; return the uploaded stats and last losses."""
     cfg, model_cfg, spec = setup.cfg, setup.model_cfg, setup.task_spec
     store.zero_grads()
+    epochs = max(1, cfg.model.local_epochs)
 
-    last_bundle: ForwardBundle | None = None
-    last_plan: ForwardPlan | None = None
-    breakdown = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-
-    for epoch in range(max(1, cfg.model.local_epochs)):
+    for epoch in range(epochs):
         rng = np.random.default_rng(
             [cfg.seed & 0xFFFFFFFF, data.cid, round_t, epoch, _EPOCH_TAG])
         if model_cfg.bypass_generation:
@@ -213,20 +222,12 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
                 nx.adam_step(store, adam, grad, cfg.model.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
-        last_bundle, last_plan = bundle, plan
+        if epoch == epochs - 1:
+            mean_u, mean_err = _uploaded_errors(bundle, plan)
+        # this epoch's forward and its plan's caches must not live on
+        # through the next epoch's forward and backward
+        del tape, bundle, plan
 
-    assert last_bundle is not None and last_plan is not None
-    # Uploaded stats (see ReliabilityStats): u over effective-mask hidden
-    # cells, e as relative error over recon cells, rho from the natural mask.
-    eff_flat, recon_flat = last_plan.eff_flat, last_plan.recon_flat
-    if last_bundle.uncertainty is not None:
-        u_vals = last_bundle.uncertainty.data.reshape(-1)
-        hidden = eff_flat == 0.0
-        mean_u = float(u_vals[hidden].mean()) if hidden.any() else 0.0
-        mean_err = relative_recon_error(last_bundle.cell_errors,
-                                        last_bundle.raw_cells, recon_flat)
-    else:
-        mean_u = mean_err = 0.0
     natural = data.graph.natural_mask
     stats = ReliabilityStats(mean_uncertainty=mean_u, mean_recon_error=mean_err,
                              missing_ratio=float((natural == 0.0).mean()),

@@ -19,16 +19,17 @@ FUSE_EPS = 1e-15
 ROUTE_EPS = 1e-12
 
 
-def _mlp2(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
-    hidden = nx.relu(nx.linear(x, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"]))
+def _mlp2(params: ParamStore, prefix: str, pieces: list[Tensor]) -> Tensor:
+    """Two-layer perceptron over the column-wise concatenation of ``pieces``."""
+    hidden = nx.relu(nx.concat_linear(pieces, params[f"{prefix}.l1.w"],
+                                      params[f"{prefix}.l1.b"]))
     return nx.linear(hidden, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
 
 
 def estimate_uncertainty(params: ParamStore, generated: Tensor, excl_flat: Tensor,
                          anchor_flat: Tensor, eff_flat: np.ndarray) -> Tensor:
     """Sigmoid uncertainty head over invisible cells; exact 0 at visible ones."""
-    feats = nx.concat([generated, excl_flat, anchor_flat], axis=1)
-    raw = nx.sigmoid(_mlp2(params, "unc", feats))
+    raw = nx.sigmoid(_mlp2(params, "unc", [generated, excl_flat, anchor_flat]))
     return nx.mul(raw, const((1.0 - eff_flat).reshape(-1, 1)))
 
 
@@ -40,12 +41,12 @@ def route(params: ParamStore, eff_flat: np.ndarray, uncertainty: Tensor,
         raise ValueError("router temperature must be positive")
     g_count = eff_flat.size
     rho_tiled = np.tile(rho_nodes.reshape(-1, 1), (m_count, 1))
-    feats = nx.concat([
+    feats = [
         const(eff_flat.reshape(-1, 1)),
         uncertainty,
         const(rho_tiled),
         const(np.full((g_count, 1), rho_client)),
-    ], axis=1)
+    ]
     return nx.softmax(_mlp2(params, "router", feats), axis=-1,
                       temperature=temperature)
 

@@ -310,17 +310,19 @@ def missing_ratios(masks: MaskSet) -> np.ndarray:
 
 
 def induced_subgraph(graph: MultimodalGraph, nodes: np.ndarray) -> MultimodalGraph:
-    """Relabel a node subset to 0..len-1 and keep internal edges only, in order."""
+    """Relabel a node subset to 0..len-1 and keep internal edges only, in order.
+
+    The subgraph's arrays are the gathers themselves (a gather already
+    copies), so it shares no memory with ``graph``."""
     idx = np.asarray(nodes, dtype=np.intp)
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[idx] = np.arange(idx.size)
     edges = remap[graph.edges]
-    mods = [Modality(mod.name, mod.dim, mod.features[idx].copy())
-            for mod in graph.modalities]
-    labels = graph.labels[idx].copy() if graph.labels is not None else None
+    mods = [Modality(mod.name, mod.dim, mod.features[idx]) for mod in graph.modalities]
+    labels = graph.labels[idx] if graph.labels is not None else None
     return MultimodalGraph(n=idx.size, edges=edges[(edges >= 0).all(axis=1)],
                            modalities=mods, labels=labels,
-                           natural_mask=graph.natural_mask[idx].copy())
+                           natural_mask=graph.natural_mask[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,23 @@
 
 The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
-normalization, row gathers, concatenation, products with a constant sparse
-(CSR) matrix, a mean-aggregating graph convolution, and multi-head attention
-over the usable slots of padded banks. Operations record onto the innermost
-open tape through one recorder, ``_record``: an op gives its forward value
-and one vector-Jacobian product (vjp) per operand, and the tape keeps the
-vjps of the operands that take a gradient. A vjp captures only the arrays
-its formula reads (never a ``Tensor``), so an intermediate whose values no
-kept vjp reads is freed as soon as the caller drops it. ``Tape.backward``
-runs once per tape and frees each op's saved arrays as soon as that op's
-gradient has been passed on. Values are never mutated in place, except a
-``ParamStore``'s parameters (views into the vector it is laid over), which
-only ``ParamStore.load``, ``adam_step`` and ``grad_check`` probes write,
-never while a tape is open.
+normalization, row gathers, concatenation, a linear layer over
+concatenated pieces, dot products of row pairs, products with a constant
+sparse (CSR) matrix, a mean-aggregating graph convolution, and multi-head
+attention over the usable slots of padded banks. Most operations record
+onto the innermost open tape through one recorder, ``_record``: an op gives
+its forward value and one vector-Jacobian product (vjp) per operand, and
+the tape keeps the vjps of the operands that take a gradient. The linear
+layer over pieces, the row-pair dots and attention, whose gradients share
+terms, record one backward of their own through ``_result``; they keep
+their inputs, not joined or gathered copies, and join or gather again in
+backward. A vjp captures only the arrays its formula reads (never a
+``Tensor``), so an intermediate whose values no kept vjp reads is freed as
+soon as the caller drops it. ``Tape.backward`` runs once per tape and frees
+each op's saved arrays as soon as that op's gradient has been passed on.
+Values are never mutated in place, except a ``ParamStore``'s parameters
+(views into the vector it is laid over), which only ``ParamStore.load``,
+``adam_step`` and ``grad_check`` probes write, never while a tape is open.
 """
 
 from __future__ import annotations
@@ -413,6 +417,28 @@ def rows(a: Tensor, index) -> Tensor:
     return _record(a.data[idx], (a, vjp))
 
 
+def pair_dots(a: Tensor, pairs) -> Tensor:
+    """Dot products a[i] . a[j] of the rows of each index pair (i, j) of
+    ``pairs`` [B, 2], as a [B, 1] column. Backward gathers the rows again
+    instead of keeping them, and scatters onto the j rows before the i rows:
+    the order of the ``rows``/``rows``/``mul``/``sum_axis`` chain, whose
+    gradient this equals byte for byte."""
+    pairs = np.asarray(pairs, dtype=np.intp)
+    left, right = pairs[:, 0], pairs[:, 1]
+    ad, slot = a.data, a.slot
+    n, width = ad.shape
+
+    def onto(at, values):
+        return scatter_sum(values, scatter_index(at, width), n)
+
+    def backward(g):
+        slot.accumulate(onto(right, g * ad[left]))
+        slot.accumulate(onto(left, g * ad[right]))
+
+    return _result((ad[left] * ad[right]).sum(axis=-1, keepdims=True),
+                   slot is not None, backward)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.shape
     return _record(a.data.reshape(shape), (a, lambda g: g.reshape(orig)))
@@ -432,6 +458,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out = add(out, b)
     return out
+
+
+def concat_linear(pieces: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """``linear(concat(pieces, axis=1), w, b)`` as one op that keeps the
+    pieces, not their concatenation, and joins them again in backward for
+    w's gradient. Gradients reach b, then w, then the pieces in order: the
+    order of the three-op chain, whose gradients these equal byte for byte."""
+    wd, b_shape = w.data, b.shape
+    xs = [p.data for p in pieces]
+    data = np.concatenate(xs, axis=1) @ wd + b.data
+    sw, sb = w.slot, b.slot
+    if sw is None:
+        xs = []  # only w's gradient reads the pieces' values
+    ends = list(itertools.accumulate(p.shape[1] for p in pieces))
+    pulls = [(p.slot, slice(start, stop))
+             for p, start, stop in zip(pieces, [0] + ends, ends) if p.slot is not None]
+
+    def backward(g):
+        if sb is not None:
+            sb.accumulate(_unbroadcast(g, b_shape))
+        if sw is not None:
+            sw.accumulate(np.concatenate(xs, axis=1).T @ g)
+        if pulls:
+            gx = g @ wd.T
+            for slot, span in pulls:
+                slot.accumulate(gx[:, span])
+
+    return _result(data, sw is not None or sb is not None or bool(pulls), backward)
 
 
 def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
@@ -637,30 +691,37 @@ def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
     u = slots.bank.size
-    qs = q.data[slots.bank].reshape(u, heads, dh)
-    ks = k.data[slots.token].reshape(u, heads, dh)
-    vs = v.data[slots.token].reshape(u, heads, dh)
-    logits = np.einsum("uhd,uhd->uh", qs, ks) * c
+    qd, kd, vd = q.data, k.data, v.data
+
+    def gather(x, at):
+        return x[at].reshape(u, heads, dh)
+
+    logits = np.einsum("uhd,uhd->uh", gather(qd, slots.bank), gather(kd, slots.token)) * c
     if u:
         logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
     e = np.exp(logits)
     w = e / slots.scatter(e, False, g_count)[slots.bank]
-    data = slots.scatter((w[:, :, None] * vs).reshape(u, d), False, g_count)
+    data = slots.scatter((w[:, :, None] * gather(vd, slots.token)).reshape(u, d),
+                         False, g_count)
     sq, sk, sv = q.slot, k.slot, v.slot
 
     def backward(g):
-        gs = g[slots.bank].reshape(u, heads, dh)
+        # the [U, d] slot rows, several times the size of q, k and v, are
+        # gathered again one at a time instead of being kept from the forward
+        gs = gather(g, slots.bank)
         if sv is not None:
             sv.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
-        if sq is not None or sk is not None:
-            wg = w * np.einsum("uhd,uhd->uh", gs, vs)
-            dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
-            if sq is not None:
-                sq.accumulate(slots.scatter((dlogits[:, :, None] * ks).reshape(u, d),
-                                            False, g_count))
-            if sk is not None:
-                sk.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
-                                            True, t_count))
+        if sq is None and sk is None:
+            return
+        wg = w * np.einsum("uhd,uhd->uh", gs, gather(vd, slots.token))
+        del gs
+        dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
+        if sq is not None:
+            sq.accumulate(slots.scatter((dlogits[:, :, None] * gather(kd, slots.token))
+                                        .reshape(u, d), False, g_count))
+        if sk is not None:
+            sk.accumulate(slots.scatter((dlogits[:, :, None] * gather(qd, slots.bank))
+                                        .reshape(u, d), True, t_count))
 
     return _result(data, any(slot is not None for slot in (sq, sk, sv)), backward), w
 

@@ -117,9 +117,7 @@ def nc_task_loss(params: ParamStore, refined: Tensor, labels: np.ndarray,
 
 def lp_scores(refined: Tensor, pairs: np.ndarray) -> Tensor:
     """Symmetric dot-product edge scores for index pairs [B, 2]."""
-    left = nx.rows(refined, pairs[:, 0])
-    right = nx.rows(refined, pairs[:, 1])
-    return nx.sum_axis(nx.mul(left, right), -1, keepdims=True)
+    return nx.pair_dots(refined, pairs)
 
 
 def edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Config parsing/validation and the command-line surface."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
                            FederationSection, MissingnessSection, ModelSection,
                            assemble_run, parse_config, validate_config)
 from fedmmg.graphdata import load_graph
+from fedmmg.model import ModelConfig
+from fedmmg.tasks import TaskSpec
 
 # JSON values of every shape, plus values of the right type near the ranges
 # validate_config checks, so documents reach both the type and range checks.
@@ -75,6 +78,20 @@ class TestConfigDefaults:
 
     def test_no_file_same_as_empty(self):
         assert parse_config(None).to_dict() == ExperimentConfig().to_dict()
+
+    def test_model_and_task_defaults_match_the_config_section(self):
+        # ModelConfig and TaskSpec, which verify.py and tests build without
+        # a config, repeat these ModelSection defaults; they must not drift
+        section = {f.name: f.default for f in dataclasses.fields(ModelSection)}
+        shared = {f.name: f.default for f in dataclasses.fields(ModelConfig)
+                  if f.name in section}
+        assert set(shared) == {"hidden_dim", "heads", "neighbor_cap", "warmup_rounds",
+                               "router_temperature", "gnn_layers", "lambda_bal"}
+        assert shared == {name: section[name] for name in shared}
+        for_kind = inspect.signature(TaskSpec.for_kind).parameters
+        spec = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
+        for name in ("lambda_align", "lambda_route"):
+            assert spec[name] == for_kind[name].default == section[name], name
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ import inspect
 import multiprocessing
 import multiprocessing.connection
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,37 @@ class TestClientRound:
         rec = history.records[-1]
         assert all(0 < w for w in rec.omega.values())
         np.testing.assert_allclose(sum(rec.omega.values()), 1.0, atol=1e-9)
+
+    def test_an_epoch_frees_the_last_ones_forward(self, monkeypatch):
+        # one 1,000-node link-prediction client, 2 local epochs. Keeping the
+        # first epoch's forward and plan through the second left 7.6 MiB
+        # more live at the second backward entry than at the first; what
+        # remains is the sparse scatter index the first backward caches.
+        cfg = ExperimentConfig.from_dict({
+            "task": "lp",
+            "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 250,
+                     "p_in": 0.01, "p_out": 0.001, "d_img": 512, "d_txt": 768},
+            "missingness": {"rate": 0.3, "mode": "node", "p_mask": 0.3},
+            "federation": {"clients": 1, "rounds": 1, "workers": 1},
+            "model": {"hidden_dim": 32, "local_epochs": 2}})
+        setup = assemble_run(cfg).setup
+        store = init_params(setup.model_cfg, cfg.seed)
+        live: list[int] = []
+        real_backward = numerics.Tape.backward
+
+        def backward(tape, loss):
+            live.append(tracemalloc.get_traced_memory()[0])
+            real_backward(tape, loss)
+
+        monkeypatch.setattr(numerics.Tape, "backward", backward)
+        tracemalloc.start()
+        try:
+            client_local_round(setup, store, AdamState.for_params(store),
+                               setup.clients[0], 0)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2
+        assert max(live) - live[0] < 4 * 2**20
 
 
 class TestLinkPredictionWithoutNonEdges:

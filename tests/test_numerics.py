@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmmg import numerics as nx
+from fedmmg import tasks
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import run_federation
 from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
@@ -293,6 +294,165 @@ class TestSharedMemoryAttention:
         assert all(cache[key] is kept[key] for key in kept)
 
 
+def held_rows_bank_attention(q, k, v, slots, heads):
+    """Reference for ``_bank_attention``: the form that kept the gathered
+    slot rows of q, k and v for its backward."""
+    g_count, d = q.shape
+    t_count = k.shape[0]
+    dh = d // heads
+    c = 1.0 / np.sqrt(dh)
+    u = slots.bank.size
+    qs = q.data[slots.bank].reshape(u, heads, dh)
+    ks = k.data[slots.token].reshape(u, heads, dh)
+    vs = v.data[slots.token].reshape(u, heads, dh)
+    logits = np.einsum("uhd,uhd->uh", qs, ks) * c
+    if u:
+        logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
+    e = np.exp(logits)
+    w = e / slots.scatter(e, False, g_count)[slots.bank]
+    data = slots.scatter((w[:, :, None] * vs).reshape(u, d), False, g_count)
+    sq, sk, sv = q.slot, k.slot, v.slot
+
+    def backward(g):
+        gs = g[slots.bank].reshape(u, heads, dh)
+        if sv is not None:
+            sv.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
+        if sq is not None or sk is not None:
+            wg = w * np.einsum("uhd,uhd->uh", gs, vs)
+            dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
+            if sq is not None:
+                sq.accumulate(slots.scatter((dlogits[:, :, None] * ks).reshape(u, d),
+                                            False, g_count))
+            if sk is not None:
+                sk.accumulate(slots.scatter((dlogits[:, :, None] * qs).reshape(u, d),
+                                            True, t_count))
+
+    return nx._result(data, any(s is not None for s in (sq, sk, sv)), backward), w
+
+
+def concat_then_linear(pieces, w, b):
+    """Reference for ``concat_linear``: the three ops it stands for."""
+    return nx.linear(nx.concat(pieces, axis=1), w, b)
+
+
+def gathered_pair_dots(a, pairs):
+    """Reference for ``pair_dots``: the chain ``tasks.lp_scores`` recorded."""
+    left = nx.rows(a, pairs[:, 0])
+    right = nx.rows(a, pairs[:, 1])
+    return nx.sum_axis(nx.mul(left, right), -1, keepdims=True)
+
+
+def grad_bytes(tensors):
+    return [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=10)
+
+
+class TestFusedOpsMatchTheirCompositions:
+    """Each op that stands for a chain of ops gives the chain's values and
+    gradients byte for byte, with every gradient slot summed in the chain's
+    order, also where another op reaches the same input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 6), widths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           out_width=st.integers(1, 4), takes=st.lists(st.booleans(), min_size=6, max_size=6),
+           repeat_first=st.booleans(), row_bias=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_concat_linear(self, n, widths, out_width, takes, repeat_first, row_bias, seed):
+        def run(op):
+            rng = np.random.default_rng(seed)
+            xs = [Tensor(varied_normal(rng, (n, wd)), requires_grad=take)
+                  for wd, take in zip(widths, takes)]
+            pieces = xs + xs[:1] if repeat_first else xs
+            width = sum(p.shape[1] for p in pieces)
+            w = Tensor(varied_normal(rng, (width, out_width)), requires_grad=takes[4])
+            b = Tensor(varied_normal(rng, (1, out_width) if row_bias else (out_width,)),
+                       requires_grad=takes[5])
+            probe = const(varied_normal(rng, (n, out_width)))
+            with Tape() as tape:
+                # other ops reach the first piece before and after the fused one
+                early = nx.total_sum(nx.mul(xs[0], const(varied_normal(rng, xs[0].shape))))
+                out = op(pieces, w, b)
+                late = nx.total_sum(nx.mul(xs[0], const(varied_normal(rng, xs[0].shape))))
+                tape.backward(nx.add(nx.add(early, nx.total_sum(nx.mul(out, probe))), late))
+            return [out.data.tobytes()] + grad_bytes(xs + [w, b])
+
+        assert run(nx.concat_linear) == run(concat_then_linear)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 8), width=st.integers(1, 4), pos=_PAIRS, neg=_PAIRS,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pair_dots(self, n, width, pos, neg, seed):
+        pos = np.array(pos, dtype=np.int64) % n
+        neg = np.array(neg, dtype=np.int64) % n
+
+        def run(op):
+            rng = np.random.default_rng(seed)
+            a = Tensor(varied_normal(rng, (n, width)), requires_grad=True)
+            with Tape() as tape:
+                # a takes four scatters from the two calls and one earlier term
+                early = nx.total_sum(nx.mul(a, const(varied_normal(rng, (n, width)))))
+                s_pos, s_neg = op(a, pos), op(a, neg)
+                loss = nx.add(early, nx.total_sum(nx.mul(
+                    nx.concat([s_pos, s_neg], axis=0),
+                    const(varied_normal(rng, (pos.shape[0] + neg.shape[0], 1))))))
+                tape.backward(loss)
+            return [s_pos.data.tobytes(), s_neg.data.tobytes(), a.grad.tobytes()]
+
+        assert run(nx.pair_dots) == run(gathered_pair_dots)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 8), pos=_PAIRS, neg=_PAIRS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_link_loss_through_lp_scores(self, n, pos, neg, seed):
+        # the whole link-prediction loss, whose two lp_scores calls both
+        # scatter onto the refined rows
+        pos = np.array(pos, dtype=np.int64) % n
+        neg = np.resize(np.array(neg, dtype=np.int64) % n, pos.shape)
+
+        def run():
+            refined = Tensor(varied_normal(np.random.default_rng(seed), (n, 3)),
+                             requires_grad=True)
+            with Tape() as tape:
+                loss = tasks.lp_pair_loss(refined, pos, neg)
+                tape.backward(loss)
+            return [loss.data.tobytes(), refined.grad.tobytes()]
+
+        fused = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "pair_dots", gathered_pair_dots)
+            assert run() == fused
+
+    @settings(max_examples=60, deadline=None)
+    @given(g_count=st.integers(1, 9), s_count=st.integers(1, 5), heads=st.sampled_from([1, 2]),
+           empty=st.lists(st.integers(0, 8), max_size=3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bank_attention(self, g_count, s_count, heads, empty, seed):
+        def run():
+            rng = np.random.default_rng(seed)
+            store = ParamStore.pack(attention_arrays(rng, 5, 6, 6, 8))
+            params = attention_of(store)
+            memory = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+            query = Tensor(rng.normal(size=(g_count, 5)), requires_grad=True)
+            index, mask = shared_memory_banks(rng, 7, g_count, s_count,
+                                              [e for e in empty if e < g_count])
+            probe = const(rng.normal(size=(g_count, 6)))
+            with Tape() as tape:
+                stacked = nx.concat([memory, const(np.zeros((1, 6)))], axis=0)
+                out, weights = nx.attention_batched(query, stacked, stacked, index, mask,
+                                                    heads, params)
+                # the memory's slot sums the key and value gradients and
+                # one more term
+                tape.backward(nx.add(nx.total_sum(nx.mul(out, probe)),
+                                     nx.total_sum(nx.mul(memory, memory))))
+            tensors = [params.wq, params.wk, params.wv, params.wo, query, memory]
+            return [out.data.tobytes(), weights.tobytes()] + grad_bytes(tensors)
+
+        regathered = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "_bank_attention", held_rows_bank_attention)
+            assert run() == regathered
+
+
 class TestAliasedGradients:
     """A first gradient is stored as it is, so it may alias another tensor's
     gradient; later ones must be added without mutating it."""
@@ -329,14 +489,16 @@ class TestAliasedGradients:
         assert np.array_equal(v.grad, c1 + c2)
 
 
-def at_each_backward(monkeypatch, setup, inspect):
+def at_each_backward(monkeypatch, setup, inspect, after=None):
     """Run the federation of ``setup``, calling ``inspect(tape)`` as each
-    ``Tape.backward`` is entered."""
+    ``Tape.backward`` is entered and ``after()``, if given, as it returns."""
     real_backward = Tape.backward
 
     def backward(tape, loss):
         inspect(tape)
         real_backward(tape, loss)
+        if after is not None:
+            after()
 
     monkeypatch.setattr(Tape, "backward", backward)
     run_federation(setup)
@@ -407,6 +569,11 @@ class TestTapeLifetime:
         at_each_backward(monkeypatch, assemble_run(cfg).setup, inspect)
         assert not [x for x in held if isinstance(x, Tensor)]
         assert sum(isinstance(x, nx._Slot) for x in held) > 500
+        # the ops that keep their inputs rather than gathered or joined
+        # copies are among the records checked
+        ops = {getattr(x, "__qualname__", "").partition(".")[0] for x in held}
+        assert {"concat_linear", "_bank_attention"} <= ops
+        assert ("pair_dots" in ops) == (task == "lp")
 
     def test_backward_frees_an_array_only_a_closure_holds(self):
         x = nx.Tensor(np.ones((3, 2)), requires_grad=True)
@@ -442,7 +609,9 @@ class TestTapeLifetime:
         # the link-prediction benchmark's shape at a quarter of its nodes:
         # 2 clients of about 500 nodes. Records that hold their output and
         # operand tensors leave 30.3 MiB live at backward entry; slots and
-        # only the arrays backward reads leave 14.9 MiB.
+        # only the arrays backward reads leave 13.4-13.6 MiB, and keeping
+        # inputs instead of gathered slot rows, joined linear inputs and
+        # gathered edge rows 11.3-11.5 MiB, with backward adding 0.6 MiB.
         cfg = ExperimentConfig.from_dict({
             "task": "lp",
             "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 250,
@@ -453,14 +622,21 @@ class TestTapeLifetime:
             "model": {"hidden_dim": 32, "local_epochs": 1}})
         setup = assemble_run(cfg).setup
         live: list[int] = []
+        peaks: list[int] = []
+
+        def entry(tape):
+            live.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
         tracemalloc.start()
         try:
-            at_each_backward(monkeypatch, setup,
-                             lambda tape: live.append(tracemalloc.get_traced_memory()[0]))
+            at_each_backward(monkeypatch, setup, entry,
+                             lambda: peaks.append(tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
-        assert len(live) == 2
-        assert max(live) < 22 * 2**20
+        assert len(live) == len(peaks) == 2
+        assert max(live) < 12 * 2**20
+        assert max(peaks) < 12.5 * 2**20
 
 
 def masked_sigmoid(x):
