@@ -17,7 +17,8 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, assemble_run, build_data, parse_config
 from .federation import FederationAborted, RoundHistory, run_federation
 from .graphdata import GraphFileError, save_graph
-from .verify import run_gradcheck_suite, run_metrics_oracle, run_theory_check
+from .verify import (DEFAULT_GRAD_SEEDS, run_gradcheck_suite, run_metrics_oracle,
+                     run_theory_check)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -170,12 +171,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_theory_check(args: argparse.Namespace) -> int:
     report = run_theory_check(configs=args.configs, trials=args.trials,
-                              seed=args.seed or 0)
+                              seed=args.seed)
     return _emit_report(report, args.out, "theory-check")
 
 
 def cmd_metrics_oracle(args: argparse.Namespace) -> int:
-    report = run_metrics_oracle(instances=args.instances, seed=args.seed or 0)
+    report = run_metrics_oracle(instances=args.instances, seed=args.seed)
     return _emit_report(report, args.out, "metrics-oracle")
 
 
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p_grad.add_argument("--seeds", type=int, default=20)
+    p_grad.add_argument("--seeds", type=int, default=DEFAULT_GRAD_SEEDS)
     p_grad.add_argument("--out", type=str, default=None)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
@@ -237,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         # an OSError is an output that cannot be written; a file that
         # cannot be read raises ConfigError or GraphFileError above
         print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUN
+    except MemoryError as exc:  # one raised in a worker is re-raised here too
+        print(f"run failed: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUN
 
 

@@ -21,7 +21,7 @@ from .graphdata import (MISSING_MODES, ClientPartition, MultimodalGraph,
                         apply_natural_missingness, empirical_missing_fraction,
                         generate_sbm_multimodal, induced_subgraph, load_graph,
                         partition_dirichlet)
-from .model import ModelConfig
+from .model import ModelConfig, ModelSection
 from .tasks import TASK_KINDS, TaskSpec
 
 RUN_MODES = ("reliability", "fedavg", "fedavg-zero")
@@ -67,23 +67,6 @@ class FederationSection:
     # min(workers, clients, cores) processes run the client jobs (one runs
     # them in-process); outputs do not depend on it
     workers: int = 1
-
-
-@dataclass
-class ModelSection:
-    hidden_dim: int = 256
-    heads: int = 4
-    neighbor_cap: int = 16
-    warmup_rounds: int = 30
-    router_temperature: float = 1.0
-    gnn_layers: int = 2
-    lr: float = 0.005
-    local_epochs: int = 3
-    clip_norm: float = 1.0
-    lambda_rec: float | None = None   # task default when unset
-    lambda_align: float = 0.01
-    lambda_route: float = 0.01
-    lambda_bal: float = 0.5
 
 
 @dataclass
@@ -180,7 +163,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check("missingness.p_mask", 0.0 <= m.p_mask < 1.0)
     if m.per_client_rates is not None:
         _check("missingness.per_client_rates",
-               all(0.0 <= r < 1.0 for r in m.per_client_rates))
+               len(m.per_client_rates) == cfg.federation.clients
+               and all(0.0 <= r < 1.0 for r in m.per_client_rates))
 
     f = cfg.federation
     _check("federation.clients", f.clients >= 1)
@@ -292,16 +276,9 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
     labels = graph.labels
     num_classes = int(labels.max()) + 1 if labels is not None else None
     model_cfg = ModelConfig(
-        modalities=[(mod.name, mod.dim) for mod in graph.modalities],
-        hidden_dim=cfg.model.hidden_dim, heads=cfg.model.heads,
-        neighbor_cap=cfg.model.neighbor_cap,
-        warmup_rounds=cfg.model.warmup_rounds,
-        router_temperature=cfg.model.router_temperature,
-        gnn_layers=cfg.model.gnn_layers, num_classes=num_classes,
-        bypass_generation=cfg.federation.mode == "fedavg-zero",
-        lambda_bal=cfg.model.lambda_bal)
-    task_spec = TaskSpec.for_kind(cfg.task, cfg.model.lambda_rec,
-                                  cfg.model.lambda_align, cfg.model.lambda_route)
+        **asdict(cfg.model), modalities=[(mod.name, mod.dim) for mod in graph.modalities],
+        num_classes=num_classes, bypass_generation=cfg.federation.mode == "fedavg-zero")
+    task_spec = TaskSpec.for_kind(cfg.task, cfg.model)
     clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
                for cid, nodes in enumerate(partition.node_lists)]
     setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg,

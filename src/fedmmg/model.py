@@ -23,17 +23,29 @@ MODALITY_EMBED_DIM = 16  # width of a query's target-modality embedding
 
 
 @dataclass
-class ModelConfig:
-    modalities: list[tuple[str, int]]
+class ModelSection:
+    """The config file's ``model`` section; each setting's default lives here."""
     hidden_dim: int = 256
     heads: int = 4
     neighbor_cap: int = 16
     warmup_rounds: int = 30
     router_temperature: float = 1.0
     gnn_layers: int = 2
+    lr: float = 0.005
+    local_epochs: int = 3
+    clip_norm: float = 1.0
+    lambda_rec: float | None = None   # TaskSpec.for_kind's task default when unset
+    lambda_align: float = 0.01
+    lambda_route: float = 0.01
+    lambda_bal: float = 0.5
+
+
+@dataclass(kw_only=True)
+class ModelConfig(ModelSection):
+    """A model section plus the data's shape and the run mode's bypass."""
+    modalities: list[tuple[str, int]]
     num_classes: int | None = None
     bypass_generation: bool = False
-    lambda_bal: float = 0.5
 
     @property
     def estimator_hidden(self) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nx
+from .model import ModelSection
 from .numerics import ParamStore, Tensor, const
 
 TASK_KINDS = ("nc", "lp", "mr")
@@ -30,8 +31,8 @@ NCE_TEMPERATURE, LAMBDA_CLS, QUERY_MODALITY = 0.07, 0.2, 0
 class TaskSpec:
     kind: str
     lambda_rec: float
-    lambda_align: float = 0.01
-    lambda_route: float = 0.01
+    lambda_align: float
+    lambda_route: float
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -41,12 +42,13 @@ class TaskSpec:
                 raise ValueError("loss weights must be nonnegative")
 
     @classmethod
-    def for_kind(cls, kind: str, lambda_rec: float | None = None,
-                 lambda_align: float = 0.01, lambda_route: float = 0.01) -> "TaskSpec":
-        if lambda_rec is None:
-            lambda_rec = 0.5 if kind == "mr" else 0.05
-        return cls(kind=kind, lambda_rec=lambda_rec, lambda_align=lambda_align,
-                   lambda_route=lambda_route)
+    def for_kind(cls, kind: str, model: ModelSection) -> "TaskSpec":
+        """The loss weights of ``model``; an unset ``lambda_rec`` takes the
+        task's default, which is declared only here."""
+        rec = model.lambda_rec
+        if rec is None:
+            rec = 0.5 if kind == "mr" else 0.05
+        return cls(kind, rec, model.lambda_align, model.lambda_route)
 
 
 @dataclass

@@ -111,7 +111,7 @@ def run_gradcheck_suite(seeds: int = DEFAULT_GRAD_SEEDS, h: float = 1e-5,
             cfg = ModelConfig(modalities=[("img", 10), ("txt", 12)], hidden_dim=8,
                               heads=4, neighbor_cap=4, warmup_rounds=10,
                               num_classes=2)
-            spec = TaskSpec.for_kind(task_kind)
+            spec = TaskSpec.for_kind(task_kind, cfg)
             store = init_params(cfg, seed)
             return _local_objective_fn(graph, masks, cfg, spec, seed, store), store
         return build

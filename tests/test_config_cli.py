@@ -1,7 +1,6 @@
 """Config parsing/validation and the command-line surface."""
 
 import dataclasses
-import inspect
 import json
 import math
 import os
@@ -18,8 +17,6 @@ from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
                            FederationSection, MissingnessSection, ModelSection,
                            assemble_run, parse_config, validate_config)
 from fedmmg.graphdata import load_graph
-from fedmmg.model import ModelConfig
-from fedmmg.tasks import TaskSpec
 
 # JSON values of every shape, plus values of the right type near the ranges
 # validate_config checks, so documents reach both the type and range checks.
@@ -79,19 +76,31 @@ class TestConfigDefaults:
     def test_no_file_same_as_empty(self):
         assert parse_config(None).to_dict() == ExperimentConfig().to_dict()
 
-    def test_model_and_task_defaults_match_the_config_section(self):
-        # ModelConfig and TaskSpec, which verify.py and tests build without
-        # a config, repeat these ModelSection defaults; they must not drift
-        section = {f.name: f.default for f in dataclasses.fields(ModelSection)}
-        shared = {f.name: f.default for f in dataclasses.fields(ModelConfig)
-                  if f.name in section}
-        assert set(shared) == {"hidden_dim", "heads", "neighbor_cap", "warmup_rounds",
-                               "router_temperature", "gnn_layers", "lambda_bal"}
-        assert shared == {name: section[name] for name in shared}
-        for_kind = inspect.signature(TaskSpec.for_kind).parameters
-        spec = {f.name: f.default for f in dataclasses.fields(TaskSpec)}
-        for name in ("lambda_align", "lambda_route"):
-            assert spec[name] == for_kind[name].default == section[name], name
+    def test_assemble_run_carries_every_model_setting(self):
+        # every model setting, each off its default, reaches the model
+        # config, and the three loss weights reach the task spec
+        doc = _small_cfg_doc()
+        doc["model"] = {"hidden_dim": 12, "heads": 3, "neighbor_cap": 5,
+                        "warmup_rounds": 7, "router_temperature": 0.5,
+                        "gnn_layers": 1, "lr": 0.002, "local_epochs": 2,
+                        "clip_norm": 0.5, "lambda_rec": 0.3, "lambda_align": 0.02,
+                        "lambda_route": 0.03, "lambda_bal": 0.25}
+        cfg = ExperimentConfig.from_dict(doc)
+        section = dataclasses.asdict(cfg.model)
+        defaults = dataclasses.asdict(ModelSection())
+        assert all(section[key] != defaults[key] for key in defaults)
+        setup = assemble_run(cfg).setup
+        assert {key: getattr(setup.model_cfg, key) for key in section} == section
+        spec = setup.task_spec
+        assert (spec.lambda_rec, spec.lambda_align, spec.lambda_route) == (0.3, 0.02, 0.03)
+
+    @pytest.mark.parametrize("task, lambda_rec", [("nc", 0.05), ("lp", 0.05),
+                                                  ("mr", 0.5)])
+    def test_unset_reconstruction_weight_takes_the_task_default(self, task, lambda_rec):
+        doc = _small_cfg_doc()
+        doc["task"] = task
+        spec = assemble_run(ExperimentConfig.from_dict(doc)).setup.task_spec
+        assert spec.lambda_rec == lambda_rec
 
 
 class TestConfigValidation:
@@ -162,6 +171,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError,
                            match=f"^value out of range for {re.escape(repr(key))}$"):
             ExperimentConfig.from_dict(doc)
+
+    def test_per_client_rates_need_one_rate_per_client(self, tmp_path, capsys,
+                                                       monkeypatch):
+        def generate(**kwargs):
+            raise AssertionError("a graph was generated")
+        monkeypatch.setattr("fedmmg.config.generate_sbm_multimodal", generate)
+        cfg_path = tmp_path / "rates.json"
+        cfg_path.write_text(json.dumps({"federation": {"clients": 3},
+                                        "missingness": {"per_client_rates": [0.1, 0.2]}}))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration: value out of range for 'missingness.per_client_rates'\n")
 
     def test_invalid_mode_strings(self):
         cfg = ExperimentConfig()
@@ -386,6 +407,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and str(blocker) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_config_too_large_for_memory_exits_two(self, tmp_path, capsys, command):
+        # numpy refuses the 29 TiB label array before allocating any of it
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps({"data": {"nodes_per_block": 10 ** 12}}))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: out of memory: Unable to allocate")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_of_memory_in_a_worker_exits_two(self, tmp_path, capfd, monkeypatch):
+        from fedmmg import federation
+        parent = os.getpid()
+        real_round = federation.client_local_round
+
+        def failing_round(*args):
+            if os.getpid() != parent:
+                raise MemoryError("simulated in a worker")
+            return real_round(*args)
+
+        monkeypatch.setattr(federation, "client_local_round", failing_round)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        assert main(["run", "--config", str(cfg_path), "--workers", "2",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capfd.readouterr().err == "run failed: out of memory: simulated in a worker\n"
 
     def test_dead_worker_exits_two(self, tmp_path, capfd, monkeypatch):
         # fd-level capture: a worker's own output would show here too

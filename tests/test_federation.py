@@ -304,13 +304,13 @@ class TestLinkPredictionWithoutNonEdges:
 
     def test_evaluation_reports_no_metrics(self):
         data, cfg = self._triangle_client()
-        assert evaluate_client(init_params(cfg, 0), cfg, TaskSpec.for_kind("lp"),
+        assert evaluate_client(init_params(cfg, 0), cfg, TaskSpec.for_kind("lp", cfg),
                                data, 0, 0) == (None, 0)
 
     def test_training_fails_the_client_round(self):
         data, cfg = self._triangle_client()
         setup = FederationSetup(clients=[data], cfg=ExperimentConfig(),
-                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp"))
+                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp", cfg))
         store = init_params(cfg, 0)
         with pytest.raises(ClientRoundError, match="non-edge"):
             client_local_round(setup, store, AdamState.for_params(store), data, 0)
@@ -326,7 +326,7 @@ class TestLinkPredictionWithoutNonEdges:
         run_cfg.federation.rounds = 2
         run_cfg.federation.workers = workers
         setup = FederationSetup(clients=[triangle, path], cfg=run_cfg,
-                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp"))
+                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp", cfg))
         history = run_federation(setup)
         for rec in history.records:
             assert list(rec.errors) == [0] and "non-edge" in rec.errors[0]

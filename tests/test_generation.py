@@ -298,7 +298,7 @@ class TestForwardPlan:
                           heads=4, neighbor_cap=4, warmup_rounds=10, num_classes=2)
         store = init_params(cfg, 3)
         fn = verify._local_objective_fn(graph, verify._toy_masks(graph, 3), cfg,
-                                        TaskSpec.for_kind("nc"), 3, store)
+                                        TaskSpec.for_kind("nc", cfg), 3, store)
         assert calls == {"banks": 1, "anchors": 2}
         base = fn(store).data
         store["gen.att.wq"].data[0, 0] += 1e-3

@@ -11,7 +11,7 @@ from fedmmg import tasks
 from fedmmg.metrics import (MetricError, auc_score, average_precision,
                             evaluate_metrics, macro_f1, mrr, recall_at_k,
                             retrieval_ranks)
-from fedmmg.model import GraphCaches, init_params
+from fedmmg.model import GraphCaches, ModelSection, init_params
 from fedmmg.numerics import const, neighbor_mean_matrix
 from fedmmg.tasks import LossBreakdown, TaskSpec, cross_entropy, refine
 
@@ -20,10 +20,11 @@ from test_encoding import edge_array, small_cfg, star_graph
 
 class TestTaskSpec:
     def test_default_weights_by_kind(self):
-        assert TaskSpec.for_kind("nc").lambda_rec == 0.05
-        assert TaskSpec.for_kind("lp").lambda_rec == 0.05
-        assert TaskSpec.for_kind("mr").lambda_rec == 0.5
-        spec = TaskSpec.for_kind("nc")
+        section = ModelSection()
+        assert TaskSpec.for_kind("nc", section).lambda_rec == 0.05
+        assert TaskSpec.for_kind("lp", section).lambda_rec == 0.05
+        assert TaskSpec.for_kind("mr", section).lambda_rec == 0.5
+        spec = TaskSpec.for_kind("nc", section)
         assert spec.lambda_align == 0.01 and spec.lambda_route == 0.01
         assert tasks.NCE_TEMPERATURE == 0.07
         assert (tasks.LP_BCE_WEIGHT, tasks.LP_BPR_WEIGHT, tasks.LP_MARGIN_WEIGHT,
@@ -33,7 +34,7 @@ class TestTaskSpec:
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):
-            TaskSpec.for_kind("graph-level")
+            TaskSpec.for_kind("graph-level", ModelSection())
 
 
 class TestRefine:

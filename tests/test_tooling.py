@@ -1,6 +1,7 @@
 """Tooling that reaches into fedmmg by name still finds what it names, and
 the benchmark's configs still build runs."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -135,3 +136,28 @@ def test_benchmark_link_prediction_set_up_stays_small():
         tracemalloc.stop()
     assert len(setup.clients) == 2
     assert peak < 86 * 2**20
+
+
+def test_benchmark_gradcheck_calls_bind_to_the_suite():
+    # perfbench/child.py unpacks each (dry) call in a for loop and passes the
+    # parts to run_gradcheck_suite by keyword; bind them, without a run
+    from fedmmg import verify
+
+    with open(os.path.join(ROOT, "perfbench", "child.py")) as fh:
+        tree = ast.parse(fh.read())
+    call = next(node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "run_gradcheck_suite")
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For)
+                and any(inner is call for inner in ast.walk(node)))
+    names = [target.id for target in loop.target.elts]
+    position = {kw.arg: names.index(kw.value.id) for kw in call.keywords}
+    assert set(position) == {"seeds", "h", "tasks", "max_entries"}
+    signature = inspect.signature(verify.run_gradcheck_suite)
+    workloads = _load_perfbench("workloads")
+    gradchecks = [wl for wl in workloads.WORKLOADS.values()
+                  if isinstance(wl, workloads.Gradcheck)]
+    assert gradchecks
+    for workload in gradchecks:
+        for values in workload.calls + workload.dry_calls:
+            assert len(values) == len(names)
+            signature.bind(**{key: values[i] for key, i in position.items()})
