@@ -278,7 +278,7 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
     model_cfg = ModelConfig(
         **asdict(cfg.model), modalities=[(mod.name, mod.dim) for mod in graph.modalities],
         num_classes=num_classes, bypass_generation=cfg.federation.mode == "fedavg-zero")
-    task_spec = TaskSpec.for_kind(cfg.task, cfg.model)
+    task_spec = TaskSpec.for_kind(cfg.task, model_cfg)
     clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
                for cid, nodes in enumerate(partition.node_lists)]
     setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg,

@@ -185,7 +185,7 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
     holds the update afterwards; return the uploaded stats and last losses."""
     cfg, model_cfg, spec = setup.cfg, setup.model_cfg, setup.task_spec
     store.zero_grads()
-    epochs = max(1, cfg.model.local_epochs)
+    epochs = max(1, model_cfg.local_epochs)
 
     for epoch in range(epochs):
         rng = np.random.default_rng(
@@ -209,17 +209,17 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
             if not np.isfinite(total.data).all():
                 raise ClientRoundError(
                     data.cid, f"non-finite loss at round {round_t} epoch {epoch}")
-            if cfg.model.local_epochs > 0 and cfg.model.lr > 0:
+            if model_cfg.local_epochs > 0 and model_cfg.lr > 0:
                 try:
                     tape.backward(total)
                 except GradientError as exc:
                     raise ClientRoundError(data.cid, str(exc)) from exc
 
-        if cfg.model.local_epochs > 0:
+        if model_cfg.local_epochs > 0:
             grad = store.take_grads()
-            nx.clip_grad_norm(grad, cfg.model.clip_norm)
+            nx.clip_grad_norm(grad, model_cfg.clip_norm)
             try:
-                nx.adam_step(store, adam, grad, cfg.model.lr)
+                nx.adam_step(store, adam, grad, model_cfg.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
         if epoch == epochs - 1:
@@ -363,9 +363,9 @@ class RoundHistory:
 
 @dataclass
 class FederationSetup:
-    """Everything the round loop needs. The run reads every setting from
-    ``cfg``, the validated experiment config; ``model_cfg`` and
-    ``task_spec`` are the model shape and the loss weights built from it."""
+    """Everything the round loop needs. ``model_cfg`` holds every model and
+    training setting and ``task_spec`` the loss weights built from it; the
+    rest is read from ``cfg``, the validated experiment config."""
 
     clients: list[ClientData]  # by cid
     cfg: ExperimentConfig

@@ -9,12 +9,15 @@ text-side expert outputs).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numerics as nx
-from .model import ModelSection
 from .numerics import ParamStore, Tensor, const
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelSection
 
 TASK_KINDS = ("nc", "lp", "mr")
 

@@ -410,9 +410,11 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     def test_config_too_large_for_memory_exits_two(self, tmp_path, capsys, command):
-        # numpy refuses the 29 TiB label array before allocating any of it
+        # the 2.78 EiB label array is larger than any user address space, so
+        # its allocation fails under every overcommit mode before a page is
+        # touched
         cfg_path = tmp_path / "huge.json"
-        cfg_path.write_text(json.dumps({"data": {"nodes_per_block": 10 ** 12}}))
+        cfg_path.write_text(json.dumps({"data": {"nodes_per_block": 10 ** 17}}))
         assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err

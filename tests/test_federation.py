@@ -223,6 +223,14 @@ class TestClientRound:
         global_params = init_params(setup.model_cfg, cfg.seed).snapshot()
         np.testing.assert_array_equal(store.vector, global_params)
 
+    def test_training_settings_are_read_from_the_model_config(self):
+        setup = assemble_run(small_experiment(rounds=1)).setup
+        frozen = dataclasses.replace(
+            setup, model_cfg=dataclasses.replace(setup.model_cfg, lr=0.0))
+        store, _ = train_client_zero(frozen)
+        global_params = init_params(setup.model_cfg, setup.cfg.seed).snapshot()
+        np.testing.assert_array_equal(store.vector, global_params)
+
     @staticmethod
     def _missing_ratio_and_hand_count(p_mask):
         cfg = small_experiment(rounds=1)
@@ -586,7 +594,7 @@ class TestSharedBlock:
             for (setup, store), shared in ((copies[round_t], block), (single, one_block)):
                 assert federation._run_job(setup, store, shared, ("train", 0, round_t))
                 shared.broadcast[:] = shared.updates[0]
-        assert block.steps[0] == 2 * one.cfg.model.local_epochs
+        assert block.steps[0] == 2 * one.model_cfg.local_epochs
         for name in ("broadcast", "updates", "m", "v", "steps"):
             assert getattr(block, name).tobytes() == getattr(one_block, name).tobytes()
 
