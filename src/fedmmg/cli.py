@@ -242,7 +242,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # one raised in a worker is re-raised here too
         print(f"run failed: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -116,7 +116,6 @@ class ClientData:
     test_nodes: np.ndarray
     train_edges: np.ndarray
     test_edges: np.ndarray
-    edge_keys: np.ndarray  # tasks.edge_keys of every graph edge
 
 
 def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,8 +145,7 @@ def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) ->
     caches = GraphCaches.build(graph, train_e)
     return ClientData(cid=cid, graph=graph, caches=caches,
                       train_nodes=train_n, test_nodes=test_n,
-                      train_edges=train_e, test_edges=test_e,
-                      edge_keys=task_ops.edge_keys(edges, graph.n))
+                      train_edges=train_e, test_edges=test_e)
 
 
 def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
@@ -157,8 +155,7 @@ def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
         return task_ops.nc_task_loss(params, bundle.refined, graph.labels,
                                      data.train_nodes)
     if spec.kind == "lp":
-        return task_ops.lp_task_loss(bundle.refined, data.train_edges,
-                                     data.edge_keys, graph.n, rng)
+        return task_ops.lp_task_loss(bundle.refined, data.train_edges, graph, rng)
     if spec.kind == "mr":
         return task_ops.mr_task_loss(params, bundle.expert_flat, graph.n,
                                      data.train_nodes, refined=bundle.refined,
@@ -290,20 +287,13 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
         return evaluate_metrics("nc", logits.data, graph.labels[data.test_nodes]), \
             int(data.test_nodes.size)
     if spec.kind == "lp":
-        if data.test_edges.shape[0] == 0 or \
-                not task_ops.has_non_edge(graph.n, data.edge_keys):
+        if data.test_edges.shape[0] == 0 or not graph.has_non_edge:
             return None, 0
-        pos = task_ops.lp_scores(bundle.refined, data.test_edges).data.reshape(-1)
+        pos = nx.pair_dots(bundle.refined, data.test_edges).data.reshape(-1)
         # uniform non-edges, the first pos.size accepted from a stream of draws
-        negs, found = [], 0
-        while found < pos.size:
-            draw = rng.integers(0, graph.n, size=(pos.size, 2))
-            negs.append(task_ops.non_edge_pairs(draw, graph.n, data.edge_keys))
-            found += negs[-1].shape[0]
-        neg_pairs = np.concatenate(negs)[:pos.size].astype(np.intp)
-        neg = task_ops.lp_scores(bundle.refined, neg_pairs).data.reshape(-1)
-        row = evaluate_metrics("lp", (pos, neg), None)
-        return (row, pos.size) if row.valid else (None, 0)
+        neg_pairs = task_ops.draw_non_edges(graph, pos.size, pos.size, rng)[:pos.size]
+        neg = nx.pair_dots(bundle.refined, neg_pairs).data.reshape(-1)
+        return evaluate_metrics("lp", (pos, neg), None), pos.size
     if spec.kind == "mr":
         if data.test_nodes.size == 0:
             return None, 0
@@ -569,7 +559,7 @@ def _mean_metrics(evaluations: list) -> MetricsRow:
             weight_sum += weight
             names = row.names
     if weight_sum == 0:
-        return MetricsRow(names=names, values=(0.0, 0.0), valid=False)
+        return MetricsRow(names=names, values=(0.0, 0.0))
     vals = values / weight_sum
     return MetricsRow(names=names, values=(float(vals[0]), float(vals[1])))
 

@@ -21,8 +21,8 @@ ROUTE_EPS = 1e-12
 
 def _mlp2(params: ParamStore, prefix: str, pieces: list[Tensor]) -> Tensor:
     """Two-layer perceptron over the column-wise concatenation of ``pieces``."""
-    hidden = nx.relu(nx.concat_linear(pieces, params[f"{prefix}.l1.w"],
-                                      params[f"{prefix}.l1.b"]))
+    hidden = nx.relu(nx.linear(pieces, params[f"{prefix}.l1.w"],
+                               params[f"{prefix}.l1.b"]))
     return nx.linear(hidden, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
 
 

@@ -98,8 +98,8 @@ def build_query(params: ParamStore, excl_flat: Tensor, eff: np.ndarray,
     mod_rows = [nx.matmul(ones_col, nx.reshape(nx.rows(params["gen.mod_embed"], [m]), (1, -1)))
                 for m in range(m_count)]
     mod_tiled = nx.concat(mod_rows, axis=0)                          # [G, e]
-    return nx.concat_linear([excl_flat, mask_tiled, mod_tiled],
-                            params["gen.query.w"], params["gen.query.b"])
+    return nx.linear([excl_flat, mask_tiled, mod_tiled],
+                     params["gen.query.w"], params["gen.query.b"])
 
 
 def warmup_coefficient(round_t: int, warmup_rounds: int) -> float:
@@ -131,8 +131,8 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                                        heads, att, banks.scatter_cache)
 
     self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])
-    gate = nx.sigmoid(nx.concat_linear([evidence, self_ctx],
-                                       params["gen.gate.w"], params["gen.gate.b"]))
+    gate = nx.sigmoid(nx.linear([evidence, self_ctx],
+                                params["gen.gate.w"], params["gen.gate.b"]))
     usable = const((1.0 - banks.empty).reshape(-1, 1))
     gate = nx.mul(gate, usable)
 

@@ -47,6 +47,8 @@ class MultimodalGraph:
     modalities: list[Modality]
     labels: np.ndarray | None  # [N] nonnegative class ids
     natural_mask: np.ndarray  # [N, M] in {0, 1}
+    # sorted keys min(u, v) * n + max(u, v) of the undirected edges
+    edge_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64)
@@ -58,13 +60,17 @@ class MultimodalGraph:
         # an invalid edge gets a key of its own, so only valid edges repeat
         keys = np.where(loop | out, -1 - np.arange(lo.size), lo * self.n + hi)
         repeat = np.ones(lo.size, dtype=bool)
-        repeat[np.unique(keys, return_index=True)[1]] = False
+        self.edge_keys, first = np.unique(keys, return_index=True)
+        repeat[first] = False
         bad = np.flatnonzero(loop | out | repeat)  # named in list order
         if bad.size:
             k = bad[0]
             u, v = self.edges[k]
             what = "out of range" if out[k] else "listed twice"
             raise ValueError(f"self-loop on node {u}" if loop[k] else f"edge ({u}, {v}) {what}")
+        names = [mod.name for mod in self.modalities]
+        if not names or len(set(names)) < len(names):
+            raise ValueError(f"need one or more modalities with distinct names, got {names}")
         if self.natural_mask.shape != (self.n, self.num_modalities):
             raise ValueError("natural mask shape mismatch")
         if self.labels is not None:
@@ -83,6 +89,20 @@ class MultimodalGraph:
     @property
     def num_modalities(self) -> int:
         return len(self.modalities)
+
+    @property
+    def has_non_edge(self) -> bool:
+        """Whether some pair of distinct nodes is not an edge."""
+        return self.edge_keys.size < self.n * (self.n - 1) // 2
+
+    def non_edges(self, pairs: np.ndarray) -> np.ndarray:
+        """The rows of ``pairs`` [B, 2] that join two distinct non-adjacent nodes."""
+        keys = self.edge_keys
+        u, v = pairs[:, 0], pairs[:, 1]
+        pair_keys = np.minimum(u, v) * self.n + np.maximum(u, v)
+        at = np.minimum(np.searchsorted(keys, pair_keys), max(keys.size - 1, 0))
+        is_edge = keys[at] == pair_keys if keys.size else np.zeros(u.shape, dtype=bool)
+        return pairs[(u != v) & ~is_edge]
 
     def set_natural_mask(self, mask: np.ndarray) -> None:
         """Install ``mask`` as the natural mask and zero the absent rows."""

@@ -16,7 +16,6 @@ import numpy as np
 class MetricsRow:
     names: tuple[str, str]
     values: tuple[float, float]
-    valid: bool = True
 
 
 class MetricError(ValueError):
@@ -113,7 +112,8 @@ def evaluate_metrics(kind: str, scores, targets) -> MetricsRow:
     """Uniform entry point used by evaluation and the oracle harness.
 
     nc: scores = logits [B, C], targets = labels.
-    lp: scores = (positive scores, negative scores), targets ignored.
+    lp: scores = (positive scores, negative scores), targets ignored;
+        MetricError when either set is empty.
     mr: scores = similarity matrix [Q, G], targets = true column per query.
     """
     if kind == "nc":
@@ -125,12 +125,8 @@ def evaluate_metrics(kind: str, scores, targets) -> MetricsRow:
                                   macro_f1(labels, predicted)))
     if kind == "lp":
         pos, neg = scores
-        try:
-            return MetricsRow(names=("auc", "ap"),
-                              values=(auc_score(pos, neg), average_precision(pos, neg)))
-        except MetricError:
-            return MetricsRow(names=("auc", "ap"), values=(float("nan"), float("nan")),
-                              valid=False)
+        return MetricsRow(names=("auc", "ap"),
+                          values=(auc_score(pos, neg), average_precision(pos, neg)))
     if kind == "mr":
         ranks = retrieval_ranks(scores, np.asarray(targets))
         return MetricsRow(names=("recall_at_5", "mrr"),

@@ -17,6 +17,7 @@ from . import encoding, fusion, generation
 from . import numerics as nx
 from .graphdata import MaskSet, MultimodalGraph, missing_ratios
 from .numerics import ParamStore, Tensor, const, glorot, param_rng
+from .tasks import refine
 
 MASK_EMBED_DIM = 16      # width of a query's mask-pattern embedding
 MODALITY_EMBED_DIM = 16  # width of a query's target-modality embedding
@@ -284,7 +285,6 @@ def forward_pass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan,
     fused, _, _ = fusion.fuse(
         params, expert_flat, uncertainty, plan.rho_nodes, struct_repr, m_count)
 
-    from .tasks import refine  # local import avoids a module cycle
     refined = refine(params, fused, plan.caches.neigh_mat)
 
     return ForwardBundle(
@@ -335,7 +335,6 @@ def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
     mean_ctx = nx.scale(nx.sum_axis(stacked, 0), 1.0 / m_count)
     fused = nx.layer_norm(mean_ctx, params["fuse.ln_g"], params["fuse.ln_b"])
 
-    from .tasks import refine
     refined = refine(params, fused, plan.caches.neigh_mat)
 
     zero = const(np.asarray(0.0))

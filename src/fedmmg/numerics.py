@@ -2,20 +2,21 @@
 
 The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
-normalization, row gathers, concatenation, a linear layer over
-concatenated pieces, dot products of row pairs, products with a constant
-sparse (CSR) matrix, a mean-aggregating graph convolution, and multi-head
-attention over the usable slots of padded banks. Most operations record
-onto the innermost open tape through one recorder, ``_record``: an op gives
-its forward value and one vector-Jacobian product (vjp) per operand, and
-the tape keeps the vjps of the operands that take a gradient. The linear
-layer over pieces, the row-pair dots and attention, whose gradients share
-terms, record one backward of their own through ``_result``; they keep
-their inputs, not joined or gathered copies, and join or gather again in
-backward. A vjp captures only the arrays its formula reads (never a
-``Tensor``), so an intermediate whose values no kept vjp reads is freed as
-soon as the caller drops it. ``Tape.backward`` runs once per tape and frees
-each op's saved arrays as soon as that op's gradient has been passed on.
+normalization, row gathers, concatenation, a linear layer over one input
+or concatenated pieces, dot products of row pairs, products with a
+constant sparse (CSR) matrix, a mean-aggregating graph convolution, and
+multi-head attention over the usable slots of padded banks. Most
+operations record onto the innermost open tape through one recorder,
+``_record``: an op gives its forward value and one vector-Jacobian product
+(vjp) per operand, and the tape keeps the vjps of the operands that take a
+gradient. The linear layer, the row-pair dots and attention, whose
+gradients share terms, record one backward of their own through
+``_result``; they keep their inputs, not joined or gathered copies, and
+join or gather again in backward. A vjp captures only the arrays its
+formula reads (never a ``Tensor``), so an intermediate whose values no kept
+vjp reads is freed as soon as the caller drops it. ``Tape.backward`` runs
+once per tape and frees each op's saved arrays as soon as that op's
+gradient has been passed on.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
@@ -453,21 +454,21 @@ def stop_gradient(a: Tensor) -> Tensor:
     return Tensor(a.data, requires_grad=False)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def _hcat(xs: list[np.ndarray]) -> np.ndarray:
+    """The column-wise join of ``xs``; a single array is returned as it is."""
+    return xs[0] if len(xs) == 1 else np.concatenate(xs, axis=1)
 
 
-def concat_linear(pieces: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """``linear(concat(pieces, axis=1), w, b)`` as one op that keeps the
+def linear(x: Tensor | list[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """``add(matmul(concat(pieces, axis=1), w), b)`` as one op, where ``x``
+    is one [rows, width] tensor or a list of such pieces. It keeps the
     pieces, not their concatenation, and joins them again in backward for
-    w's gradient. Gradients reach b, then w, then the pieces in order: the
-    order of the three-op chain, whose gradients these equal byte for byte."""
+    w's gradient; a single piece is never copied. Gradients reach b, then
+    w, then the pieces in order, and equal the chain's byte for byte."""
+    pieces = x if isinstance(x, list) else [x]
     wd, b_shape = w.data, b.shape
     xs = [p.data for p in pieces]
-    data = np.concatenate(xs, axis=1) @ wd + b.data
+    data = _hcat(xs) @ wd + b.data
     sw, sb = w.slot, b.slot
     if sw is None:
         xs = []  # only w's gradient reads the pieces' values
@@ -478,8 +479,8 @@ def concat_linear(pieces: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if sb is not None:
             sb.accumulate(_unbroadcast(g, b_shape))
-        if sw is not None:
-            sw.accumulate(np.concatenate(xs, axis=1).T @ g)
+        if sw is not None:  # the join is unnamed, so it is freed before gx exists
+            sw.accumulate(_hcat(xs).T @ g)
         if pulls:
             gx = g @ wd.T
             for slot, span in pulls:

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numerics as nx
+from .graphdata import MultimodalGraph
 from .numerics import ParamStore, Tensor, const
 
 if TYPE_CHECKING:  # model imports this module
@@ -120,46 +121,27 @@ def nc_task_loss(params: ParamStore, refined: Tensor, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def lp_scores(refined: Tensor, pairs: np.ndarray) -> Tensor:
-    """Symmetric dot-product edge scores for index pairs [B, 2]."""
-    return nx.pair_dots(refined, pairs)
+def draw_non_edges(graph: MultimodalGraph, rows: int, at_least: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Uniform node pairs, ``rows`` per draw, until at least ``at_least``
+    are non-edges of ``graph``; the non-edges found, in draw order.
 
-
-def edge_keys(edges: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Sorted keys min(u, v) * n + max(u, v) of the undirected edges in the
-    [E, 2] integer array ``edges``."""
-    return np.unique(edges.min(axis=1) * n_nodes + edges.max(axis=1))
-
-
-def has_non_edge(n_nodes: int, keys: np.ndarray) -> bool:
-    """Whether some pair of distinct nodes is not an edge."""
-    return keys.size < n_nodes * (n_nodes - 1) // 2
-
-
-def non_edge_pairs(pairs: np.ndarray, n_nodes: int, keys: np.ndarray) -> np.ndarray:
-    """The rows of ``pairs`` [B, 2] that join two distinct non-adjacent nodes."""
-    u, v = pairs[:, 0], pairs[:, 1]
-    pair_keys = np.minimum(u, v) * n_nodes + np.maximum(u, v)
-    at = np.minimum(np.searchsorted(keys, pair_keys), max(keys.size - 1, 0))
-    is_edge = keys[at] == pair_keys if keys.size else np.zeros(u.shape, dtype=bool)
-    return pairs[(u != v) & ~is_edge]
-
-
-def sample_hard_negatives(refined_detached: np.ndarray, n_nodes: int,
-                          batch: int, keys: np.ndarray,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Top-scoring non-edges from a random pool of
-    max(HARD_NEGATIVE_MIN_POOL, HARD_NEGATIVE_SCALE * B) pairs.
-
-    ``keys`` are the graph's ``edge_keys``; raises ValueError when every
-    pair of distinct nodes is an edge."""
-    if not has_non_edge(n_nodes, keys):
+    Raises ValueError when every pair of distinct nodes is an edge."""
+    if not graph.has_non_edge:
         raise ValueError("the graph has no non-edge to sample negatives from")
+    found, count = [], 0
+    while count < at_least:
+        found.append(graph.non_edges(rng.integers(0, graph.n, size=(rows, 2))))
+        count += found[-1].shape[0]
+    return np.concatenate(found).astype(np.intp)
+
+
+def sample_hard_negatives(refined_detached: np.ndarray, graph: MultimodalGraph,
+                          batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Top-scoring non-edges of ``graph`` from a random pool of
+    max(HARD_NEGATIVE_MIN_POOL, HARD_NEGATIVE_SCALE * B) pairs."""
     pool_size = max(HARD_NEGATIVE_MIN_POOL, int(HARD_NEGATIVE_SCALE * batch))
-    pool = np.empty((0, 2), dtype=np.intp)
-    while pool.shape[0] == 0:  # a non-edge exists, so some draw finds one
-        cand = rng.integers(0, n_nodes, size=(pool_size * 2, 2))
-        pool = non_edge_pairs(cand, n_nodes, keys)[:pool_size].astype(np.intp)
+    pool = draw_non_edges(graph, 2 * pool_size, 1, rng)[:pool_size]
     scores = (refined_detached[pool[:, 0]] * refined_detached[pool[:, 1]]).sum(axis=1)
     order = np.argsort(-scores, kind="stable")[:batch]
     return pool[np.sort(order)]
@@ -169,8 +151,8 @@ def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray) 
     """Composite of BCE, pairwise-rank, and margin losses; row b of
     ``neg_pairs`` is ranked against row b of ``pos_pairs``."""
     batch = pos_pairs.shape[0]
-    s_pos = lp_scores(refined, pos_pairs)
-    s_neg = lp_scores(refined, neg_pairs)
+    s_pos = nx.pair_dots(refined, pos_pairs)
+    s_neg = nx.pair_dots(refined, neg_pairs)
     targets = const(np.concatenate([np.ones((batch, 1)), np.zeros((batch, 1))]))
     s_all = nx.concat([s_pos, s_neg], axis=0)
     bce = nx.mean(nx.sub(nx.softplus(s_all), nx.mul(targets, s_all)))
@@ -184,13 +166,13 @@ def lp_pair_loss(refined: Tensor, pos_pairs: np.ndarray, neg_pairs: np.ndarray) 
     return nx.add(total, nx.scale(margin, LP_MARGIN_WEIGHT))
 
 
-def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray, keys: np.ndarray,
-                 n_nodes: int, rng: np.random.Generator) -> Tensor:
+def lp_task_loss(refined: Tensor, pos_pairs: np.ndarray, graph: MultimodalGraph,
+                 rng: np.random.Generator) -> Tensor:
     """``lp_pair_loss`` against one hard negative per positive edge."""
     if pos_pairs.shape[0] == 0:
         raise ValueError("link prediction batch contains no positive edges")
     batch = pos_pairs.shape[0]
-    neg_pairs = sample_hard_negatives(refined.data, n_nodes, batch, keys, rng)
+    neg_pairs = sample_hard_negatives(refined.data, graph, batch, rng)
     if neg_pairs.shape[0] < batch:
         reps = -(-batch // neg_pairs.shape[0])
         neg_pairs = np.tile(neg_pairs, (reps, 1))[:batch]

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedmmg
 from fedmmg.cli import main
 from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
                            FederationSection, MissingnessSection, ModelSection,
@@ -195,6 +198,15 @@ class TestConfigValidation:
             validate_config(cfg)
 
 
+def python_m_fedmmg(*args):
+    """``python -m fedmmg *args`` in a fresh interpreter that imports this
+    fedmmg, with its output captured."""
+    src = os.path.dirname(os.path.dirname(fedmmg.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "fedmmg", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
 def _small_cfg_doc():
     return {
         "data": {"blocks": 2, "nodes_per_block": 10, "d_img": 8, "d_txt": 6},
@@ -347,6 +359,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "edge" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("columns", [[], [0, 0], [0, 1]],
+                             ids=["none", "one-name-twice", "one-name-two-dims"])
+    def test_graph_without_distinct_modalities_exits_one(self, tmp_path, columns):
+        def rename(doc):
+            doc["modalities"] = [dict(doc["modalities"][c], name="a") for c in columns]
+            doc["natural_mask"] = [[row[c] for c in columns] for row in doc["natural_mask"]]
+        cfg_path = self._graph_file(tmp_path, rename)
+        proc = python_m_fedmmg("run", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "invalid graph in" in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("labels", [lambda n: [-1] * n,
@@ -517,6 +543,9 @@ class TestCli:
                      "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["agreements"] == 20
+
+    def test_python_m_fedmmg_runs_the_command_line(self):
+        assert python_m_fedmmg("metrics-oracle", "--instances", "1").returncode == 0
 
     def test_theory_check_subcommand_small(self, tmp_path):
         report_path = tmp_path / "theory.json"

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,20 @@ class TestGraphDocuments:
         with pytest.raises(GraphFileError, match=match):
             self._load({**_VALID_DOC, **edit})
 
+    @pytest.mark.parametrize("modalities", [
+        [],
+        [_VALID_DOC["modalities"][0]] * 2,
+        [_VALID_DOC["modalities"][0],
+         {"name": "img", "dim": 1, "features": [[1], [0], [1]]}],
+    ], ids=["none", "one-name-twice", "one-name-two-dims"])
+    def test_modalities_must_exist_and_have_distinct_names(self, modalities):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFileError, match="invalid graph in") as err:
+                self._load({**_VALID_DOC, "modalities": modalities,
+                            "natural_mask": [[1] * len(modalities)] * 3})
+        assert "\n" not in str(err.value)
+
     @settings(max_examples=400, deadline=None)
     @given(doc=_GRAPH_DOCS)
     def test_any_document_loads_or_raises_graph_file_error(self, doc):
@@ -523,6 +538,25 @@ class TestArrayFormsMatchLoops:
         sub = induced_subgraph(_bare_graph(n, edges), nodes)
         np.testing.assert_array_equal(
             sub.edges, np.asarray(_induced_edges_loop(edges, nodes)).reshape(-1, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_edge_index_matches_the_pair_set(self, n, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=30))
+        edges, seen = [], set()
+        for u, v in pairs:
+            if u != v and (min(u, v), max(u, v)) not in seen:
+                seen.add((min(u, v), max(u, v)))
+                edges.append((u, v))
+        graph = _bare_graph(n, edges)
+        assert graph.edge_keys.tolist() == sorted(u * n + v for u, v in seen)
+        probes = np.array(data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20)),
+            dtype=np.int64).reshape(-1, 2)
+        assert graph.non_edges(probes).tolist() == [
+            [u, v] for u, v in probes.tolist() if u != v and (min(u, v), max(u, v)) not in seen]
+        assert graph.has_non_edge == (len(seen) < n * (n - 1) // 2)
 
     @settings(max_examples=100, deadline=None)
     @given(blocks=st.integers(1, 4), per_block=st.integers(2, 8),

@@ -331,12 +331,17 @@ def held_rows_bank_attention(q, k, v, slots, heads):
 
 
 def concat_then_linear(pieces, w, b):
-    """Reference for ``concat_linear``: the three ops it stands for."""
-    return nx.linear(nx.concat(pieces, axis=1), w, b)
+    """Reference for ``linear`` over pieces: the three ops it stands for."""
+    return nx.add(nx.matmul(nx.concat(pieces, axis=1), w), b)
+
+
+def matmul_then_add(x, w, b):
+    """Reference for ``linear`` over one input: the two ops it stands for."""
+    return nx.add(nx.matmul(x, w), b)
 
 
 def gathered_pair_dots(a, pairs):
-    """Reference for ``pair_dots``: the chain ``tasks.lp_scores`` recorded."""
+    """Reference for ``pair_dots``: the chain link-prediction scores recorded."""
     left = nx.rows(a, pairs[:, 0])
     right = nx.rows(a, pairs[:, 1])
     return nx.sum_axis(nx.mul(left, right), -1, keepdims=True)
@@ -359,7 +364,8 @@ class TestFusedOpsMatchTheirCompositions:
            out_width=st.integers(1, 4), takes=st.lists(st.booleans(), min_size=6, max_size=6),
            repeat_first=st.booleans(), row_bias=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_concat_linear(self, n, widths, out_width, takes, repeat_first, row_bias, seed):
+    def test_linear_over_pieces(self, n, widths, out_width, takes, repeat_first, row_bias,
+                                seed):
         def run(op):
             rng = np.random.default_rng(seed)
             xs = [Tensor(varied_normal(rng, (n, wd)), requires_grad=take)
@@ -378,7 +384,28 @@ class TestFusedOpsMatchTheirCompositions:
                 tape.backward(nx.add(nx.add(early, nx.total_sum(nx.mul(out, probe))), late))
             return [out.data.tobytes()] + grad_bytes(xs + [w, b])
 
-        assert run(nx.concat_linear) == run(concat_then_linear)
+        assert run(nx.linear) == run(concat_then_linear)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), width=st.integers(1, 4), out_width=st.integers(1, 4),
+           takes=st.lists(st.booleans(), min_size=3, max_size=3), row_bias=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_linear_over_one_input(self, n, width, out_width, takes, row_bias, seed):
+        def run(op):
+            rng = np.random.default_rng(seed)
+            x = Tensor(varied_normal(rng, (n, width)), requires_grad=takes[0])
+            w = Tensor(varied_normal(rng, (width, out_width)), requires_grad=takes[1])
+            b = Tensor(varied_normal(rng, (1, out_width) if row_bias else (out_width,)),
+                       requires_grad=takes[2])
+            probe = const(varied_normal(rng, (n, out_width)))
+            with Tape() as tape:
+                # another op reaches x before the linear one
+                early = nx.total_sum(nx.mul(x, const(varied_normal(rng, x.shape))))
+                out = op(x, w, b)
+                tape.backward(nx.add(early, nx.total_sum(nx.mul(out, probe))))
+            return [out.data.tobytes()] + grad_bytes([x, w, b])
+
+        assert run(nx.linear) == run(matmul_then_add)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 8), width=st.integers(1, 4), pos=_PAIRS, neg=_PAIRS,
@@ -405,7 +432,7 @@ class TestFusedOpsMatchTheirCompositions:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 8), pos=_PAIRS, neg=_PAIRS, seed=st.integers(0, 2 ** 32 - 1))
     def test_link_loss_through_lp_scores(self, n, pos, neg, seed):
-        # the whole link-prediction loss, whose two lp_scores calls both
+        # the whole link-prediction loss, whose two pair_dots calls both
         # scatter onto the refined rows
         pos = np.array(pos, dtype=np.int64) % n
         neg = np.resize(np.array(neg, dtype=np.int64) % n, pos.shape)
@@ -572,7 +599,7 @@ class TestTapeLifetime:
         # the ops that keep their inputs rather than gathered or joined
         # copies are among the records checked
         ops = {getattr(x, "__qualname__", "").partition(".")[0] for x in held}
-        assert {"concat_linear", "_bank_attention"} <= ops
+        assert {"linear", "_bank_attention"} <= ops
         assert ("pair_dots" in ops) == (task == "lp")
 
     def test_backward_frees_an_array_only_a_closure_holds(self):

@@ -16,6 +16,11 @@ from fedmmg.numerics import const, neighbor_mean_matrix
 from fedmmg.tasks import LossBreakdown, TaskSpec, cross_entropy, refine
 
 from test_encoding import edge_array, small_cfg, star_graph
+from test_graphdata import _bare_graph
+
+
+def link_graph(n, edges):
+    return _bare_graph(n, sorted(edges))
 
 
 class TestTaskSpec:
@@ -86,14 +91,13 @@ class TestLosses:
         refined = const(rng.normal(size=(6, 4)))
         ij = np.array([[0, 3], [2, 5]])
         ji = ij[:, ::-1]
-        np.testing.assert_allclose(tasks.lp_scores(refined, ij).data,
-                                   tasks.lp_scores(refined, ji).data)
+        np.testing.assert_allclose(nx.pair_dots(refined, ij).data,
+                                   nx.pair_dots(refined, ji).data)
 
     def test_bpr_saturates_for_wide_margin(self):
         # positive score far above negative: pairwise-rank term goes to 0
         refined = const(np.array([[10.0, 0.0], [10.0, 0.0], [-10.0, 0.0]]))
-        loss = tasks.lp_task_loss(refined, np.array([[0, 1]]),
-                                  tasks.edge_keys(edge_array([(0, 1)]), 3), 3,
+        loss = tasks.lp_task_loss(refined, np.array([[0, 1]]), link_graph(3, [(0, 1)]),
                                   np.random.default_rng(4))
         diff = 100.0 - (-100.0)
         assert loss.data < tasks.LP_BCE_WEIGHT * 200  # BCE pos term dominates
@@ -104,8 +108,7 @@ class TestLosses:
         refined = const(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="positive"):
             tasks.lp_task_loss(refined, np.empty((0, 2), dtype=np.intp),
-                               tasks.edge_keys(edge_array([]), 3), 3,
-                               np.random.default_rng(5))
+                               link_graph(3, []), np.random.default_rng(5))
 
     def test_infonce_singleton_is_zero(self):
         params = init_params(small_cfg(), 3)
@@ -121,30 +124,43 @@ class TestLosses:
                                 (40, complete - {(3, 17)}, 20)):
             rng = np.random.default_rng(7)
             refined = rng.normal(size=(n, 4))
-            keys = tasks.edge_keys(edge_array(sorted(edges)), n)
+            graph = link_graph(n, edges)
             for _ in range(draws):
-                for u, v in tasks.sample_hard_negatives(refined, n, 4, keys, rng):
+                for u, v in tasks.sample_hard_negatives(refined, graph, 4, rng):
                     assert (min(u, v), max(u, v)) not in edges
                     assert u != v
 
 
     def test_hard_negatives_need_a_non_edge(self):
-        keys = tasks.edge_keys(edge_array([(0, 1), (1, 2), (0, 2)]), 3)
-        assert not tasks.has_non_edge(3, keys)
-        assert tasks.has_non_edge(3, keys[:2])
+        complete = link_graph(3, [(0, 1), (1, 2), (0, 2)])
+        assert not complete.has_non_edge
+        assert link_graph(3, [(0, 1), (1, 2)]).has_non_edge
         with pytest.raises(ValueError, match="non-edge"):
-            tasks.sample_hard_negatives(np.zeros((3, 2)), 3, 2, keys,
+            tasks.sample_hard_negatives(np.zeros((3, 2)), complete, 2,
                                         np.random.default_rng(8))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_drawing_from_a_complete_graph_raises(self, n):
+        complete = link_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        with pytest.raises(ValueError, match="non-edge"):
+            tasks.draw_non_edges(complete, 8, 1, np.random.default_rng(10))
+
+    def test_non_edges_come_in_draw_order_until_enough(self):
+        graph = link_graph(5, [(0, 1), (1, 2), (3, 4)])
+        drawn = tasks.draw_non_edges(graph, 3, 7, np.random.default_rng(11))
+        stream, expected = np.random.default_rng(11), []
+        while len(expected) < 7:
+            expected += graph.non_edges(stream.integers(0, 5, size=(3, 2))).tolist()
+        assert drawn.dtype == np.intp and drawn.tolist() == expected
 
     def test_non_edge_filter_matches_pair_set(self):
         rng = np.random.default_rng(9)
         edges = {(0, 1), (2, 3), (4, 5), (1, 7)}
-        keys = tasks.edge_keys(edge_array(sorted(edges)), 8)
         pairs = rng.integers(0, 8, size=(200, 2))
         expected = [p for p in pairs.tolist()
                     if p[0] != p[1] and (min(p), max(p)) not in edges]
-        assert tasks.non_edge_pairs(pairs, 8, keys).tolist() == expected
-        assert tasks.non_edge_pairs(pairs, 8, tasks.edge_keys(edge_array([]), 8)).tolist() == \
+        assert link_graph(8, edges).non_edges(pairs).tolist() == expected
+        assert link_graph(8, []).non_edges(pairs).tolist() == \
             [p for p in pairs.tolist() if p[0] != p[1]]
 
 
@@ -214,8 +230,8 @@ class TestMetrics:
     def test_single_class_auc_flagged(self):
         with pytest.raises(MetricError):
             auc_score(np.array([1.0]), np.empty(0))
-        row = evaluate_metrics("lp", (np.array([1.0]), np.empty(0)), None)
-        assert not row.valid
+        with pytest.raises(MetricError):
+            evaluate_metrics("lp", (np.array([1.0]), np.empty(0)), None)
 
     def test_macro_f1_unweighted(self):
         labels = np.array([0, 0, 0, 1])
