@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, assemble_run, build_data, parse_config
-from .federation import FederationAborted, RoundHistory, run_federation
+from .federation import FederationAborted, RoundHistory, run_federation, worker_count
 from .graphdata import GraphFileError, save_graph
 from .verify import (DEFAULT_GRAD_SEEDS, run_gradcheck_suite, run_metrics_oracle,
                      run_theory_check)
@@ -141,8 +142,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"round {rec.round_index}: {ms:.1f} ms", file=sys.stderr)
     if history.timings_ms:
         total = sum(history.timings_ms)
-        print(f"completed {len(history.records)} rounds in {total:.0f} ms "
-              f"(outputs in {out_dir})", file=sys.stderr)
+        self_kib, child_kib = (resource.getrusage(who).ru_maxrss  # KiB on Linux
+                               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        workers = (f", largest worker {child_kib / 1024:.1f} MB"
+                   if worker_count(assembly.setup) > 1 else "")
+        print(f"completed {len(history.records)} rounds in {total:.0f} ms (outputs in "
+              f"{out_dir}); peak RSS {self_kib / 1024:.1f} MB{workers}", file=sys.stderr)
     last = history.records[-1] if history.records else None
     if last is not None:
         m = last.metrics

@@ -564,6 +564,11 @@ def _mean_metrics(evaluations: list) -> MetricsRow:
     return MetricsRow(names=names, values=(float(vals[0]), float(vals[1])))
 
 
+def worker_count(setup: FederationSetup) -> int:
+    """Processes that run the client jobs (1: no worker is forked)."""
+    return min(setup.cfg.federation.workers, len(setup.clients), os.cpu_count() or 1)
+
+
 def run_federation(setup: FederationSetup) -> RoundHistory:
     """Synchronous rounds: broadcast, local training, aggregate, evaluate.
 
@@ -580,10 +585,9 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     # a fresh block, so every run starts its clients' optimizers afresh
     shared = _SharedBlock(global_params, num_clients)
     pending = None  # the last round's record fields, waiting for its metrics
-    processes = min(server.workers, num_clients, os.cpu_count() or 1)
     run_job = functools.partial(_run_job, setup, model, shared)
 
-    with _job_runner(processes, run_job) as run_jobs:
+    with _job_runner(worker_count(setup), run_job) as run_jobs:
         for round_t in range(server.rounds + 1):
             start = time.perf_counter()
             final = round_t == server.rounds

@@ -8,7 +8,8 @@ what makes masked reconstruction leak-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +22,17 @@ REC_EPS = 1e-12
 @dataclass
 class BankBatch:
     """All banks of a graph. The [G, S] grid, padded to the widest bank, is
-    the bank definition; attention reads only its usable slots."""
+    the bank definition; attention reads only its usable slots, ``slots``,
+    which are listed at the first attention over these banks and kept with
+    them for the mask draw."""
 
     token_index: np.ndarray    # [G, S] into the stacked context matrix
     additive_mask: np.ndarray  # [G, S]; 0 usable, MASK_NEG padding
     empty: np.ndarray          # [G] 1.0 where the bank has no token
-    # the usable-slot list and its scatter indices, built at the first
-    # attention call and kept for the mask draw (numerics.attention_batched)
-    scatter_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def slots(self) -> nx.BankSlots:
+        return nx.BankSlots.of(self.token_index, self.additive_mask)
 
     def take(self, rows: np.ndarray) -> "BankBatch":
         """The banks of cells ``rows`` alone, in that order. Their slots
@@ -126,9 +130,8 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     stacked = nx.concat(list(contexts) + [const(np.zeros((1, d)))], axis=0)
     att = AttentionParams(wq=params["gen.att.wq"], wk=params["gen.att.wk"],
                           wv=params["gen.att.wv"], wo=params["gen.att.wo"])
-    evidence, _ = nx.attention_batched(queries, stacked, stacked,
-                                       banks.token_index, banks.additive_mask,
-                                       heads, att, banks.scatter_cache)
+    evidence, _ = nx.attention_batched(queries, stacked, stacked, banks.slots,
+                                       heads, att)
 
     self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])
     gate = nx.sigmoid(nx.linear([evidence, self_ctx],

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -522,29 +522,17 @@ def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
                        minlength=math.prod(shape)).reshape(shape)
 
 
-def _cached_scatter(cache: dict, key, targets: np.ndarray, values: np.ndarray,
-                    n: int) -> np.ndarray:
-    """``scatter_sum`` of ``values`` [K, w] onto rows ``targets`` of an [n, w]
-    result, keeping each flat ``scatter_index`` in ``cache`` under (key, w)."""
-    width = values.shape[1]
-    flat = cache.get((key, width))
-    if flat is None:
-        flat = cache[(key, width)] = scatter_index(targets, width)
-    return scatter_sum(values, flat, n)
-
-
 @dataclass(frozen=True, eq=False)
 class _CSRPattern:
     """Sparsity pattern of a square matrix.
 
     Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
-    columns ascend. ``scatter_indices`` is ``scatter``'s index cache."""
+    columns ascend. ``scatter`` builds its index per call and keeps none."""
 
     n: int
     indptr: np.ndarray
     row_of: np.ndarray
     indices: np.ndarray
-    scatter_indices: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "_CSRPattern":
@@ -555,9 +543,8 @@ class _CSRPattern:
     def scatter(self, values: np.ndarray, onto_columns: bool) -> np.ndarray:
         """Sum the entry rows ``values`` [nnz, w] onto each entry's row, or
         with ``onto_columns`` onto each entry's column: [n, w]."""
-        return _cached_scatter(self.scatter_indices, onto_columns,
-                               self.indices if onto_columns else self.row_of,
-                               values, self.n)
+        targets = self.indices if onto_columns else self.row_of
+        return scatter_sum(values, scatter_index(targets, values.shape[1]), self.n)
 
 
 class CSRMatrix:
@@ -567,7 +554,7 @@ class CSRMatrix:
     ascending, with values data[...]. An empty row multiplies to a zero row.
     ``with_data`` puts new values on the same pattern. Products with S and
     S^T are both scatter-sums over the entries (onto rows or onto columns),
-    so no transposed copy is kept."""
+    so no transposed copy is kept, and neither keeps its scatter index."""
 
     __slots__ = ("pattern", "data")
 
@@ -640,22 +627,21 @@ class AttentionParams:
 
 
 @dataclass(frozen=True, eq=False)
-class _BankSlots:
+class BankSlots:
     """The usable slots of a bank batch, in (bank, column) order.
 
     Slot k sits in bank ``bank[k]`` and reads memory row ``token[k]``. A
     bank's slots are contiguous: ``starts`` holds where each nonempty bank's
-    run begins and ``run[k]`` the run slot k is in.
-    ``scatter_indices`` is ``scatter``'s index cache."""
+    run begins and ``run[k]`` the run slot k is in. Each array has U entries
+    or fewer; ``scatter`` builds its [U x w] index per call and keeps none."""
 
     bank: np.ndarray
     token: np.ndarray
     starts: np.ndarray
     run: np.ndarray
-    scatter_indices: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def of(cls, token_index: np.ndarray, add_mask: np.ndarray) -> "_BankSlots":
+    def of(cls, token_index: np.ndarray, add_mask: np.ndarray) -> "BankSlots":
         if token_index.shape != add_mask.shape:
             raise ValueError("bank index and mask shapes disagree")
         usable = add_mask == 0.0
@@ -671,11 +657,11 @@ class _BankSlots:
     def scatter(self, values: np.ndarray, onto_tokens: bool, n: int) -> np.ndarray:
         """Sum the slot rows ``values`` [U, w] onto each slot's bank, or with
         ``onto_tokens`` onto each slot's memory row: [n, w]."""
-        return _cached_scatter(self.scatter_indices, onto_tokens,
-                               self.token if onto_tokens else self.bank, values, n)
+        targets = self.token if onto_tokens else self.bank
+        return scatter_sum(values, scatter_index(targets, values.shape[1]), n)
 
 
-def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
+def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: BankSlots,
                    heads: int) -> tuple[Tensor, np.ndarray]:
     """Per-head softmax attention of each bank's query row over its usable
     slots only.
@@ -728,28 +714,23 @@ def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: _BankSlots,
 
 
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
-                      token_index: np.ndarray, add_mask: np.ndarray, heads: int,
-                      params: AttentionParams,
-                      scatter_cache: dict | None = None) -> tuple[Tensor, np.ndarray]:
+                      slots: BankSlots, heads: int,
+                      params: AttentionParams) -> tuple[Tensor, np.ndarray]:
     """Batched masked multi-head attention over banks of shared memory rows.
 
     query [G, dq]; keys [T, dk] and values [T, dv] are the memories, which
-    are projected once. The [G, S] grid defines the banks: slot s of bank g
-    reads row token_index[g, s], and add_mask [G, S] holds 0 for a usable
-    slot and MASK_NEG for an excluded one. Attention reads the usable slots
-    only (``_bank_attention``), so excluded slots cost nothing, get weight
-    exactly 0.0, and a bank with none attends to a zero context row.
-    ``scatter_cache``, when given, keeps the usable-slot list and its scatter
-    indices for callers that attend over the same banks again. Returns the
+    are projected once. ``slots`` is ``BankSlots.of(token_index, add_mask)``
+    of the [G, S] grid that defines the banks: slot s of bank g reads row
+    token_index[g, s], and add_mask holds 0 for a usable slot and MASK_NEG
+    for an excluded one. Attention reads the usable slots only
+    (``_bank_attention``), so excluded slots cost nothing, get weight
+    exactly 0.0, and a bank with none attends to a zero context row. Callers
+    that attend over the same banks again pass the same slots. Returns the
     attended output [G, dout] and the detached per-head weights [U, H] of
     the usable slots, in (bank, column) order: ``np.nonzero(add_mask == 0)``.
     """
     if params.wq.shape[1] % heads:
         raise ValueError("attention width must be divisible by the head count")
-    cache = {} if scatter_cache is None else scatter_cache
-    slots = cache.get("slots")
-    if slots is None:
-        slots = cache["slots"] = _BankSlots.of(token_index, add_mask)
     ctx, slot_weights = _bank_attention(matmul(query, params.wq),
                                        matmul(keys, params.wk),
                                        matmul(values, params.wv), slots, heads)
@@ -773,9 +754,8 @@ def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
         raise ValueError("bank and mask sizes disagree")
     if np.all(mask <= MASK_NEG / 2):
         raise EmptyAttentionError("every attention token is masked out")
-    out, slot_weights = attention_batched(query, bank, values,
-                                          np.arange(s_count).reshape(1, -1),
-                                          mask.reshape(1, -1), heads, params)
+    slots = BankSlots.of(np.arange(s_count).reshape(1, -1), mask.reshape(1, -1))
+    out, slot_weights = attention_batched(query, bank, values, slots, heads, params)
     weights = np.zeros((heads, s_count))
     weights[:, mask == 0.0] = slot_weights.T
     return out, weights
@@ -879,7 +859,8 @@ def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8) -> None:
     """Bias-corrected Adam update of the parameter vector from ``grad``
     (``ParamStore.take_grads``); a non-finite gradient raises before any write.
-    The moments are updated in place, so they may live in shared memory."""
+    The moments are updated in place, so they may live in shared memory;
+    ``grad`` is overwritten, as it and one buffer hold the intermediates."""
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     if not np.isfinite(grad).all():
@@ -889,14 +870,15 @@ def adam_step(store: ParamStore, state: AdamState, grad: np.ndarray, lr: float,
     b1, b2 = betas
     state.step += 1
     t = state.step
-    m, v = state.m, state.v
+    m, v, buf = state.m, state.v, np.empty_like(grad)
     m *= b1
-    m += (1 - b1) * grad
+    m += np.multiply(1 - b1, grad, out=buf)  # (1 - b1) * grad
     v *= b2
-    v += (1 - b2) * grad * grad
-    m_hat = m / (1 - b1 ** t)
-    v_hat = v / (1 - b2 ** t)
-    store.vector[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    v += np.multiply(np.multiply(1 - b2, grad, out=buf), grad, out=buf)  # (1 - b2) * grad * grad
+    # lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - b1 ** t), v_hat likewise
+    np.add(np.sqrt(np.divide(v, 1 - b2 ** t, out=grad), out=grad), eps, out=grad)
+    np.multiply(lr, np.divide(m, 1 - b1 ** t, out=buf), out=buf)
+    store.vector[...] -= np.divide(buf, grad, out=buf)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedmmg
-from fedmmg.cli import main
+from fedmmg.cli import main, write_outputs
 from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
                            FederationSection, MissingnessSection, ModelSection,
                            assemble_run, parse_config, validate_config)
+from fedmmg.federation import run_federation, worker_count
 from fedmmg.graphdata import load_graph
 
 # JSON values of every shape, plus values of the right type near the ranges
@@ -289,6 +290,27 @@ class TestCli:
         assert [line.split(":")[0] for line in rounds] == \
             ["round 0", "round 1", "round 2"]
         assert all(line.endswith(" ms") for line in rounds)
+
+    def test_peak_rss_goes_to_stderr_only(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--workers", "2",
+                     "--out", str(out)]) == 0
+        done = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("completed ")]
+        assert len(done) == 1
+        assert re.search(r"; peak RSS \d+\.\d MB", done[0])
+        # the same run written without the command line gives the same bytes
+        cfg = parse_config(str(cfg_path), {"federation.workers": 2, "out": str(out)})
+        assembly = assemble_run(cfg)
+        forked = re.search(r", largest worker \d+\.\d MB$", done[0]) is not None
+        assert forked == (worker_count(assembly.setup) > 1)
+        plain = tmp_path / "plain"
+        write_outputs(str(plain), cfg, run_federation(assembly.setup),
+                      assembly.missing_fraction)
+        for name in ("metrics.csv", "rounds.jsonl", "summary.json"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
     @pytest.mark.parametrize("key", ["federation.eta_u", "federation.alpha"])
     def test_non_finite_value_exits_one(self, tmp_path, capsys, key):

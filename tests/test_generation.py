@@ -143,8 +143,7 @@ class TestBankCut:
     def _attend(batch, rows, queries, memory, att):
         banks = batch if rows is None else batch.take(rows)
         query = queries if rows is None else nx.rows(queries, rows)
-        out, _ = nx.attention_batched(query, memory, memory, banks.token_index,
-                                      banks.additive_mask, 4, att)
+        out, _ = nx.attention_batched(query, memory, memory, banks.slots, 4, att)
         return out.data
 
     @staticmethod
@@ -361,8 +360,7 @@ class TestGeneration:
         queries = generation.build_query(params, excl_flat, masks.effective, 2)
         stacked = nx.concat(contexts + [const(np.zeros((1, 8)))], 0)
         evidence, _ = nx.attention_batched(
-            queries, stacked, stacked, banks.token_index,
-            banks.additive_mask, cfg.heads,
+            queries, stacked, stacked, banks.slots, cfg.heads,
             nx.AttentionParams(params["gen.att.wq"], params["gen.att.wk"],
                                params["gen.att.wv"], params["gen.att.wo"]))
         self_ctx = excl_flat.data @ params["gen.self_proj.w"].data

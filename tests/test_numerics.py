@@ -14,6 +14,7 @@ from fedmmg import numerics as nx
 from fedmmg import tasks
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import run_federation
+from fedmmg.generation import BankBatch
 from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
                              EmptyAttentionError, GradientError, ParamStore,
                              Tape, Tensor, adam_step, const, grad_check,
@@ -175,8 +176,8 @@ class TestSharedMemoryAttention:
         memory = np.vstack([rng.normal(size=(7, 6)), np.zeros((1, 6))])
         index, mask = shared_memory_banks(rng, 7, 9, 5)
         query = rng.normal(size=(9, 5))
-        out, weights = nx.attention_batched(const(query), const(memory),
-                                            const(memory), index, mask, 2, params)
+        out, weights = nx.attention_batched(const(query), const(memory), const(memory),
+                                            nx.BankSlots.of(index, mask), 2, params)
         ref_out, ref_weights = gathered_attention(query, memory, memory, index,
                                                   mask, 2, params)
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
@@ -199,8 +200,8 @@ class TestSharedMemoryAttention:
 
         def f(s):
             stacked = nx.concat([s["memory"], pad_row], axis=0)
-            out, _ = nx.attention_batched(query, stacked, stacked, index, mask, 2,
-                                          params)
+            out, _ = nx.attention_batched(query, stacked, stacked,
+                                          nx.BankSlots.of(index, mask), 2, params)
             return nx.total_sum(nx.mul(out, probe))
 
         report = grad_check(f, store, h=1e-5)
@@ -208,17 +209,19 @@ class TestSharedMemoryAttention:
         assert report.max_rel_err < 1e-6
 
     @staticmethod
-    def _run(params, memory, pad_row, query, index, mask, cache=None):
+    def _run(params, memory, pad_row, query, index, mask, slots=None):
         """Output, weights and the gradients of wq, wk, wv, wo, query and
         memory, in that order, of one attention call whose loss weighs every
-        output entry."""
+        output entry. It lists the banks' slots unless it is given them."""
         tensors = [params.wq, params.wk, params.wv, params.wo, query, memory]
         for t in tensors:
             t.grad = None
         with Tape() as tape:
             stacked = nx.concat([memory, pad_row], axis=0)
-            out, weights = nx.attention_batched(query, stacked, stacked, index,
-                                                mask, 2, params, cache)
+            if slots is None:
+                slots = nx.BankSlots.of(index, mask)
+            out, weights = nx.attention_batched(query, stacked, stacked, slots, 2,
+                                                params)
             probe = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
             tape.backward(nx.total_sum(nx.mul(out, const(np.sin(probe)))))
         return out.data, weights, [t.grad for t in tensors]
@@ -267,31 +270,26 @@ class TestSharedMemoryAttention:
         with pytest.raises(ValueError, match="MASK_NEG"):
             self._run(params, memory, pad_row, query, index, mask)
 
-    def test_scatter_cache_keeps_gradients_bit_for_bit(self, monkeypatch):
-        # the cache is filled at the first call; a later call reuses it and
-        # builds no scatter index of its own
+    def test_a_reused_bank_batch_keeps_gradients_bit_for_bit(self):
+        # a bank batch lists its usable slots once; attention over it again
+        # reuses them and gives the bytes that a fresh batch gives
         _, params, memory, pad_row, query, index, mask = self._setup(13)
-        built = []
-        real_scatter_index = nx.scatter_index
-        monkeypatch.setattr(nx, "scatter_index",
-                            lambda *a: built.append(1) or real_scatter_index(*a))
 
-        def run(cache):
+        def batch():
+            return BankBatch(token_index=index, additive_mask=mask,
+                             empty=(mask != 0.0).all(axis=1).astype(np.float64))
+
+        def run(banks):
             out, weights, grads = self._run(params, memory, pad_row, query, index,
-                                            mask, cache)
+                                            mask, banks.slots)
             return [out.tobytes(), weights.tobytes()] + [g.tobytes() for g in grads]
 
-        reference = run(None)
-        assert built
-        cache: dict = {}
-        assert run(cache) == reference
-        assert cache
-        kept = dict(cache)
-        built.clear()
-        assert run(cache) == reference
-        assert not built
-        assert cache.keys() == kept.keys()
-        assert all(cache[key] is kept[key] for key in kept)
+        reference = run(batch())
+        reused = batch()
+        assert run(reused) == reference
+        slots = reused.slots
+        assert run(reused) == reference
+        assert reused.slots is slots
 
 
 def held_rows_bank_attention(q, k, v, slots, heads):
@@ -465,7 +463,8 @@ class TestFusedOpsMatchTheirCompositions:
             probe = const(rng.normal(size=(g_count, 6)))
             with Tape() as tape:
                 stacked = nx.concat([memory, const(np.zeros((1, 6)))], axis=0)
-                out, weights = nx.attention_batched(query, stacked, stacked, index, mask,
+                out, weights = nx.attention_batched(query, stacked, stacked,
+                                                    nx.BankSlots.of(index, mask),
                                                     heads, params)
                 # the memory's slot sums the key and value gradients and
                 # one more term
@@ -638,7 +637,9 @@ class TestTapeLifetime:
         # operand tensors leave 30.3 MiB live at backward entry; slots and
         # only the arrays backward reads leave 13.4-13.6 MiB, and keeping
         # inputs instead of gathered slot rows, joined linear inputs and
-        # gathered edge rows 11.3-11.5 MiB, with backward adding 0.6 MiB.
+        # gathered edge rows 11.3-11.5 MiB, and building each scatter index
+        # where it is used instead of caching it 10.7-10.8 MiB, with
+        # backward adding 0.6 MiB.
         cfg = ExperimentConfig.from_dict({
             "task": "lp",
             "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 250,
@@ -662,8 +663,8 @@ class TestTapeLifetime:
         finally:
             tracemalloc.stop()
         assert len(live) == len(peaks) == 2
-        assert max(live) < 12 * 2**20
-        assert max(peaks) < 12.5 * 2**20
+        assert max(live) < 11.25 * 2**20
+        assert max(peaks) < 11.75 * 2**20
 
 
 def masked_sigmoid(x):
