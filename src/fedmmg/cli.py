@@ -140,14 +140,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_RUN
     for rec, ms in zip(history.records, history.timings_ms):
         print(f"round {rec.round_index}: {ms:.1f} ms", file=sys.stderr)
-    if history.timings_ms:
-        total = sum(history.timings_ms)
-        self_kib, child_kib = (resource.getrusage(who).ru_maxrss  # KiB on Linux
-                               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-        workers = (f", largest worker {child_kib / 1024:.1f} MB"
-                   if worker_count(assembly.setup) > 1 else "")
-        print(f"completed {len(history.records)} rounds in {total:.0f} ms (outputs in "
-              f"{out_dir}); peak RSS {self_kib / 1024:.1f} MB{workers}", file=sys.stderr)
+    self_kib, child_kib = (resource.getrusage(who).ru_maxrss  # KiB on Linux
+                           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    workers = (f", largest worker {child_kib / 1024:.1f} MB"
+               if worker_count(assembly.setup) > 1 else "")
+    print(f"completed {len(history.records)} rounds in {sum(history.timings_ms):.0f} ms "
+          f"(outputs in {out_dir}); peak RSS {self_kib / 1024:.1f} MB{workers}",
+          file=sys.stderr)
     last = history.records[-1] if history.records else None
     if last is not None:
         m = last.metrics

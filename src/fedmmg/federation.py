@@ -219,6 +219,7 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
                 nx.adam_step(store, adam, grad, model_cfg.lr)
             except GradientError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
+            del grad
         if epoch == epochs - 1:
             mean_u, mean_err = _uploaded_errors(bundle, plan)
         # this epoch's forward and its plan's caches must not live on

@@ -16,7 +16,10 @@ join or gather again in backward. A vjp captures only the arrays its
 formula reads (never a ``Tensor``), so an intermediate whose values no kept
 vjp reads is freed as soon as the caller drops it. ``Tape.backward`` runs
 once per tape and frees each op's saved arrays as soon as that op's
-gradient has been passed on.
+gradient has been passed on. Sums onto rows add each row's terms to 0.0
+in a fixed order: a CSR product runs on its pattern's cached
+jagged-diagonal schedule, and every other scatter is one ``np.bincount``
+over an index built for that call.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
@@ -28,6 +31,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -523,11 +527,59 @@ def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _Diagonals:
+    """Jagged-diagonal schedule of a sum onto n targets (Saad 1989).
+
+    Entry k of a sum goes to target ``targets[k]``. The targets are stably
+    sorted by how many entries they take, most first, and ``rank[t]`` is
+    target t's row in that order. Diagonal j holds the j-th entry (in k
+    order) of each target with more than j entries; those targets are the
+    leading rows, so a diagonal is added with one in-place add over a
+    prefix of the rows. ``order`` lists the entries diagonal by diagonal,
+    ``runs`` holds each diagonal's (start, stop) in it, and ``reads`` is
+    the row each listed entry reads. Every target starts at 0.0 and adds
+    its entries in k order, so the sums are ``scatter_sum``'s byte for
+    byte (up to a NaN's sign and payload), with no [K x width] index."""
+
+    order: np.ndarray  # [K]
+    reads: np.ndarray  # [K]
+    rank: np.ndarray   # [n]
+    runs: tuple
+
+    @classmethod
+    def of(cls, targets: np.ndarray, reads: np.ndarray, n: int) -> "_Diagonals":
+        counts = np.bincount(targets, minlength=n)
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(-counts, kind="stable")] = np.arange(n)
+        # each entry's position among its target's entries, in k order
+        grouped = np.argsort(targets, kind="stable")
+        pos = np.empty(targets.size, dtype=np.intp)
+        pos[grouped] = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts,
+                                                           counts)
+        order = np.lexsort((rank[targets], pos))
+        ends = np.cumsum(np.bincount(pos)).tolist()
+        return cls(order=order, reads=reads[order], rank=rank,
+                   runs=tuple(zip([0] + ends[:-1], ends)))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """The sums onto the n targets of ``values`` [K] or [K, w], listed
+        in ``order``: [n] or [n, w]."""
+        block = np.zeros(self.rank.shape + values.shape[1:])
+        for start, stop in self.runs:
+            head = block[:stop - start]
+            np.add(head, values[start:stop], out=head)
+        return block.take(self.rank, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
 class _CSRPattern:
     """Sparsity pattern of a square matrix.
 
     Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
-    columns ascend. ``scatter`` builds its index per call and keeps none."""
+    columns ascend. ``by_row`` and ``by_column`` are the jagged-diagonal
+    schedules of sums onto rows (reading columns) and onto columns
+    (reading rows), each built on first use and shared by every matrix
+    on the pattern."""
 
     n: int
     indptr: np.ndarray
@@ -540,11 +592,13 @@ class _CSRPattern:
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n=n, indptr=indptr, row_of=rows, indices=cols)
 
-    def scatter(self, values: np.ndarray, onto_columns: bool) -> np.ndarray:
-        """Sum the entry rows ``values`` [nnz, w] onto each entry's row, or
-        with ``onto_columns`` onto each entry's column: [n, w]."""
-        targets = self.indices if onto_columns else self.row_of
-        return scatter_sum(values, scatter_index(targets, values.shape[1]), self.n)
+    @cached_property
+    def by_row(self) -> _Diagonals:
+        return _Diagonals.of(self.row_of, self.indices, self.n)
+
+    @cached_property
+    def by_column(self) -> _Diagonals:
+        return _Diagonals.of(self.indices, self.row_of, self.n)
 
 
 class CSRMatrix:
@@ -553,8 +607,8 @@ class CSRMatrix:
     Row i holds the entries indptr[i]:indptr[i+1] at columns indices[...],
     ascending, with values data[...]. An empty row multiplies to a zero row.
     ``with_data`` puts new values on the same pattern. Products with S and
-    S^T are both scatter-sums over the entries (onto rows or onto columns),
-    so no transposed copy is kept, and neither keeps its scatter index."""
+    S^T are both jagged-diagonal sums over the entries, on the pattern's
+    row or column schedule, so no transposed copy is kept."""
 
     __slots__ = ("pattern", "data")
 
@@ -576,18 +630,21 @@ class CSRMatrix:
         return CSRMatrix(self.pattern, np.asarray(data, dtype=np.float64))
 
     def row_sums(self) -> np.ndarray:
-        p = self.pattern
-        return scatter_sum(self.data, p.row_of, p.n)
+        by_row = self.pattern.by_row
+        return by_row.sum(self.data[by_row.order])
+
+    def _product(self, schedule: _Diagonals, x: np.ndarray) -> np.ndarray:
+        terms = x.take(schedule.reads, axis=0)
+        np.multiply(self.data[schedule.order][:, None], terms, out=terms)
+        return schedule.sum(terms)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
-        return self.pattern.scatter(self.data[:, None] * x[self.pattern.indices],
-                                    onto_columns=False)
+        return self._product(self.pattern.by_row, x)
 
     def tdot(self, g: np.ndarray) -> np.ndarray:
         """S^T g for g [n, d]: column j sums data_k g[row_of_k] over its entries."""
-        return self.pattern.scatter(self.data[:, None] * g[self.pattern.row_of],
-                                    onto_columns=True)
+        return self._product(self.pattern.by_column, g)
 
 
 def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:

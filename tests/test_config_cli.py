@@ -291,6 +291,19 @@ class TestCli:
             ["round 0", "round 1", "round 2"]
         assert all(line.endswith(" ms") for line in rounds)
 
+    def test_zero_rounds_still_prints_the_completion_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        doc = _small_cfg_doc()
+        doc["federation"]["rounds"] = 0
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "metrics.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(rf"completed 0 rounds in 0 ms \(outputs in {re.escape(str(out))}\); "
+                            r"peak RSS \d+\.\d MB", err[0])
+
     def test_peak_rss_goes_to_stderr_only(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_small_cfg_doc()))

@@ -868,6 +868,94 @@ class TestScatterKernel:
         assert a.grad.tobytes() == expected.tobytes()
 
 
+def with_special_values(rng, values):
+    """``values`` with about a quarter of its entries replaced by -0.0,
+    +-inf or NaN."""
+    out = values.copy()
+    hit = rng.random(out.shape) < 0.25
+    out[hit] = rng.choice([-0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    return out
+
+
+def same_sums(got, expected):
+    """Byte-identical arrays, except that a NaN may carry another sign or
+    payload: which NaN operand an add passes on differs between numpy's
+    vector and scalar loops and ``np.bincount``'s."""
+    nan = np.isnan(expected)
+    return (got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == expected[~nan].tobytes())
+
+
+def bincount_products(mat):
+    """The CSR products and row sums as one ``np.bincount`` over a per-call
+    [nnz x width] index each, the kernel the jagged-diagonal schedule
+    replaced: (S x, S^T g, row sums)."""
+    p = mat.pattern
+
+    def onto(targets, values):
+        return nx.scatter_sum(values, nx.scatter_index(targets, values.shape[1]), p.n)
+
+    return (lambda x: onto(p.row_of, mat.data[:, None] * x[p.indices]),
+            lambda g: onto(p.indices, mat.data[:, None] * g[p.row_of]),
+            lambda: nx.scatter_sum(mat.data, p.row_of, p.n))
+
+
+def star_edges(n):
+    return edge_array([(0, leaf) for leaf in range(1, n)])
+
+
+# a star (one row of degree n - 1), a random graph whose isolated nodes
+# are the ones past ``linked``, and an edgeless graph
+_SHAPED_GRAPHS = st.one_of(
+    st.integers(2, 40).map(lambda n: (n, star_edges(n))),
+    st.integers(2, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n).flatmap(lambda linked: st.lists(
+            st.tuples(st.integers(0, linked - 1), st.integers(0, linked - 1)),
+            max_size=30).map(edge_array)))),
+    st.integers(1, 8).map(lambda n: (n, edge_array([]))))
+
+
+class TestJaggedDiagonals:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=40),
+           width=st.sampled_from([None, 1, 3]), special=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sum_is_scatter_sum_byte_for_byte(self, n, picks, width, special, seed):
+        # repeated targets, targets no entry names, no entries at all, and
+        # -0.0, +-inf and NaN among the values: the same bytes, up to a
+        # NaN's sign and payload
+        rng = np.random.default_rng(seed)
+        targets = np.array([p % n for p in picks], dtype=np.intp)
+        shape = (targets.size,) if width is None else (targets.size, width)
+        values = varied_normal(rng, shape)
+        if special:
+            values = with_special_values(rng, values)
+        reads = rng.integers(0, n, size=targets.size)
+        diagonals = nx._Diagonals.of(targets, reads, n)
+        assert np.array_equal(diagonals.reads, reads[diagonals.order])
+        got = diagonals.sum(values[diagonals.order])
+        flat = targets if width is None else nx.scatter_index(targets, width)
+        expected = nx.scatter_sum(values, flat, n)
+        assert same_sums(got, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=_SHAPED_GRAPHS, d=st.integers(1, 4), special=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_products_match_the_bincount_composition(self, graph, d, special, seed):
+        n, edges = graph
+        rng = np.random.default_rng(seed)
+        mat = neighbor_mean_matrix(n, edges)
+        weights = mat.with_data(varied_normal(rng, mat.data.shape))
+        x = varied_normal(rng, (n, d))
+        if special:
+            x = with_special_values(rng, x)
+        for m in (mat, weights):
+            dot, tdot, row_sums = bincount_products(m)
+            assert same_sums(m.dot(x), dot(x))
+            assert same_sums(m.tdot(x), tdot(x))
+            assert m.row_sums().tobytes() == row_sums().tobytes()
+
+
 def out_of_place_adam_step(store: ParamStore, state: AdamState, grad: np.ndarray,
                            lr: float, betas=(0.9, 0.999), eps=1e-8) -> None:
     """Reference for ``adam_step``: the expression it used before it
