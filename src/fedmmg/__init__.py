@@ -11,11 +11,11 @@ from .graphdata import (MaskSet, MultimodalGraph, apply_natural_missingness,
                         partition_dirichlet, sample_artificial_mask, save_graph)
 from .numerics import (AdamState, ParamStore, Tape, Tensor, adam_step,
                        grad_check, multi_head_attention, sage_conv)
-from .tasks import LossBreakdown, TaskSpec
+from .tasks import LossBreakdown
 
 __all__ = [
     "AdamState", "LossBreakdown", "MaskSet", "MultimodalGraph",
-    "ParamStore", "Tape", "TaskSpec", "Tensor",
+    "ParamStore", "Tape", "Tensor",
     "adam_step", "apply_natural_missingness", "generate_sbm_multimodal",
     "grad_check", "load_graph", "missing_ratios", "multi_head_attention",
     "partition_dirichlet", "sage_conv", "sample_artificial_mask", "save_graph",

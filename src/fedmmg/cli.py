@@ -15,9 +15,11 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, assemble_run, build_data, parse_config
+from .config import (RUN_MODES, ConfigError, ExperimentConfig, assemble_run, build_data,
+                     parse_config)
 from .federation import FederationAborted, RoundHistory, run_federation, worker_count
 from .graphdata import GraphFileError, save_graph
+from .tasks import TASK_KINDS
 from .verify import (DEFAULT_GRAD_SEEDS, run_gradcheck_suite, run_metrics_oracle,
                      run_theory_check)
 
@@ -197,10 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=None,
                            help="processes that run the client jobs, capped at the "
                                 "client and core counts; outputs do not depend on it")
-            p.add_argument("--mode", type=str, default=None,
-                           choices=["reliability", "fedavg", "fedavg-zero"])
-            p.add_argument("--task", type=str, default=None,
-                           choices=["nc", "lp", "mr"])
+            p.add_argument("--mode", type=str, default=None, choices=RUN_MODES)
+            p.add_argument("--task", type=str, default=None, choices=TASK_KINDS)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic graph file")
     common(p_gen)

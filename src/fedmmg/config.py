@@ -4,8 +4,8 @@ Config files are JSON with nested sections. Every value is type-checked,
 then range-checked, before a run starts; unknown keys are rejected by name.
 Every range check lives in ``validate_config``: the run reads the validated
 config itself, through the setup ``assemble_run`` builds.
-CLI flags override file values. A parsed config serializes back to an equal
-config.
+CLI flags are written into the file's document before it is read, so they
+override file values. A parsed config serializes back to an equal config.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .graphdata import (MISSING_MODES, ClientPartition, MultimodalGraph,
                         generate_sbm_multimodal, induced_subgraph, load_graph,
                         partition_dirichlet)
 from .model import ModelConfig, ModelSection
-from .tasks import TASK_KINDS, TaskSpec
+from .tasks import TASK_KINDS
 
 RUN_MODES = ("reliability", "fedavg", "fedavg-zero")
 
@@ -197,8 +197,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 def parse_config(path: str | None = None, overrides: dict | None = None
                  ) -> ExperimentConfig:
-    """Load a JSON config file (missing/empty => all defaults) and apply
-    flag overrides on top. Overrides use dotted keys, e.g. federation.mode."""
+    """Load a JSON config file (missing/empty => all defaults), write the
+    flag overrides (dotted keys, e.g. federation.mode) into it, and read it."""
     doc: dict = {}
     if path is not None:
         try:
@@ -209,24 +209,15 @@ def parse_config(path: str | None = None, overrides: dict | None = None
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    cfg = ExperimentConfig()
-    _fill_section(cfg, doc, "<root>")
     for dotted, value in (overrides or {}).items():
-        _apply_override(cfg, dotted, value)
-    validate_config(cfg)
-    return cfg
-
-
-def _apply_override(cfg: ExperimentConfig, dotted: str, value) -> None:
-    target = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not hasattr(target, part):
-            raise ConfigError(f"unknown key {dotted!r}")
-        target = getattr(target, part)
-    if not hasattr(target, parts[-1]):
-        raise ConfigError(f"unknown key {dotted!r}")
-    setattr(target, parts[-1], value)
+        *path, key = dotted.split(".")
+        section = doc
+        for part in path:
+            section = section.setdefault(part, {}) if isinstance(section, dict) else None
+        if not isinstance(section, dict):
+            raise ConfigError(f"cannot set {dotted!r}: its section is not an object")
+        section[key] = value
+    return ExperimentConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +263,17 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         raise ConfigError("task 'nc' needs a graph with node labels")
     if cfg.task == "lp" and graph.edges.shape[0] == 0:
         raise ConfigError("task 'lp' needs a graph with at least one edge")
+    if cfg.task == "lp" and not graph.has_non_edge:
+        raise ConfigError("task 'lp' needs a graph with at least one non-edge")
 
     labels = graph.labels
     num_classes = int(labels.max()) + 1 if labels is not None else None
     model_cfg = ModelConfig(
-        **asdict(cfg.model), modalities=[(mod.name, mod.dim) for mod in graph.modalities],
+        **asdict(cfg.model), task=cfg.task,
+        modalities=[(mod.name, mod.dim) for mod in graph.modalities],
         num_classes=num_classes, bypass_generation=cfg.federation.mode == "fedavg-zero")
-    task_spec = TaskSpec.for_kind(cfg.task, model_cfg)
     clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
                for cid, nodes in enumerate(partition.node_lists)]
-    setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg,
-                            task_spec=task_spec)
+    setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg)
     return RunAssembly(setup=setup,
                        missing_fraction=empirical_missing_fraction(graph.natural_mask))

@@ -18,8 +18,9 @@ broadcast. Every job draws from its own seeded RNG stream, and the server
 reduces results in ascending client order, so the outputs do not depend
 on the worker count.
 
-Every setting is read from the validated ``ExperimentConfig`` the setup
-holds. ``federation.mode`` is the run's mode as given: ``reliability``
+Every setting is read from the setup: the validated ``ExperimentConfig``
+and the ``ModelConfig`` built from its task, its model section and the
+data. ``federation.mode`` is the run's mode as given: ``reliability``
 weights each client by its size and ``reliability_score``, ``fedavg`` and
 ``fedavg-zero`` by size alone, and ``fedavg-zero`` also bypasses
 generation (``ModelConfig.bypass_generation``).
@@ -51,7 +52,7 @@ from .metrics import MetricsRow, evaluate_metrics
 from .model import (ForwardBundle, ForwardPlan, GraphCaches, ModelConfig,
                     forward_pass, init_params, make_plan, score_recon_cells)
 from .numerics import AdamState, GradientError, ParamStore, Tape
-from .tasks import LossBreakdown, TaskSpec
+from .tasks import LossBreakdown
 
 if TYPE_CHECKING:  # config imports this module
     from .config import ExperimentConfig, FederationSection
@@ -149,18 +150,18 @@ def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) ->
 
 
 def _task_loss(params: ParamStore, bundle: ForwardBundle, data: ClientData,
-               spec: TaskSpec, rng: np.random.Generator):
+               task: str, rng: np.random.Generator):
     graph = data.graph
-    if spec.kind == "nc":
+    if task == "nc":
         return task_ops.nc_task_loss(params, bundle.refined, graph.labels,
                                      data.train_nodes)
-    if spec.kind == "lp":
+    if task == "lp":
         return task_ops.lp_task_loss(bundle.refined, data.train_edges, graph, rng)
-    if spec.kind == "mr":
+    if task == "mr":
         return task_ops.mr_task_loss(params, bundle.expert_flat, graph.n,
                                      data.train_nodes, refined=bundle.refined,
                                      labels=graph.labels)
-    raise ValueError(f"unknown task {spec.kind!r}")
+    raise ValueError(f"unknown task {task!r}")
 
 
 def _uploaded_errors(bundle: ForwardBundle, plan: ForwardPlan) -> tuple[float, float]:
@@ -180,7 +181,7 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
                        ) -> tuple[ReliabilityStats, LossBreakdown]:
     """Run the local epochs on the broadcast model loaded in ``store``, which
     holds the update afterwards; return the uploaded stats and last losses."""
-    cfg, model_cfg, spec = setup.cfg, setup.model_cfg, setup.task_spec
+    cfg, model_cfg = setup.cfg, setup.model_cfg
     store.zero_grads()
     epochs = max(1, model_cfg.local_epochs)
 
@@ -197,11 +198,11 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
         with Tape() as tape:
             bundle = forward_pass(store, model_cfg, plan, round_t)
             try:
-                task_loss = _task_loss(store, bundle, data, spec, rng)
+                task_loss = _task_loss(store, bundle, data, model_cfg.task, rng)
             except ValueError as exc:
                 raise ClientRoundError(data.cid, str(exc)) from exc
             total, breakdown = task_ops.local_objective(
-                spec, task_loss, bundle.rec_loss, bundle.align_loss,
+                model_cfg, task_loss, bundle.rec_loss, bundle.align_loss,
                 bundle.route_loss)
             if not np.isfinite(total.data).all():
                 raise ClientRoundError(
@@ -272,22 +273,22 @@ def aggregate(params_by_cid: dict[int, np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
-                    data: ClientData, round_t: int, seed: int
+def evaluate_client(store: ParamStore, model_cfg: ModelConfig, data: ClientData,
+                    round_t: int, seed: int
                     ) -> tuple[MetricsRow | None, int]:
     """Held-out metrics under natural visibility (no artificial masking)."""
     rng = np.random.default_rng([seed & 0xFFFFFFFF, data.cid, round_t, _EVAL_TAG])
     masks = MaskSet.full_visibility(data.graph.natural_mask)
     plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
     bundle = forward_pass(store, model_cfg, plan, round_t)
-    graph = data.graph
-    if spec.kind == "nc":
+    graph, task = data.graph, model_cfg.task
+    if task == "nc":
         if data.test_nodes.size == 0:
             return None, 0
         logits = task_ops.nc_logits(store, nx.rows(bundle.refined, data.test_nodes))
         return evaluate_metrics("nc", logits.data, graph.labels[data.test_nodes]), \
             int(data.test_nodes.size)
-    if spec.kind == "lp":
+    if task == "lp":
         if data.test_edges.shape[0] == 0 or not graph.has_non_edge:
             return None, 0
         pos = nx.pair_dots(bundle.refined, data.test_edges).data.reshape(-1)
@@ -295,7 +296,7 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
         neg_pairs = task_ops.draw_non_edges(graph, pos.size, pos.size, rng)[:pos.size]
         neg = nx.pair_dots(bundle.refined, neg_pairs).data.reshape(-1)
         return evaluate_metrics("lp", (pos, neg), None), pos.size
-    if spec.kind == "mr":
+    if task == "mr":
         if data.test_nodes.size == 0:
             return None, 0
         queries, gallery = task_ops.mr_embeddings(store, bundle.expert_flat, graph.n)
@@ -303,7 +304,7 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, spec: TaskSpec,
                                      nx.rows(gallery, data.test_nodes))
         targets = np.arange(data.test_nodes.size)
         return evaluate_metrics("mr", sim.data, targets), int(data.test_nodes.size)
-    raise ValueError(f"unknown task {spec.kind!r}")
+    raise ValueError(f"unknown task {task!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +355,13 @@ class RoundHistory:
 
 @dataclass
 class FederationSetup:
-    """Everything the round loop needs. ``model_cfg`` holds every model and
-    training setting and ``task_spec`` the loss weights built from it; the
-    rest is read from ``cfg``, the validated experiment config."""
+    """Everything the round loop needs. ``model_cfg`` holds the task and
+    every model, loss and training setting; the rest is read from ``cfg``,
+    the validated experiment config."""
 
     clients: list[ClientData]  # by cid
     cfg: ExperimentConfig
     model_cfg: ModelConfig
-    task_spec: TaskSpec
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +449,7 @@ def _run_job(setup: FederationSetup, model: ParamStore, shared: _SharedBlock,
     broadcast.flags.writeable = False
     store = model.over(broadcast)
     if kind == "evaluate":
-        return evaluate_client(store, setup.model_cfg, setup.task_spec, data,
-                               round_t, setup.cfg.seed)
+        return evaluate_client(store, setup.model_cfg, data, round_t, setup.cfg.seed)
     return _calibrate_client(setup, store, data, round_t)
 
 
@@ -576,7 +575,7 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
     Phase t trains round t and evaluates round t-1, which read the same
     broadcast; a last phase evaluates the final round and calibrates."""
     server, seed = setup.cfg.federation, setup.cfg.seed
-    history = RoundHistory(mode=server.mode, task=setup.task_spec.kind)
+    history = RoundHistory(mode=server.mode, task=setup.model_cfg.task)
     model = init_params(setup.model_cfg, seed)  # the layout every job uses
     global_params = model.snapshot()
     num_clients = len(setup.clients)

@@ -224,8 +224,9 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
                         seed: int = 0) -> ClientPartition:
     """Label-skewed client split: per class, client shares ~ Dirichlet(alpha).
 
-    Draws are resampled until every client owns at least one node. Cross
-    client edges are dropped; each client keeps only its induced subgraph.
+    Draws are resampled until every client owns at least one node; after
+    1000 failed draws this raises ValueError. Cross client edges are
+    dropped; each client keeps only its induced subgraph.
     """
     if clients < 1:
         raise ValueError("need at least one client")
@@ -251,7 +252,8 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
         if sizes.min() >= 1:
             break
     else:
-        raise RuntimeError("could not draw a partition covering every client")
+        raise ValueError(f"could not draw a partition covering all {clients} "
+                         f"clients at alpha {alpha}")
 
     return ClientPartition(node_lists=[np.flatnonzero(assign == k) for k in range(clients)])
 

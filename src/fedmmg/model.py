@@ -35,7 +35,7 @@ class ModelSection:
     lr: float = 0.005
     local_epochs: int = 3
     clip_norm: float = 1.0
-    lambda_rec: float | None = None   # TaskSpec.for_kind's task default when unset
+    lambda_rec: float | None = None   # unset: the task's default, see ModelConfig.rec_weight
     lambda_align: float = 0.01
     lambda_route: float = 0.01
     lambda_bal: float = 0.5
@@ -43,7 +43,8 @@ class ModelSection:
 
 @dataclass(kw_only=True)
 class ModelConfig(ModelSection):
-    """A model section plus the data's shape and the run mode's bypass."""
+    """A model section plus the task, the data's shape and the mode's bypass."""
+    task: str
     modalities: list[tuple[str, int]]
     num_classes: int | None = None
     bypass_generation: bool = False
@@ -51,6 +52,12 @@ class ModelConfig(ModelSection):
     @property
     def estimator_hidden(self) -> int:
         return max(4, self.hidden_dim // 2)
+
+    @property
+    def rec_weight(self) -> float:
+        """``lambda_rec``, or the task's default (declared only here) when unset."""
+        default = 0.5 if self.task == "mr" else 0.05
+        return default if self.lambda_rec is None else self.lambda_rec
 
 
 def _add_linear(params: dict, seed: int, name: str, fan_in: int,

@@ -18,7 +18,7 @@ from .graphdata import MultimodalGraph
 from .numerics import ParamStore, Tensor, const
 
 if TYPE_CHECKING:  # model imports this module
-    from .model import ModelSection
+    from .model import ModelConfig
 
 TASK_KINDS = ("nc", "lp", "mr")
 
@@ -32,43 +32,12 @@ NCE_TEMPERATURE, LAMBDA_CLS, QUERY_MODALITY = 0.07, 0.2, 0
 
 
 @dataclass
-class TaskSpec:
-    kind: str
-    lambda_rec: float
-    lambda_align: float
-    lambda_route: float
-
-    def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"task kind must be one of {TASK_KINDS}")
-        for lam in (self.lambda_rec, self.lambda_align, self.lambda_route):
-            if lam < 0:
-                raise ValueError("loss weights must be nonnegative")
-
-    @classmethod
-    def for_kind(cls, kind: str, model: ModelSection) -> "TaskSpec":
-        """The loss weights of ``model``; an unset ``lambda_rec`` takes the
-        task's default, which is declared only here."""
-        rec = model.lambda_rec
-        if rec is None:
-            rec = 0.5 if kind == "mr" else 0.05
-        return cls(kind, rec, model.lambda_align, model.lambda_route)
-
-
-@dataclass
 class LossBreakdown:
     task: float
     rec: float
     align: float
     route: float
     total: float
-
-    @classmethod
-    def combine(cls, spec: TaskSpec, task: float, rec: float, align: float,
-                route: float) -> "LossBreakdown":
-        total = (task + spec.lambda_rec * rec + spec.lambda_align * align
-                 + spec.lambda_route * route)
-        return cls(task=task, rec=rec, align=align, route=route, total=total)
 
 
 def refine(params: ParamStore, fused: Tensor, neigh_mat: nx.CSRMatrix) -> Tensor:
@@ -79,16 +48,15 @@ def refine(params: ParamStore, fused: Tensor, neigh_mat: nx.CSRMatrix) -> Tensor
                          params["refine.ln_g"], params["refine.ln_b"])
 
 
-def local_objective(spec: TaskSpec, task_loss: Tensor, rec_loss: Tensor,
+def local_objective(model_cfg: ModelConfig, task_loss: Tensor, rec_loss: Tensor,
                     align_loss: Tensor, route_loss: Tensor
                     ) -> tuple[Tensor, LossBreakdown]:
     total = task_loss
-    total = nx.add(total, nx.scale(rec_loss, spec.lambda_rec))
-    total = nx.add(total, nx.scale(align_loss, spec.lambda_align))
-    total = nx.add(total, nx.scale(route_loss, spec.lambda_route))
-    breakdown = LossBreakdown.combine(spec, float(task_loss.data), float(rec_loss.data),
-                                      float(align_loss.data), float(route_loss.data))
-    return total, breakdown
+    total = nx.add(total, nx.scale(rec_loss, model_cfg.rec_weight))
+    total = nx.add(total, nx.scale(align_loss, model_cfg.lambda_align))
+    total = nx.add(total, nx.scale(route_loss, model_cfg.lambda_route))
+    parts = (task_loss, rec_loss, align_loss, route_loss, total)
+    return total, LossBreakdown(*(float(part.data) for part in parts))
 
 
 # ---------------------------------------------------------------------------

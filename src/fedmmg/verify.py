@@ -16,7 +16,6 @@ from .graphdata import MaskSet, Modality, MultimodalGraph
 from .model import (FrozenTargets, GraphCaches, ModelConfig, forward_pass,
                     init_params, make_plan)
 from .numerics import KinkWatch, Tape, grad_check
-from .tasks import TaskSpec
 
 GRAD_TOL = 1e-3
 DEFAULT_GRAD_SEEDS = 20
@@ -50,7 +49,7 @@ def _toy_masks(graph: MultimodalGraph, seed: int) -> MaskSet:
     return MaskSet(natural=graph.natural_mask, keep=keep)
 
 
-def _local_objective_fn(graph, masks, cfg, spec, seed, store):
+def _local_objective_fn(graph, masks, cfg, seed, store):
     """Scalar training objective with the stop-gradient targets pinned to
     their base-point values, which is the function the tape differentiates.
     Every probe runs on one plan, so all of them see the same banks."""
@@ -62,10 +61,10 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
 
     def fn(store):
         bundle = forward_pass(store, cfg, plan, round_t=5, frozen=frozen)
-        if spec.kind == "nc":
+        if cfg.task == "nc":
             task = task_ops.nc_task_loss(store, bundle.refined, graph.labels,
                                          train_idx)
-        elif spec.kind == "mr":
+        elif cfg.task == "mr":
             task = task_ops.mr_task_loss(store, bundle.expert_flat, graph.n,
                                          train_idx, refined=bundle.refined,
                                          labels=graph.labels)
@@ -73,7 +72,7 @@ def _local_objective_fn(graph, masks, cfg, spec, seed, store):
             pos = graph.edges[:3]
             neg = np.array([[0, 4], [1, 5], [2, 5]], dtype=np.intp)
             task = task_ops.lp_pair_loss(bundle.refined, pos, neg)
-        total, _ = task_ops.local_objective(spec, task, bundle.rec_loss,
+        total, _ = task_ops.local_objective(cfg, task, bundle.rec_loss,
                                             bundle.align_loss, bundle.route_loss)
         return total
 
@@ -103,17 +102,18 @@ def run_gradcheck_suite(seeds: int = DEFAULT_GRAD_SEEDS, h: float = 1e-5,
     central finite differences across independent seeds."""
     if seeds < 1:  # a suite that checks nothing must not report a pass
         raise ValueError(f"seeds must be at least 1, got {seeds}")
+    if not set(tasks) <= set(task_ops.TASK_KINDS):
+        raise ValueError(f"tasks must be among {task_ops.TASK_KINDS}, got {tasks}")
 
     def builder_for(task_kind):
         def build(seed):
             graph = _toy_graph(seed)
             masks = _toy_masks(graph, seed)
-            cfg = ModelConfig(modalities=[("img", 10), ("txt", 12)], hidden_dim=8,
-                              heads=4, neighbor_cap=4, warmup_rounds=10,
+            cfg = ModelConfig(task=task_kind, modalities=[("img", 10), ("txt", 12)],
+                              hidden_dim=8, heads=4, neighbor_cap=4, warmup_rounds=10,
                               num_classes=2)
-            spec = TaskSpec.for_kind(task_kind, cfg)
             store = init_params(cfg, seed)
-            return _local_objective_fn(graph, masks, cfg, spec, seed, store), store
+            return _local_objective_fn(graph, masks, cfg, seed, store), store
         return build
 
     worst: dict[str, float] = {}

@@ -81,8 +81,8 @@ class TestConfigDefaults:
         assert parse_config(None).to_dict() == ExperimentConfig().to_dict()
 
     def test_assemble_run_carries_every_model_setting(self):
-        # every model setting, each off its default, reaches the model
-        # config, and the three loss weights reach the task spec
+        # every model setting, each off its default, and the task reach the
+        # model config
         doc = _small_cfg_doc()
         doc["model"] = {"hidden_dim": 12, "heads": 3, "neighbor_cap": 5,
                         "warmup_rounds": 7, "router_temperature": 0.5,
@@ -95,16 +95,15 @@ class TestConfigDefaults:
         assert all(section[key] != defaults[key] for key in defaults)
         setup = assemble_run(cfg).setup
         assert {key: getattr(setup.model_cfg, key) for key in section} == section
-        spec = setup.task_spec
-        assert (spec.lambda_rec, spec.lambda_align, spec.lambda_route) == (0.3, 0.02, 0.03)
+        assert setup.model_cfg.task == cfg.task and setup.model_cfg.rec_weight == 0.3
 
     @pytest.mark.parametrize("task, lambda_rec", [("nc", 0.05), ("lp", 0.05),
                                                   ("mr", 0.5)])
     def test_unset_reconstruction_weight_takes_the_task_default(self, task, lambda_rec):
         doc = _small_cfg_doc()
         doc["task"] = task
-        spec = assemble_run(ExperimentConfig.from_dict(doc)).setup.task_spec
-        assert spec.lambda_rec == lambda_rec
+        model_cfg = assemble_run(ExperimentConfig.from_dict(doc)).setup.model_cfg
+        assert model_cfg.task == task and model_cfg.rec_weight == lambda_rec
 
 
 class TestConfigValidation:
@@ -133,6 +132,32 @@ class TestConfigValidation:
                                        "federation.mode": "reliability"})
         assert cfg.seed == 9
         assert cfg.federation.mode == "reliability"
+
+    def test_flag_override_creates_a_missing_section(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1}))
+        cfg = parse_config(str(path), {"federation.rounds": 3})
+        assert (cfg.seed, cfg.federation.rounds) == (1, 3)
+        assert cfg.federation.clients == FederationSection().clients
+
+    @pytest.mark.parametrize("dotted, unknown", [
+        ("federation.stragglers", "federation: unknown key 'stragglers'"),
+        ("telemetry.on", "<root>: unknown key 'telemetry'"),
+        ("telemetry", "<root>: unknown key 'telemetry'")])
+    def test_unknown_flag_override_rejected(self, dotted, unknown):
+        with pytest.raises(ConfigError, match=f"^{re.escape(unknown)}$"):
+            parse_config(None, {dotted: 1})
+
+    def test_wrongly_typed_flag_override_rejected(self):
+        with pytest.raises(ConfigError, match="wrong type for 'federation.rounds'"):
+            parse_config(None, {"federation.rounds": "3"})
+
+    @pytest.mark.parametrize("doc", [{"federation": 3}, [1, 2]], ids=["section", "root"])
+    def test_flag_override_into_a_non_object_rejected(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            parse_config(str(path), {"federation.mode": "fedavg"})
 
     def test_round_trip_equality(self, tmp_path):
         cfg = parse_config(None, {"seed": 5, "task": "lp",
@@ -394,6 +419,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "edge" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_link_prediction_without_non_edges_exits_one(self, tmp_path, capsys):
+        def complete(doc):
+            doc["edges"] = [[u, v] for u in range(doc["n"]) for v in range(u + 1, doc["n"])]
+        cfg_path = self._graph_file(tmp_path, complete)
+        assert main(["run", "--config", str(cfg_path), "--task", "lp",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration: task 'lp' needs a graph with at least one non-edge\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_partition_that_cannot_be_drawn_exits_one(self, tmp_path, capsys, command):
+        doc = _small_cfg_doc()
+        doc["data"]["blocks"] = 1
+        doc["federation"].update(clients=3, alpha=1e-4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "invalid configuration: could not draw a partition covering all 3 "
+            "clients at alpha 0.0001\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("columns", [[], [0, 0], [0, 1]],

@@ -28,8 +28,8 @@ def star_graph(n_leaves=4, d_img=6, d_txt=5, seed=0):
 
 
 def small_cfg(**kw):
-    defaults = dict(modalities=[("img", 6), ("txt", 5)], hidden_dim=8, heads=4,
-                    neighbor_cap=4, warmup_rounds=10, num_classes=2)
+    defaults = dict(task="nc", modalities=[("img", 6), ("txt", 5)], hidden_dim=8,
+                    heads=4, neighbor_cap=4, warmup_rounds=10, num_classes=2)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -61,7 +61,7 @@ class TestEncoder:
             encoding.encode_modality(params, "img", np.zeros((3, 7)), np.ones(3))
 
     def test_default_hidden_dim_is_256(self):
-        cfg = ModelConfig(modalities=[("img", 16), ("txt", 12)])
+        cfg = ModelConfig(task="nc", modalities=[("img", 16), ("txt", 12)])
         params = init_params(cfg, seed=0)
         assert params["enc.img.w"].shape == (16, 256)
 

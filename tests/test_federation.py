@@ -25,7 +25,6 @@ from fedmmg.federation import (ClientData, ClientRoundError, FederationAborted,
 from fedmmg.graphdata import Modality, MultimodalGraph, sample_artificial_mask
 from fedmmg.model import ModelConfig, forward_pass, init_params, make_plan
 from fedmmg.numerics import AdamState, ParamStore
-from fedmmg.tasks import TaskSpec
 
 from test_pinned_outputs import seed3_config
 
@@ -72,10 +71,11 @@ class TestSetupReadsTheConfig:
         cfg = small_experiment(**{"federation.mode": mode})
         setup = assemble_run(cfg).setup
         assert [f.name for f in dataclasses.fields(setup)] == \
-            ["clients", "cfg", "model_cfg", "task_spec"]
+            ["clients", "cfg", "model_cfg"]
         assert setup.cfg.to_dict() == cfg.to_dict()
         assert setup.cfg.federation.mode == mode
         assert setup.model_cfg.bypass_generation == (mode == "fedavg-zero")
+        assert setup.model_cfg.task == cfg.task
 
     def test_assembly_validates_the_config(self):
         cfg = small_experiment()
@@ -97,7 +97,7 @@ class TestSetupReadsTheConfig:
         expected["federation"]["mode"] = "fedavg-zero"
         assert zero.cfg.to_dict() == expected
         assert vars(zero.model_cfg) == {**model_before, "bypass_generation": True}
-        assert zero.clients is setup.clients and zero.task_spec is setup.task_spec
+        assert zero.clients is setup.clients
         assert setup.cfg is cfg and cfg.to_dict() == before
         assert vars(setup.model_cfg) == model_before
 
@@ -335,7 +335,7 @@ class TestLinkPredictionWithoutNonEdges:
             modalities=[Modality("img", 4, rng.normal(size=(n, 4))),
                         Modality("txt", 3, rng.normal(size=(n, 3)))],
             labels=None, natural_mask=np.ones((n, 2)))
-        cfg = ModelConfig(modalities=[("img", 4), ("txt", 3)], hidden_dim=8,
+        cfg = ModelConfig(task="lp", modalities=[("img", 4), ("txt", 3)], hidden_dim=8,
                           warmup_rounds=5)
         data = build_client_data(cid, graph, "lp", seed=0)
         assert data.test_edges.shape[0] > 0
@@ -347,13 +347,11 @@ class TestLinkPredictionWithoutNonEdges:
 
     def test_evaluation_reports_no_metrics(self):
         data, cfg = self._triangle_client()
-        assert evaluate_client(init_params(cfg, 0), cfg, TaskSpec.for_kind("lp", cfg),
-                               data, 0, 0) == (None, 0)
+        assert evaluate_client(init_params(cfg, 0), cfg, data, 0, 0) == (None, 0)
 
     def test_training_fails_the_client_round(self):
         data, cfg = self._triangle_client()
-        setup = FederationSetup(clients=[data], cfg=ExperimentConfig(),
-                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp", cfg))
+        setup = FederationSetup(clients=[data], cfg=ExperimentConfig(), model_cfg=cfg)
         store = init_params(cfg, 0)
         with pytest.raises(ClientRoundError, match="non-edge"):
             client_local_round(setup, store, AdamState.for_params(store), data, 0)
@@ -368,8 +366,7 @@ class TestLinkPredictionWithoutNonEdges:
         run_cfg = ExperimentConfig()
         run_cfg.federation.rounds = 2
         run_cfg.federation.workers = workers
-        setup = FederationSetup(clients=[triangle, path], cfg=run_cfg,
-                                model_cfg=cfg, task_spec=TaskSpec.for_kind("lp", cfg))
+        setup = FederationSetup(clients=[triangle, path], cfg=run_cfg, model_cfg=cfg)
         history = run_federation(setup)
         for rec in history.records:
             assert list(rec.errors) == [0] and "non-edge" in rec.errors[0]

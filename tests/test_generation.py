@@ -279,7 +279,6 @@ class TestForwardPlan:
 
     def test_gradcheck_probes_reuse_the_plan(self, monkeypatch):
         from fedmmg import verify
-        from fedmmg.tasks import TaskSpec
         calls = {"banks": 0, "anchors": 0}
 
         def counting(key, fn):
@@ -293,11 +292,10 @@ class TestForwardPlan:
         monkeypatch.setattr(encoding, "anchor_coefficients",
                             counting("anchors", encoding.anchor_coefficients))
         graph = verify._toy_graph(3)
-        cfg = ModelConfig(modalities=[("img", 10), ("txt", 12)], hidden_dim=8,
+        cfg = ModelConfig(task="nc", modalities=[("img", 10), ("txt", 12)], hidden_dim=8,
                           heads=4, neighbor_cap=4, warmup_rounds=10, num_classes=2)
         store = init_params(cfg, 3)
-        fn = verify._local_objective_fn(graph, verify._toy_masks(graph, 3), cfg,
-                                        TaskSpec.for_kind("nc", cfg), 3, store)
+        fn = verify._local_objective_fn(graph, verify._toy_masks(graph, 3), cfg, 3, store)
         assert calls == {"banks": 1, "anchors": 2}
         base = fn(store).data
         store["gen.att.wq"].data[0, 0] += 1e-3

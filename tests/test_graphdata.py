@@ -569,7 +569,7 @@ class TestArrayFormsMatchLoops:
         clients = min(clients, g.n)
         expected = _partition_loop(g.labels, clients, alpha, seed)
         if expected is None:  # no draw in 1000 covered every client
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match=f"all {clients} clients at alpha"):
                 partition_dirichlet(g, clients, alpha, seed)
             return
         part = partition_dirichlet(g, clients, alpha, seed)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from fedmmg import metrics
 from fedmmg import numerics as nx
-from fedmmg import tasks
+from fedmmg import tasks, verify
 from fedmmg.metrics import (MetricError, auc_score, average_precision,
                             evaluate_metrics, macro_f1, mrr, recall_at_k,
                             retrieval_ranks)
-from fedmmg.model import GraphCaches, ModelSection, init_params
+from fedmmg.model import GraphCaches, init_params
 from fedmmg.numerics import const, neighbor_mean_matrix
-from fedmmg.tasks import LossBreakdown, TaskSpec, cross_entropy, refine
+from fedmmg.tasks import cross_entropy, refine
 
 from test_encoding import edge_array, small_cfg, star_graph
 from test_graphdata import _bare_graph
@@ -23,23 +23,26 @@ def link_graph(n, edges):
     return _bare_graph(n, sorted(edges))
 
 
-class TestTaskSpec:
-    def test_default_weights_by_kind(self):
-        section = ModelSection()
-        assert TaskSpec.for_kind("nc", section).lambda_rec == 0.05
-        assert TaskSpec.for_kind("lp", section).lambda_rec == 0.05
-        assert TaskSpec.for_kind("mr", section).lambda_rec == 0.5
-        spec = TaskSpec.for_kind("nc", section)
-        assert spec.lambda_align == 0.01 and spec.lambda_route == 0.01
+class TestLossWeights:
+    @pytest.mark.parametrize("task, default", [("nc", 0.05), ("lp", 0.05),
+                                               ("mr", 0.5)])
+    def test_reconstruction_weight_by_task(self, task, default):
+        assert small_cfg(task=task).rec_weight == default
+        assert small_cfg(task=task, lambda_rec=0.3).rec_weight == 0.3
+        assert small_cfg(task=task, lambda_rec=0.0).rec_weight == 0.0
+
+    def test_default_weights(self):
+        cfg = small_cfg()
+        assert cfg.lambda_align == 0.01 and cfg.lambda_route == 0.01
         assert tasks.NCE_TEMPERATURE == 0.07
         assert (tasks.LP_BCE_WEIGHT, tasks.LP_BPR_WEIGHT, tasks.LP_MARGIN_WEIGHT,
                 tasks.LP_MARGIN) == (1.0, 0.5, 0.3, 0.1)
         assert tasks.HARD_NEGATIVE_SCALE == 4.0
         assert tasks.HARD_NEGATIVE_MIN_POOL == 256
 
-    def test_invalid_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TaskSpec.for_kind("graph-level", ModelSection())
+    def test_gradient_suite_rejects_an_unknown_task(self):
+        with pytest.raises(ValueError, match="tasks must be among"):
+            verify.run_gradcheck_suite(seeds=1, tasks=("nc", "graph-level"))
 
 
 class TestRefine:
@@ -164,37 +167,47 @@ class TestLosses:
             [p for p in pairs.tolist() if p[0] != p[1]]
 
 
+def _weights(lambda_rec, lambda_align, lambda_route):
+    return small_cfg(lambda_rec=lambda_rec, lambda_align=lambda_align,
+                     lambda_route=lambda_route)
+
+
+def _float_total(cfg, task, rec, align, route):
+    """The breakdown's total as it was computed beside the tensor, in Python
+    floats; kept as the reference the tensor's total must equal."""
+    return (task + cfg.rec_weight * rec + cfg.lambda_align * align
+            + cfg.lambda_route * route)
+
+
 class TestLocalObjective:
     def test_identity_holds_exactly(self):
-        spec = TaskSpec(kind="nc", lambda_rec=0.5, lambda_align=0.1,
-                        lambda_route=0.2)
+        cfg = _weights(0.5, 0.1, 0.2)
         total, b = tasks.local_objective(
-            spec, const(np.asarray(1.0)), const(np.asarray(2.0)),
+            cfg, const(np.asarray(1.0)), const(np.asarray(2.0)),
             const(np.asarray(3.0)), const(np.asarray(4.0)))
         np.testing.assert_allclose(b.total, 3.1, atol=1e-15)
-        np.testing.assert_allclose(float(total.data), 3.1, atol=1e-12)
-        assert b.total == b.task + 0.5 * b.rec + 0.1 * b.align + 0.2 * b.route
+        assert b.total == float(total.data)
+        assert (b.task, b.rec, b.align, b.route) == (1.0, 2.0, 3.0, 4.0)
 
     def test_zero_weights_reduce_to_task(self):
-        spec = TaskSpec(kind="nc", lambda_rec=0.0, lambda_align=0.0,
-                        lambda_route=0.0)
+        cfg = _weights(0.0, 0.0, 0.0)
         total, b = tasks.local_objective(
-            spec, const(np.asarray(1.7)), const(np.asarray(9.0)),
+            cfg, const(np.asarray(1.7)), const(np.asarray(9.0)),
             const(np.asarray(9.0)), const(np.asarray(9.0)))
         assert float(total.data) == 1.7 and b.total == 1.7
 
-    def test_breakdown_identity_random(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            spec = TaskSpec(kind="nc", lambda_rec=float(rng.uniform(0, 1)),
-                            lambda_align=float(rng.uniform(0, 1)),
-                            lambda_route=float(rng.uniform(0, 1)))
-            parts = rng.uniform(0, 5, size=4)
-            _, b = tasks.local_objective(
-                spec, *(const(np.asarray(p)) for p in parts))
-            expected = (b.task + spec.lambda_rec * b.rec
-                        + spec.lambda_align * b.align + spec.lambda_route * b.route)
-            assert abs(b.total - expected) < 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+           weights=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+           task=st.sampled_from(tasks.TASK_KINDS), rec_unset=st.booleans())
+    def test_breakdown_total_is_the_float_formula_byte_for_byte(
+            self, parts, weights, task, rec_unset):
+        cfg = small_cfg(task=task, lambda_rec=None if rec_unset else weights[0],
+                        lambda_align=weights[1], lambda_route=weights[2])
+        total, b = tasks.local_objective(cfg, *(const(np.asarray(p)) for p in parts))
+        assert b.total == float(total.data)
+        assert np.float64(b.total).tobytes() == \
+            np.float64(_float_total(cfg, *parts)).tobytes()
 
 
 class TestMetrics:
