@@ -9,16 +9,16 @@ small self-contained float64 autodiff engine.
 from .graphdata import (MaskSet, MultimodalGraph, apply_natural_missingness,
                         generate_sbm_multimodal, load_graph, missing_ratios,
                         partition_dirichlet, sample_artificial_mask, save_graph)
-from .numerics import (AdamState, ParamStore, Tape, Tensor, adam_step,
-                       grad_check, multi_head_attention, sage_conv)
+from .numerics import (AdamState, ParamStore, Tape, Tensor, adam_step, grad_check,
+                       sage_conv)
 from .tasks import LossBreakdown
 
 __all__ = [
     "AdamState", "LossBreakdown", "MaskSet", "MultimodalGraph",
     "ParamStore", "Tape", "Tensor",
     "adam_step", "apply_natural_missingness", "generate_sbm_multimodal",
-    "grad_check", "load_graph", "missing_ratios", "multi_head_attention",
-    "partition_dirichlet", "sage_conv", "sample_artificial_mask", "save_graph",
+    "grad_check", "load_graph", "missing_ratios", "partition_dirichlet",
+    "sage_conv", "sample_artificial_mask", "save_graph",
 ]
 
 __version__ = "0.1.0"

@@ -12,12 +12,14 @@ import json
 import os
 import resource
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
 from .config import (RUN_MODES, ConfigError, ExperimentConfig, assemble_run, build_data,
                      parse_config)
-from .federation import FederationAborted, RoundHistory, run_federation, worker_count
+from .federation import (FederationAborted, RoundHistory, RoundRecord, run_federation,
+                         worker_count)
 from .graphdata import GraphFileError, save_graph
 from .tasks import TASK_KINDS
 from .verify import (DEFAULT_GRAD_SEEDS, run_gradcheck_suite, run_metrics_oracle,
@@ -28,27 +30,30 @@ EXIT_VALIDATION = 1
 EXIT_RUN = 2
 EXIT_VERIFY = 3
 
-CSV_HEADER = ("round,client_frac,omega_min,omega_max,loss_task,loss_rec,"
-              "loss_align,loss_route,metric_1,metric_2,wall_ms")
+# The metrics.csv columns in order: each one's name and its value in a
+# round's record. np.min/np.max, unlike min/max, return a NaN omega wherever
+# it sits, so _check_finite sees it.
+COLUMNS: tuple[tuple[str, Callable[[RoundRecord], float]], ...] = (
+    ("round", lambda r: r.round_index),
+    ("client_frac", lambda r: r.client_frac),
+    ("omega_min", lambda r: np.min(list(r.omega.values()))),
+    ("omega_max", lambda r: np.max(list(r.omega.values()))),
+    ("loss_task", lambda r: r.mean_loss.task),
+    ("loss_rec", lambda r: r.mean_loss.rec),
+    ("loss_align", lambda r: r.mean_loss.align),
+    ("loss_route", lambda r: r.mean_loss.route),
+    ("metric_1", lambda r: r.metrics.values[0]),
+    ("metric_2", lambda r: r.metrics.values[1]),
+)
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
+def _cell(value: float) -> str:
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def metrics_csv_lines(history: RoundHistory) -> list[str]:
-    lines = [CSV_HEADER]
-    for rec in history.records:
-        omegas = list(rec.omega.values())
-        lines.append(",".join([
-            str(rec.round_index), _num(rec.client_frac),
-            _num(min(omegas)), _num(max(omegas)),
-            _num(rec.mean_loss.task), _num(rec.mean_loss.rec),
-            _num(rec.mean_loss.align), _num(rec.mean_loss.route),
-            _num(rec.metrics.values[0]), _num(rec.metrics.values[1]),
-            str(rec.wall_ms),
-        ]))
-    return lines
+    return [",".join(name for name, _ in COLUMNS)] + [
+        ",".join(_cell(value(rec)) for _, value in COLUMNS) for rec in history.records]
 
 
 def jsonl_lines(history: RoundHistory) -> list[str]:
@@ -78,11 +83,7 @@ def summary_dict(cfg: ExperimentConfig, history: RoundHistory,
 
 def _check_finite(history: RoundHistory) -> None:
     for rec in history.records:
-        values = [rec.client_frac, rec.mean_loss.task, rec.mean_loss.rec,
-                  rec.mean_loss.align, rec.mean_loss.route,
-                  rec.metrics.values[0], rec.metrics.values[1],
-                  *rec.omega.values()]
-        if not np.isfinite(values).all():
+        if not np.isfinite([value(rec) for _, value in COLUMNS]).all():
             raise FederationAborted(f"non-finite value in round {rec.round_index}")
 
 

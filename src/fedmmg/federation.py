@@ -321,7 +321,6 @@ class RoundRecord:
     mean_loss: LossBreakdown
     metrics: MetricsRow
     errors: dict[int, str] = field(default_factory=dict)
-    wall_ms: int = 0  # serialized as 0: emitted files must be byte-reproducible
 
     def to_json_dict(self) -> dict:
         return {
@@ -333,7 +332,6 @@ class RoundRecord:
             "metrics": {"names": list(self.metrics.names),
                         "values": list(self.metrics.values)},
             "errors": {str(c): self.errors[c] for c in sorted(self.errors)},
-            "wall_ms": self.wall_ms,
         }
 
 

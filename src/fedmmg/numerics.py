@@ -43,10 +43,6 @@ MASK_NEG = -1e30
 _LN_EPS = 1e-8
 
 
-class EmptyAttentionError(ValueError):
-    """Every token of an attention bank is masked out."""
-
-
 class GradientError(RuntimeError):
     """Non-finite value encountered during differentiation."""
 
@@ -792,30 +788,6 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
                                        matmul(keys, params.wk),
                                        matmul(values, params.wv), slots, heads)
     return matmul(ctx, params.wo), slot_weights
-
-
-def multi_head_attention(query: Tensor, bank: Tensor, values: Tensor,
-                         additive_mask: np.ndarray, heads: int,
-                         params: AttentionParams) -> tuple[Tensor, np.ndarray]:
-    """Single-query masked attention over a token bank.
-
-    query [1, dq], bank [S, dk], values [S, dv], additive_mask [S] with
-    entries 0 or MASK_NEG. Returns the output [1, dv] and the detached
-    per-head weights [H, S], exactly 0.0 on masked tokens. Raises
-    EmptyAttentionError when every token is masked; callers are expected to
-    fall back to a structural branch.
-    """
-    mask = np.asarray(additive_mask, dtype=np.float64).reshape(-1)
-    s_count = bank.shape[0]
-    if s_count < 1 or mask.shape[0] != s_count:
-        raise ValueError("bank and mask sizes disagree")
-    if np.all(mask <= MASK_NEG / 2):
-        raise EmptyAttentionError("every attention token is masked out")
-    slots = BankSlots.of(np.arange(s_count).reshape(1, -1), mask.reshape(1, -1))
-    out, slot_weights = attention_batched(query, bank, values, slots, heads, params)
-    weights = np.zeros((heads, s_count))
-    weights[:, mask == 0.0] = slot_weights.T
-    return out, weights
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fedmmg.federation import (ReliabilityStats, aggregate, fedavg_zero_setup,
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
 from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
-from fedmmg.numerics import MASK_NEG, AttentionParams, const, multi_head_attention
+from fedmmg.numerics import MASK_NEG, AttentionParams, BankSlots, attention_batched, const
 from fedmmg.verify import (run_gradcheck_suite, run_metrics_oracle,
                            run_theory_check)
 
@@ -157,15 +157,18 @@ def test_criterion_4_fusion_error_bound():
 
 
 def test_criterion_5_self_leakage():
-    # exact zero attention weight on a masked token
+    # a masked token has no attention slot, so its row cannot reach the output
     d = 8
     rng = np.random.default_rng(2)
     eye = np.eye(d)
     params = AttentionParams(*(const(eye) for _ in range(4)))
-    bank = const(rng.normal(size=(3, d)))
-    _, weights = multi_head_attention(const(rng.normal(size=(1, d))), bank, bank,
-                                      np.array([0.0, MASK_NEG, 0.0]), 2, params)
-    exact_zero = (weights[:, 1] == 0.0).all()
+    query = const(rng.normal(size=(1, d)))
+    rows = rng.normal(size=(3, d))
+    slots = BankSlots.of(np.arange(3).reshape(1, -1), np.array([[0.0, MASK_NEG, 0.0]]))
+    before, _ = attention_batched(query, const(rows), const(rows), slots, 2, params)
+    rows[1] += 2.5
+    after, _ = attention_batched(query, const(rows), const(rows), slots, 2, params)
+    no_slot = 1 not in slots.token and after.data.tobytes() == before.data.tobytes()
 
     # star graph, one conv layer: perturbation probes
     from test_encoding import small_cfg, star_graph
@@ -202,8 +205,8 @@ def test_criterion_5_self_leakage():
     gen_delta = np.abs(gen_after - gen_before).max()
     excl_delta = np.abs(excl_after - excl_before).max()
     _report("criterion 5 (self-leakage)",
-            exact_zero and gen_delta == 0.0 and excl_delta < 1e-12,
-            f"masked weight exactly 0; probe deltas gen={gen_delta:.1e} "
+            no_slot and gen_delta == 0.0 and excl_delta < 1e-12,
+            f"masked token has no slot; probe deltas gen={gen_delta:.1e} "
             f"excl={excl_delta:.1e}")
 
 

@@ -15,12 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedmmg
-from fedmmg.cli import main, write_outputs
+from fedmmg.cli import COLUMNS, main, write_outputs
 from fedmmg.config import (ConfigError, DataSection, ExperimentConfig,
                            FederationSection, MissingnessSection, ModelSection,
                            assemble_run, parse_config, validate_config)
-from fedmmg.federation import run_federation, worker_count
+from fedmmg.federation import (FederationAborted, RoundHistory, RoundRecord,
+                               run_federation, worker_count)
 from fedmmg.graphdata import load_graph
+from fedmmg.metrics import MetricsRow
+from fedmmg.tasks import LossBreakdown
 
 # JSON values of every shape, plus values of the right type near the ranges
 # validate_config checks, so documents reach both the type and range checks.
@@ -277,10 +280,46 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         lines = (out / "metrics.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("round,client_frac,omega_min,omega_max,"
-                                   "loss_task,loss_rec,loss_align,loss_route,"
-                                   "metric_1,metric_2,wall_ms")
+        assert lines[0] == ("round,client_frac,omega_min,omega_max,"
+                            "loss_task,loss_rec,loss_align,loss_route,"
+                            "metric_1,metric_2")
         assert len(lines) == 1 + 3
+
+    def test_outputs_have_only_the_declared_columns_and_keys(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        header, *rows = (out / "metrics.csv").read_text().strip().split("\n")
+        assert header.split(",") == [name for name, _ in COLUMNS]
+        assert rows and all(len(row.split(",")) == len(COLUMNS) for row in rows)
+        records = [json.loads(line)
+                   for line in (out / "rounds.jsonl").read_text().splitlines()]
+        summary = json.loads((out / "summary.json").read_text())
+        records += [summary["last_round"], summary["best_round"]]
+        keys = {"round", "client_frac", "omega", "losses", "mean_loss", "metrics",
+                "errors"}
+        assert all(isinstance(rec, dict) and set(rec) == keys for rec in records)
+
+    @pytest.mark.parametrize("omega, metric_1", [
+        ({0: 0.3, 1: math.nan, 2: 0.2}, 0.5),   # min() and max() would skip it
+        ({0: 0.3, 1: 0.5, 2: 0.2}, math.inf),
+    ], ids=["nan-omega-not-first", "infinite-metric-1"])
+    def test_non_finite_round_aborts_without_writing(self, tmp_path, omega, metric_1):
+        loss = LossBreakdown(task=1.0, rec=1.0, align=1.0, route=1.0, total=1.0)
+
+        def record(index, omega, metric_1):
+            return RoundRecord(round_index=index, client_frac=1.0, omega=omega,
+                               losses={c: loss for c in omega}, mean_loss=loss,
+                               metrics=MetricsRow(("accuracy", "macro_f1"),
+                                                  (metric_1, 0.5)))
+
+        history = RoundHistory(mode="reliability", task="nc", records=[
+            record(0, {0: 0.3, 1: 0.5, 2: 0.2}, 0.5), record(1, omega, metric_1)])
+        with pytest.raises(FederationAborted) as err:
+            write_outputs(str(tmp_path), ExperimentConfig(), history, 0.0)
+        assert str(err.value) == "non-finite value in round 1"
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_mode_recorded_in_summary(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

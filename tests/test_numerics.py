@@ -15,11 +15,9 @@ from fedmmg import tasks
 from fedmmg.config import ExperimentConfig, assemble_run
 from fedmmg.federation import run_federation
 from fedmmg.generation import BankBatch
-from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams,
-                             EmptyAttentionError, GradientError, ParamStore,
-                             Tape, Tensor, adam_step, const, grad_check,
-                             multi_head_attention, neighbor_mean_matrix,
-                             sage_conv)
+from fedmmg.numerics import (MASK_NEG, AdamState, AttentionParams, GradientError,
+                             ParamStore, Tape, Tensor, adam_step, const, grad_check,
+                             neighbor_mean_matrix, sage_conv)
 
 from test_encoding import edge_array
 
@@ -39,15 +37,23 @@ def attention_of(store: ParamStore) -> AttentionParams:
     return AttentionParams(*(store[name] for name in ("wq", "wk", "wv", "wo")))
 
 
+def one_bank_attention(query, bank, values, mask, heads, params):
+    """``attention_batched`` over one bank whose slot s reads row s of
+    ``bank`` and ``values``; returns the output and the bank's slots."""
+    slots = nx.BankSlots.of(np.arange(bank.shape[0]).reshape(1, -1), mask.reshape(1, -1))
+    out, weights = nx.attention_batched(query, bank, values, slots, heads, params)
+    return out, weights, slots
+
+
 class TestAttention:
     def test_single_token_returns_value_row(self):
         d = 4
         rng = np.random.default_rng(0)
         v = rng.normal(size=(1, d))
-        out, weights = multi_head_attention(const(rng.normal(size=(1, d))),
-                                            const(rng.normal(size=(1, d))),
-                                            const(v), np.zeros(1), heads=2,
-                                            params=identity_attention(d))
+        out, weights, _ = one_bank_attention(const(rng.normal(size=(1, d))),
+                                             const(rng.normal(size=(1, d))),
+                                             const(v), np.zeros(1), heads=2,
+                                             params=identity_attention(d))
         np.testing.assert_allclose(out.data, v, atol=1e-12)
         np.testing.assert_allclose(weights, 1.0)
 
@@ -56,39 +62,35 @@ class TestAttention:
         rng = np.random.default_rng(1)
         row = rng.normal(size=(1, d))
         bank = const(np.vstack([row, row]))
-        out, weights = multi_head_attention(const(rng.normal(size=(1, d))), bank,
-                                            bank, np.zeros(2), heads=2,
-                                            params=identity_attention(d))
+        out, weights, _ = one_bank_attention(const(rng.normal(size=(1, d))), bank,
+                                             bank, np.zeros(2), heads=2,
+                                             params=identity_attention(d))
         np.testing.assert_allclose(weights, 0.5, atol=1e-12)
 
-    def test_masked_token_weight_is_exactly_zero(self):
+    def test_masked_token_has_no_slot_and_no_influence(self):
         d = 4
         rng = np.random.default_rng(2)
-        bank = const(rng.normal(size=(2, d)))
+        query = const(rng.normal(size=(1, d)))
+        rows = rng.normal(size=(2, d))
         mask = np.array([0.0, MASK_NEG])
-        _, weights = multi_head_attention(const(rng.normal(size=(1, d))), bank,
-                                          bank, mask, heads=2,
-                                          params=identity_attention(d))
-        assert (weights[:, 1] == 0.0).all()
-        np.testing.assert_allclose(weights[:, 0], 1.0)
-
-    def test_all_masked_bank_raises(self):
-        d = 4
-        bank = const(np.ones((3, d)))
-        with pytest.raises(EmptyAttentionError):
-            multi_head_attention(const(np.ones((1, d))), bank, bank,
-                                 np.full(3, MASK_NEG), heads=2,
-                                 params=identity_attention(d))
+        out, weights, slots = one_bank_attention(query, const(rows), const(rows), mask,
+                                                 heads=2, params=identity_attention(d))
+        assert slots.token.tolist() == [0]
+        np.testing.assert_allclose(weights, 1.0)
+        rows[1] += 2.5
+        moved, _, _ = one_bank_attention(query, const(rows), const(rows), mask,
+                                         heads=2, params=identity_attention(d))
+        assert moved.data.tobytes() == out.data.tobytes()
 
     def test_output_in_convex_hull_of_values(self):
         # identity projections: per-head output is a convex combination of rows
         d = 4
         rng = np.random.default_rng(3)
         values = rng.normal(size=(5, d))
-        out, weights = multi_head_attention(const(rng.normal(size=(1, d))),
-                                            const(rng.normal(size=(5, d))),
-                                            const(values), np.zeros(5), heads=1,
-                                            params=identity_attention(d))
+        out, weights, _ = one_bank_attention(const(rng.normal(size=(1, d))),
+                                             const(rng.normal(size=(5, d))),
+                                             const(values), np.zeros(5), heads=1,
+                                             params=identity_attention(d))
         assert (out.data >= values.min(axis=0) - 1e-12).all()
         assert (out.data <= values.max(axis=0) + 1e-12).all()
         np.testing.assert_allclose(weights.sum(), 1.0, atol=1e-12)
@@ -102,7 +104,7 @@ class TestAttention:
         mask = np.array([0.0, 0.0, MASK_NEG, 0.0])
 
         def f(s):
-            out, _ = multi_head_attention(query, bank, bank, mask, 2, params)
+            out, _, _ = one_bank_attention(query, bank, bank, mask, 2, params)
             return nx.total_sum(nx.mul(out, out))
 
         report = grad_check(f, store, h=1e-5)

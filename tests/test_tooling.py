@@ -37,6 +37,13 @@ def _resolves(module: str, qualname: str) -> bool:
     return inspect.isfunction(fn) and fn.__module__ == mod.__name__
 
 
+def test_every_exported_name_resolves():
+    import fedmmg
+    namespace: dict = {}
+    exec("from fedmmg import *", namespace)  # AttributeError on a stale name
+    assert set(fedmmg.__all__) <= set(namespace)
+
+
 def test_every_trace_target_resolves():
     targets = _load_perfbench("tracing").TARGETS
     assert targets
