@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 from .federation import FederationSetup, build_client_data
 from .graphdata import (MISSING_MODES, ClientPartition, MultimodalGraph,
-                        apply_natural_missingness, empirical_missing_fraction,
-                        generate_sbm_multimodal, induced_subgraph, load_graph,
+                        apply_natural_missingness, client_subgraphs,
+                        empirical_missing_fraction, generate_sbm_multimodal, load_graph,
                         partition_dirichlet)
 from .model import ModelConfig, ModelSection
 from .tasks import TASK_KINDS
@@ -272,8 +272,8 @@ def assemble_run(cfg: ExperimentConfig) -> RunAssembly:
         **asdict(cfg.model), task=cfg.task,
         modalities=[(mod.name, mod.dim) for mod in graph.modalities],
         num_classes=num_classes, bypass_generation=cfg.federation.mode == "fedavg-zero")
-    clients = [build_client_data(cid, induced_subgraph(graph, nodes), cfg.task, cfg.seed)
-               for cid, nodes in enumerate(partition.node_lists)]
+    clients = [build_client_data(cid, sub, cfg.task, cfg.seed)
+               for cid, sub in enumerate(client_subgraphs(graph, partition.node_lists))]
     setup = FederationSetup(clients=clients, cfg=cfg, model_cfg=model_cfg)
     return RunAssembly(setup=setup,
                        missing_fraction=empirical_missing_fraction(graph.natural_mask))

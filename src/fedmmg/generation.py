@@ -132,19 +132,11 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
                           wv=params["gen.att.wv"], wo=params["gen.att.wo"])
     evidence, _ = nx.attention_batched(queries, stacked, stacked, banks.slots,
                                        heads, att)
-
-    self_ctx = nx.matmul(excl_flat, params["gen.self_proj.w"])
-    gate = nx.sigmoid(nx.linear([evidence, self_ctx],
-                                params["gen.gate.w"], params["gen.gate.b"]))
-    usable = const((1.0 - banks.empty).reshape(-1, 1))
-    gate = nx.mul(gate, usable)
-
-    gamma = warmup_coefficient(round_t, warmup_rounds)
-    one = const(np.ones((1, 1)))
-    warmed = nx.add(nx.mul(gate, evidence), nx.mul(nx.sub(one, gate), self_ctx))
-    anchored = nx.matmul(anchor_flat, params["gen.anchor_proj.w"])
-    generated = nx.add(nx.scale(warmed, gamma), nx.scale(anchored, 1.0 - gamma))
-    return generated
+    return nx.gated_blend(evidence, excl_flat, anchor_flat, params["gen.self_proj.w"],
+                          params["gen.gate.w"], params["gen.gate.b"],
+                          params["gen.anchor_proj.w"],
+                          (1.0 - banks.empty).reshape(-1, 1),
+                          warmup_coefficient(round_t, warmup_rounds))
 
 
 def squared_cell_errors(generated: Tensor, raw_flat: Tensor,

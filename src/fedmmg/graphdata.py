@@ -331,20 +331,40 @@ def missing_ratios(masks: MaskSet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def induced_subgraph(graph: MultimodalGraph, nodes: np.ndarray) -> MultimodalGraph:
+def induced_subgraph(graph: MultimodalGraph, nodes: np.ndarray,
+                     modalities: list[Modality] | None = None) -> MultimodalGraph:
     """Relabel a node subset to 0..len-1 and keep internal edges only, in order.
 
     The subgraph's arrays are the gathers themselves (a gather already
-    copies), so it shares no memory with ``graph``."""
+    copies), so it shares no memory with ``graph``. ``modalities``, when
+    given, are the subset's feature rows, already cut."""
     idx = np.asarray(nodes, dtype=np.intp)
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[idx] = np.arange(idx.size)
     edges = remap[graph.edges]
-    mods = [Modality(mod.name, mod.dim, mod.features[idx]) for mod in graph.modalities]
+    if modalities is None:
+        modalities = [Modality(mod.name, mod.dim, mod.features[idx])
+                      for mod in graph.modalities]
     labels = graph.labels[idx] if graph.labels is not None else None
     return MultimodalGraph(n=idx.size, edges=edges[(edges >= 0).all(axis=1)],
-                           modalities=mods, labels=labels,
+                           modalities=modalities, labels=labels,
                            natural_mask=graph.natural_mask[idx])
+
+
+def client_subgraphs(graph: MultimodalGraph,
+                     node_lists: list[np.ndarray]) -> list[MultimodalGraph]:
+    """The ``induced_subgraph`` of each node list. The features are cut one
+    modality at a time, for every list, and ``graph`` gives up a modality's
+    matrix as soon as it is cut, so the graph's features and the subgraphs'
+    copies are never all held at once. ``graph`` is left with no modality."""
+    idxs = [np.asarray(nodes, dtype=np.intp) for nodes in node_lists]
+    cut: list[list[Modality]] = [[] for _ in idxs]
+    while graph.modalities:
+        mod = graph.modalities.pop(0)
+        for part, idx in zip(cut, idxs):
+            part.append(Modality(mod.name, mod.dim, mod.features[idx]))
+        del mod
+    return [induced_subgraph(graph, idx, part) for idx, part in zip(idxs, cut)]
 
 
 # ---------------------------------------------------------------------------

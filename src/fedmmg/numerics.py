@@ -4,29 +4,36 @@ The operator set is deliberately small: matrix products, elementwise
 arithmetic, the usual activations, masked/temperature softmax, layer
 normalization, row gathers, concatenation, a linear layer over one input
 or concatenated pieces, dot products of row pairs, products with a
-constant sparse (CSR) matrix, a mean-aggregating graph convolution, and
-multi-head attention over the usable slots of padded banks. Most
-operations record onto the innermost open tape through one recorder,
-``_record``: an op gives its forward value and one vector-Jacobian product
-(vjp) per operand, and the tape keeps the vjps of the operands that take a
-gradient. The linear layer, the row-pair dots and attention, whose
-gradients share terms, record one backward of their own through
-``_result``; they keep their inputs, not joined or gathered copies, and
-join or gather again in backward. A vjp captures only the arrays its
-formula reads (never a ``Tensor``), so an intermediate whose values no kept
-vjp reads is freed as soon as the caller drops it. ``Tape.backward`` runs
-once per tape and frees each op's saved arrays as soon as that op's
-gradient has been passed on. Sums onto rows add each row's terms to 0.0
-in a fixed order: a CSR product runs on its pattern's cached
-jagged-diagonal schedule, and every other scatter is one ``np.bincount``
-over an index built for that call.
+constant sparse (CSR) matrix, a mean-aggregating graph convolution,
+multi-head attention over the usable slots of padded banks, and
+generation's gated warm-up blend. Most operations record onto the
+innermost open tape through one recorder, ``_record``: an op gives its
+forward value and one vector-Jacobian product (vjp) per operand, and the
+tape keeps the vjps of the operands that take a gradient. The linear
+layer, the row-pair dots, attention and the blend, whose gradients share
+terms, record one backward of their own through ``_result``. They keep
+their inputs, not joined, gathered or projected copies, and make those
+again in backward; attention also keeps its slot weights. A vjp captures
+only the arrays its formula reads (never a ``Tensor``), so an intermediate
+whose values no kept vjp reads is freed as soon as the caller drops it.
+``Tape.backward`` runs once per tape and frees each op's saved arrays as
+soon as that op's gradient has been passed on. Sums onto rows add each
+row's terms to 0.0 in a fixed order: a CSR product and attention's sums
+onto banks and tokens run on jagged-diagonal schedules cached with the
+matrix pattern or the bank slots, which form the summed rows a group at a
+time, and every other scatter is one ``np.bincount`` over an index built
+for that call.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
+Importing the module pins numpy's bundled OpenBLAS to one thread
+(``BLAS_PINNED`` says whether it could), so outputs do not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import zlib
@@ -41,6 +48,24 @@ import numpy as np
 MASK_NEG = -1e30
 
 _LN_EPS = 1e-8
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Pin numpy's bundled OpenBLAS to one thread for the process, since a
+    threaded product splits its sums by the thread count, and so would the
+    output bytes. Returns whether the library has the call; without it,
+    outputs repeat only at a fixed BLAS thread count."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    return True
+
+
+BLAS_PINNED = _pin_blas_to_one_thread()
 
 
 class GradientError(RuntimeError):
@@ -263,6 +288,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(ad @ bd,
                    (a, lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), a_shape)),
                    (b, lambda g: _unbroadcast(np.swapaxes(ad, -1, -2) @ g, b_shape)))
+
+
+def _matmul_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, sx, sw) -> None:
+    """Pass the gradients of the 2-D product x @ w, whose output's gradient
+    is ``g``, to the slots ``sx`` and ``sw`` (either may be None), in that
+    order, as ``matmul``'s backward does."""
+    if sx is not None:
+        sx.accumulate(g @ w.T)
+    if sw is not None:
+        sw.accumulate(x.T @ g)
 
 
 class KinkWatch:
@@ -522,6 +557,9 @@ def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
                        minlength=math.prod(shape)).reshape(shape)
 
 
+_GROUP = 4096  # entries whose values a jagged-diagonal sum forms at a time
+
+
 @dataclass(frozen=True, eq=False)
 class _Diagonals:
     """Jagged-diagonal schedule of a sum onto n targets (Saad 1989).
@@ -535,7 +573,9 @@ class _Diagonals:
     ``runs`` holds each diagonal's (start, stop) in it, and ``reads`` is
     the row each listed entry reads. Every target starts at 0.0 and adds
     its entries in k order, so the sums are ``scatter_sum``'s byte for
-    byte (up to a NaN's sign and payload), with no [K x width] index."""
+    byte (up to a NaN's sign and payload), with no [K x width] index; and
+    ``sum`` forms the values a group of entries at a time, so with no
+    [K x width] array either."""
 
     order: np.ndarray  # [K]
     reads: np.ndarray  # [K]
@@ -543,28 +583,60 @@ class _Diagonals:
     runs: tuple
 
     @classmethod
-    def of(cls, targets: np.ndarray, reads: np.ndarray, n: int) -> "_Diagonals":
+    def of(cls, targets: np.ndarray, reads: np.ndarray, n: int | None = None
+           ) -> "_Diagonals":
+        """The schedule of entries ``targets`` onto n targets (by default
+        one past the largest)."""
+        if n is None:
+            n = int(targets.max()) + 1 if targets.size else 0
         counts = np.bincount(targets, minlength=n)
         rank = np.empty(n, dtype=np.intp)
         rank[np.argsort(-counts, kind="stable")] = np.arange(n)
-        # each entry's position among its target's entries, in k order
-        grouped = np.argsort(targets, kind="stable")
+        # each entry's position among its target's entries, in k order; the
+        # keys target * K + k are unique, so any argsort of them is stable
+        # (and on unsorted targets numpy's default one is about twice as
+        # fast as "stable")
+        grouped = np.argsort(targets * targets.size + np.arange(targets.size))
         pos = np.empty(targets.size, dtype=np.intp)
         pos[grouped] = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts,
                                                            counts)
-        order = np.lexsort((rank[targets], pos))
-        ends = np.cumsum(np.bincount(pos)).tolist()
+        # diagonal j lists the targets with more than j entries, which are
+        # the leading ones by rank, in rank order
+        lengths = np.bincount(pos)
+        ends = np.cumsum(lengths)
+        order = np.empty(targets.size, dtype=np.intp)
+        order[(ends - lengths)[pos] + rank[targets]] = np.arange(targets.size)
+        ends = ends.tolist()
         return cls(order=order, reads=reads[order], rank=rank,
                    runs=tuple(zip([0] + ends[:-1], ends)))
 
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        """The sums onto the n targets of ``values`` [K] or [K, w], listed
-        in ``order``: [n] or [n, w]."""
-        block = np.zeros(self.rank.shape + values.shape[1:])
+    def sum(self, rows, trailing: tuple = (), n: int | None = None) -> np.ndarray:
+        """The sums onto the targets, [n, *trailing], where n defaults to
+        the schedule's and rows past its targets are zero. ``rows(span)``
+        forms the values [len, *trailing] of the listed entries
+        ``order[span]``. It is called on consecutive spans of at most
+        ``_GROUP`` entries, and a group's values are dropped once the next
+        group's are formed, so the values of all the entries never exist
+        at once."""
+        block = np.zeros(self.rank.shape + trailing)
+        size = self.order.size
+        lo, hi = 0, min(_GROUP, size)
+        values = rows(slice(lo, hi))
         for start, stop in self.runs:
-            head = block[:stop - start]
-            np.add(head, values[start:stop], out=head)
-        return block.take(self.rank, axis=0)
+            at = start
+            while stop > hi:  # the diagonal runs on past the formed group
+                head = block[at - start:hi - start]
+                np.add(head, values[at - lo:], out=head)
+                at = lo = hi
+                hi = min(hi + _GROUP, size)
+                values = rows(slice(lo, hi))
+            head = block[at - start:stop - start]
+            np.add(head, values[at - lo:stop - lo], out=head)
+        if n is None or n == self.rank.size:
+            return block.take(self.rank, axis=0)
+        out = np.zeros((n,) + trailing)
+        block.take(self.rank, axis=0, out=out[:self.rank.size])
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,12 +699,14 @@ class CSRMatrix:
 
     def row_sums(self) -> np.ndarray:
         by_row = self.pattern.by_row
-        return by_row.sum(self.data[by_row.order])
+        return by_row.sum(lambda span: self.data[by_row.order[span]])
 
     def _product(self, schedule: _Diagonals, x: np.ndarray) -> np.ndarray:
-        terms = x.take(schedule.reads, axis=0)
-        np.multiply(self.data[schedule.order][:, None], terms, out=terms)
-        return schedule.sum(terms)
+        def terms(span):
+            out = x.take(schedule.reads[span], axis=0)
+            return np.multiply(self.data[schedule.order[span]][:, None], out, out=out)
+
+        return schedule.sum(terms, x.shape[1:])
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
@@ -686,7 +760,11 @@ class BankSlots:
     Slot k sits in bank ``bank[k]`` and reads memory row ``token[k]``. A
     bank's slots are contiguous: ``starts`` holds where each nonempty bank's
     run begins and ``run[k]`` the run slot k is in. Each array has U entries
-    or fewer; ``scatter`` builds its [U x w] index per call and keeps none."""
+    or fewer. ``onto_banks`` and ``onto_tokens`` are the jagged-diagonal
+    schedules of sums of slot rows onto their banks (reading their tokens)
+    and onto their tokens (reading their banks), each adding a target's
+    slots in (bank, column) order; each is built on first use and kept with
+    the slots."""
 
     bank: np.ndarray
     token: np.ndarray
@@ -707,63 +785,88 @@ class BankSlots:
                    starts=np.cumsum(counts) - counts,
                    run=np.repeat(np.arange(counts.size), counts))
 
-    def scatter(self, values: np.ndarray, onto_tokens: bool, n: int) -> np.ndarray:
-        """Sum the slot rows ``values`` [U, w] onto each slot's bank, or with
-        ``onto_tokens`` onto each slot's memory row: [n, w]."""
-        targets = self.token if onto_tokens else self.bank
-        return scatter_sum(values, scatter_index(targets, values.shape[1]), n)
+    @cached_property
+    def onto_banks(self) -> _Diagonals:
+        return _Diagonals.of(self.bank, self.token)
+
+    @cached_property
+    def onto_tokens(self) -> _Diagonals:
+        return _Diagonals.of(self.token, self.bank)
 
 
-def _bank_attention(q: Tensor, k: Tensor, v: Tensor, slots: BankSlots,
-                   heads: int) -> tuple[Tensor, np.ndarray]:
+def _bank_attention(query: Tensor, keys: Tensor, values: Tensor, wq: Tensor,
+                    wk: Tensor, wv: Tensor, slots: BankSlots,
+                    heads: int) -> tuple[Tensor, np.ndarray]:
     """Per-head softmax attention of each bank's query row over its usable
     slots only.
 
-    q [G, d] holds the projected queries, k and v [T, d] the projected
-    memory rows. Slot k scores q[bank_k] . k[token_k] / sqrt(d / heads) per
-    head; each (bank, head) softmax runs over its own slots (max from one
-    ``np.maximum.reduceat``, denominator from one ``scatter_sum``), and the
-    weighted rows v[token_k] are summed onto their banks. Returns the
-    context [G, d], zero for a bank with no usable slot, and the detached
-    weights [U, heads] of the slots."""
-    g_count, d = q.shape
-    t_count = k.shape[0]
+    The projected queries q = query wq [G, d], keys k = keys wk and values
+    v = values wv [T, d] are made here. Slot k scores q[bank_k] . k[token_k]
+    / sqrt(d / heads) per head; each (bank, head) softmax runs over its own
+    slots (max from one ``np.maximum.reduceat``), and the weighted rows
+    v[token_k] are summed onto their banks. Returns the context [G, d], zero
+    for a bank with no usable slot, and the detached weights [U, heads] of
+    the slots.
+
+    The op keeps its inputs and the weights only, and backward makes q, k
+    and v again, each when it is needed. Every sum onto banks or tokens runs
+    on the slots' schedules, which form the [U, d] slot rows a group at a
+    time. The values and gradients are those of the three ``matmul``s and
+    the per-slot attention they stand for, byte for byte: the projections'
+    gradients reach values and wv, then keys and wk, then query and wq."""
+    xq, xk, xv = query.data, keys.data, values.data
+    wqd, wkd, wvd = wq.data, wk.data, wv.data
+    g_count, t_count = xq.shape[0], xk.shape[0]
+    d = wqd.shape[1]
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
-    u = slots.bank.size
-    qd, kd, vd = q.data, k.data, v.data
+    bank, token, u = slots.bank, slots.token, slots.bank.size
 
-    def gather(x, at):
-        return x[at].reshape(u, heads, dh)
+    def slot_dots(a, at_a, b, at_b):
+        """Per (slot, head) dot of rows a[at_a] and b[at_b], a group at a time."""
+        out = np.empty((u, heads))
+        for lo in range(0, u, _GROUP):
+            span = slice(lo, lo + _GROUP)
+            out[span] = np.einsum("uhd,uhd->uh", a[at_a[span]].reshape(-1, heads, dh),
+                                  b[at_b[span]].reshape(-1, heads, dh))
+        return out
 
-    logits = np.einsum("uhd,uhd->uh", gather(qd, slots.bank), gather(kd, slots.token)) * c
+    def onto(schedule, weights, x, n):
+        """Sum onto ``schedule``'s targets of the slot rows weights[k] * x[read_k]
+        per head: [n, d]."""
+        order, reads = schedule.order, schedule.reads
+        return schedule.sum(lambda span: (weights[order[span], :, None] *
+                                          x[reads[span]].reshape(-1, heads, dh)
+                                          ).reshape(-1, d), (d,), n)
+
+    def bank_sums(per_slot):
+        by_bank = slots.onto_banks
+        return by_bank.sum(lambda span: per_slot[by_bank.order[span]], (heads,), g_count)
+
+    logits = slot_dots(xq @ wqd, bank, xk @ wkd, token)
+    logits *= c
     if u:
         logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
     e = np.exp(logits)
-    w = e / slots.scatter(e, False, g_count)[slots.bank]
-    data = slots.scatter((w[:, :, None] * gather(vd, slots.token)).reshape(u, d),
-                         False, g_count)
-    sq, sk, sv = q.slot, k.slot, v.slot
+    w = e / bank_sums(e)[bank]
+    data = onto(slots.onto_banks, w, xv @ wvd, g_count)
+    sq, swq, sk, swk, sv, swv = (t.slot for t in (query, wq, keys, wk, values, wv))
+    takes_v = sv is not None or swv is not None
+    takes_qk = any(slot is not None for slot in (sq, swq, sk, swk))
 
     def backward(g):
-        # the [U, d] slot rows, several times the size of q, k and v, are
-        # gathered again one at a time instead of being kept from the forward
-        gs = gather(g, slots.bank)
-        if sv is not None:
-            sv.accumulate(slots.scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
-        if sq is None and sk is None:
+        if takes_v:
+            _matmul_grads(onto(slots.onto_tokens, w, g, t_count), xv, wvd, sv, swv)
+        if not takes_qk:
             return
-        wg = w * np.einsum("uhd,uhd->uh", gs, gather(vd, slots.token))
-        del gs
-        dlogits = (wg - w * slots.scatter(wg, False, g_count)[slots.bank]) * c
-        if sq is not None:
-            sq.accumulate(slots.scatter((dlogits[:, :, None] * gather(kd, slots.token))
-                                        .reshape(u, d), False, g_count))
-        if sk is not None:
-            sk.accumulate(slots.scatter((dlogits[:, :, None] * gather(qd, slots.bank))
-                                        .reshape(u, d), True, t_count))
+        wg = w * slot_dots(g, bank, xv @ wvd, token)
+        dlogits = (wg - w * bank_sums(wg)[bank]) * c
+        del wg
+        gq = onto(slots.onto_banks, dlogits, xk @ wkd, g_count)
+        _matmul_grads(onto(slots.onto_tokens, dlogits, xq @ wqd, t_count), xk, wkd, sk, swk)
+        _matmul_grads(gq, xq, wqd, sq, swq)
 
-    return _result(data, any(slot is not None for slot in (sq, sk, sv)), backward), w
+    return _result(data, takes_qk or takes_v, backward), w
 
 
 def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
@@ -784,10 +887,71 @@ def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
     """
     if params.wq.shape[1] % heads:
         raise ValueError("attention width must be divisible by the head count")
-    ctx, slot_weights = _bank_attention(matmul(query, params.wq),
-                                       matmul(keys, params.wk),
-                                       matmul(values, params.wv), slots, heads)
+    ctx, slot_weights = _bank_attention(query, keys, values, params.wq, params.wk,
+                                        params.wv, slots, heads)
     return matmul(ctx, params.wo), slot_weights
+
+
+def gated_blend(evidence: Tensor, self_in: Tensor, anchor_in: Tensor, w_self: Tensor,
+                w_gate: Tensor, b_gate: Tensor, w_anchor: Tensor, usable: np.ndarray,
+                gamma: float) -> Tensor:
+    """Generation's warm-up blend as one op:
+    gamma * (gate * evidence + (1 - gate) * s) + (1 - gamma) * anchor_in w_anchor,
+    with s = self_in w_self and
+    gate = usable * sigmoid(linear([evidence, s], w_gate, b_gate)).
+    evidence, s and the gate are [G, d], and usable is [G, 1].
+
+    It keeps its inputs, and backward makes s and the gate again, dropping
+    each array it makes once the next no longer needs it. The values and
+    gradients are those of the op chain it stands for (matmul, linear,
+    sigmoid, mul, mul, sub, mul, add, matmul, scale, scale, add) byte for
+    byte, with every gradient slot summed in the chain's order."""
+    ev, xs, xa = evidence.data, self_in.data, anchor_in.data
+    wsd, wgd, bgd, wad = w_self.data, w_gate.data, b_gate.data, w_anchor.data
+    gamma, keep = float(gamma), float(1.0 - gamma)
+    width = ev.shape[1]
+
+    def gate_of(s):
+        sig = _sigmoid_np(_hcat([ev, s]) @ wgd + bgd)
+        return sig, sig * usable
+
+    s = xs @ wsd
+    gate = gate_of(s)[1]
+    data = (gate * ev + (1.0 - gate) * s) * gamma + (xa @ wad) * keep
+    del s, gate
+    s_ev, s_s, s_a = evidence.slot, self_in.slot, anchor_in.slot
+    s_ws, s_wg, s_bg, s_wa = w_self.slot, w_gate.slot, b_gate.slot, w_anchor.slot
+    takes_gate = any(slot is not None for slot in (s_ev, s_s, s_ws, s_wg, s_bg))
+
+    def backward(g):
+        _matmul_grads(g * keep, xa, wad, s_a, s_wa)
+        if not takes_gate:
+            return
+        s = xs @ wsd
+        sig, gate = gate_of(s)
+        g_warmed = g * gamma
+        # -(g_warmed * s) from (1 - gate) * s, then g_warmed * ev from gate * ev
+        g_gate = g_warmed * ev - g_warmed * s
+        g_s = g_warmed * (1.0 - gate)
+        if s_ev is not None:
+            s_ev.accumulate(g_warmed * gate)
+        del g_warmed, gate
+        g_z = g_gate * usable * sig * (1.0 - sig)
+        del g_gate, sig
+        if s_bg is not None:
+            s_bg.accumulate(_unbroadcast(g_z, bgd.shape))
+        if s_wg is not None:
+            s_wg.accumulate(_hcat([ev, s]).T @ g_z)
+        del s
+        g_joined = g_z @ wgd.T
+        del g_z
+        if s_ev is not None:
+            s_ev.accumulate(g_joined[:, :width])
+        g_s = g_s + g_joined[:, width:]
+        del g_joined
+        _matmul_grads(g_s, xs, wsd, s_s, s_ws)
+
+    return _result(data, takes_gate or s_a is not None or s_wa is not None, backward)
 
 
 # ---------------------------------------------------------------------------

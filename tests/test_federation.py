@@ -5,9 +5,12 @@ import copy
 import dataclasses
 import gc
 import inspect
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -482,6 +485,47 @@ def count_forks(monkeypatch) -> list:
         real_start(self)
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
     return started
+
+
+_BLAS_RUN = """
+import json, os, sys
+from fedmmg.cli import write_outputs
+from fedmmg.config import ExperimentConfig, assemble_run
+from fedmmg.federation import run_federation
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+run = assemble_run(cfg)
+history = run_federation(run.setup)
+write_outputs(sys.argv[1], cfg, history, run.missing_fraction)
+with open(os.path.join(sys.argv[1], "final_params.bin"), "wb") as fh:
+    fh.write(history.final_params.tobytes())
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(not numerics.BLAS_PINNED,
+                        reason="numpy's BLAS has no scipy_openblas_set_num_threads64_ "
+                               "to pin, so outputs repeat only at a fixed BLAS "
+                               "thread count")
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # one round of link prediction on one client of 2,000 nodes: its
+        # weight gradients are products with an inner dimension of 2,000,
+        # which a threaded BLAS splits by its thread count
+        doc = {"task": "lp", "seed": 0,
+               "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 500,
+                        "p_in": 0.02, "p_out": 0.002, "d_img": 512, "d_txt": 768},
+               "federation": {"clients": 1, "rounds": 1, "workers": 1},
+               "model": {"hidden_dim": 32, "local_epochs": 1}}
+        src = os.path.dirname(os.path.dirname(numerics.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out), json.dumps(doc)],
+                           env=env, check=True, timeout=300)
+            outputs.append([(out / name).read_bytes() for name in
+                            ("metrics.csv", "rounds.jsonl", "final_params.bin")])
+        assert outputs[0] == outputs[1]
 
 
 class TestClientLanes:

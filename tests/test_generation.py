@@ -11,12 +11,14 @@ from fedmmg import encoding, generation
 from fedmmg import numerics as nx
 from fedmmg.generation import (build_bank_batch, reconstruction_loss,
                                squared_cell_errors, warmup_coefficient)
-from fedmmg.graphdata import MaskSet, Modality, MultimodalGraph, sample_artificial_mask
+from fedmmg.graphdata import (MaskSet, Modality, MultimodalGraph, generate_sbm_multimodal,
+                              sample_artificial_mask)
 from fedmmg.model import (GraphCaches, ModelConfig, forward_pass, init_params,
                           make_plan, score_recon_cells)
 from fedmmg.numerics import const
 
 from test_encoding import edge_array, small_cfg, star_graph
+from test_numerics import gate_chain, projected_attention
 
 
 @dataclass
@@ -301,6 +303,42 @@ class TestForwardPlan:
         store["gen.att.wq"].data[0, 0] += 1e-3
         assert fn(store).data != base
         assert calls == {"banks": 1, "anchors": 2}
+
+
+class TestGenerationMatchesTheOpChain:
+    """Attention and the warm-up blend, each one op, give the values and
+    every parameter's gradient of the op chain they stand for, byte for
+    byte, through a whole training forward and its backward."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(round_t=st.sampled_from([0, 5, 10]), group=st.sampled_from([1, 3, nx._GROUP]),
+           seed=st.integers(0, 2 ** 16))
+    def test_training_step(self, round_t, group, seed):
+        # warm-up over 10 rounds: gamma 0, 0.5 and 1
+        cfg = small_cfg()
+        graph = generate_sbm_multimodal(3, 8, 0.4, 0.05, d_img=6, d_txt=5, seed=seed)
+        masks = sample_artificial_mask(graph.natural_mask, 0.4,
+                                       np.random.default_rng(seed))
+
+        def run():
+            params = init_params(cfg, seed)
+            plan = make_plan(graph, GraphCaches.build(graph), masks, cfg,
+                             np.random.default_rng(seed))
+            with nx.Tape() as tape:
+                bundle = forward_pass(params, cfg, plan, round_t)
+                tape.backward(nx.add(nx.add(bundle.rec_loss, bundle.align_loss),
+                                     nx.add(bundle.route_loss,
+                                            nx.mean(nx.mul(bundle.refined,
+                                                           bundle.refined)))))
+            return [bundle.generated.data.tobytes(), params.take_grads().tobytes()]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "_GROUP", group)
+            fused = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "attention_batched", projected_attention)
+            mp.setattr(nx, "gated_blend", gate_chain)
+            assert run() == fused
 
 
 class TestGeneration:

@@ -435,7 +435,30 @@ class TestInducedSubgraph:
                 (min(a, b), max(a, b)) for a, b in g.edges}
         np.testing.assert_array_equal(sub.labels, g.labels[nodes])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_client_subgraphs_cut_one_modality_at_a_time(self, seed):
+        # the same subgraphs, byte for byte, as one induced_subgraph per
+        # client, and the graph gives up every feature matrix it had
+        def graph():
+            g = generate_sbm_multimodal(3, 8, 0.5, 0.1, d_img=5, d_txt=4, seed=seed)
+            g.set_natural_mask(np.random.default_rng(seed).random((g.n, 2)) < 0.7)
+            return g
 
+        reference, g = graph(), graph()
+        parts = partition_dirichlet(reference, 3, 1.0, seed).node_lists
+        features = [mod.features for mod in g.modalities]
+        subs = graphdata.client_subgraphs(g, parts)
+        assert g.modalities == []
+        for sub, nodes in zip(subs, parts):
+            want = induced_subgraph(reference, nodes)
+            assert sub.n == want.n and [m.name for m in sub.modalities] == ["img", "txt"]
+            for got, expected in [(m.features, w.features)
+                                  for m, w in zip(sub.modalities, want.modalities)] + [
+                    (sub.edges, want.edges), (sub.labels, want.labels),
+                    (sub.natural_mask, want.natural_mask), (sub.edge_keys, want.edge_keys)]:
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert not any(np.shares_memory(m.features, f)
+                           for m in sub.modalities for f in features)
 
     def test_edges_become_one_int64_array(self):
         g = MultimodalGraph(n=3, edges=[(2, 0), (1, 2)],
