@@ -17,12 +17,12 @@ again in backward; attention also keeps its slot weights. A vjp captures
 only the arrays its formula reads (never a ``Tensor``), so an intermediate
 whose values no kept vjp reads is freed as soon as the caller drops it.
 ``Tape.backward`` runs once per tape and frees each op's saved arrays as
-soon as that op's gradient has been passed on. Sums onto rows add each
-row's terms to 0.0 in a fixed order: a CSR product and attention's sums
-onto banks and tokens run on jagged-diagonal schedules cached with the
-matrix pattern or the bank slots, which form the summed rows a group at a
-time, and every other scatter is one ``np.bincount`` over an index built
-for that call.
+soon as that op's gradient has been passed on. Every sum onto rows runs
+on one kernel, a jagged-diagonal schedule (``_Diagonals``), which adds
+each row's terms to 0.0 in entry order and forms the summed rows a group
+at a time. The schedules of CSR products and of attention's sums onto
+banks and tokens are cached with the matrix pattern or the bank slots;
+the backward of a row gather or of row-pair dots builds one for the call.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import ctypes
 import itertools
-import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -440,36 +439,36 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def rows(a: Tensor, index) -> Tensor:
-    """Gather rows along axis 0 (``index`` of any shape). Backward
-    scatter-adds, in index order (deterministic)."""
+    """Gather rows along axis 0 (``index`` of any shape). Backward sums the
+    gradient's rows onto the picked rows on a jagged-diagonal schedule built
+    for the call, each row adding its picks in index order."""
     idx = np.asarray(index, dtype=np.intp)
     shape = a.shape
 
     def vjp(g):
-        width = math.prod(shape[1:])
-        flat = scatter_index(idx.reshape(-1), width)
-        return scatter_sum(g.reshape(idx.size, width), flat, shape[0]).reshape(shape)
+        picks = _Diagonals.of(idx.reshape(-1), np.arange(idx.size), shape[0])
+        g = g.reshape((idx.size,) + shape[1:])
+        return picks.sum(lambda span: g.take(picks.reads[span], axis=0), shape[1:])
 
     return _record(a.data[idx], (a, vjp))
 
 
 def pair_dots(a: Tensor, pairs) -> Tensor:
     """Dot products a[i] . a[j] of the rows of each index pair (i, j) of
-    ``pairs`` [B, 2], as a [B, 1] column. Backward gathers the rows again
-    instead of keeping them, and scatters onto the j rows before the i rows:
-    the order of the ``rows``/``rows``/``mul``/``sum_axis`` chain, whose
-    gradient this equals byte for byte."""
+    ``pairs`` [B, 2], as a [B, 1] column. Backward sums each pair's score
+    gradient times one row onto the other, on a schedule built for the
+    call, onto the j rows before the i rows: the order of the
+    ``rows``/``rows``/``mul``/``sum_axis`` chain, whose gradient this equals
+    byte for byte."""
     pairs = np.asarray(pairs, dtype=np.intp)
     left, right = pairs[:, 0], pairs[:, 1]
     ad, slot = a.data, a.slot
-    n, width = ad.shape
-
-    def onto(at, values):
-        return scatter_sum(values, scatter_index(at, width), n)
+    n = ad.shape[0]
 
     def backward(g):
-        slot.accumulate(onto(right, g * ad[left]))
-        slot.accumulate(onto(left, g * ad[right]))
+        g = g[:, 0]
+        slot.accumulate(_Diagonals.of(right, left, n).product(g, ad))
+        slot.accumulate(_Diagonals.of(left, right, n).product(g, ad))
 
     return _result((ad[left] * ad[right]).sum(axis=-1, keepdims=True),
                    slot is not None, backward)
@@ -540,23 +539,6 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def scatter_index(targets: np.ndarray, width: int) -> np.ndarray:
-    """Flat index that scatters a [K, width] array onto rows ``targets``:
-    entry (k, j) goes to targets[k] * width + j."""
-    return (targets[:, None] * width + np.arange(width)).reshape(-1)
-
-
-def scatter_sum(values: np.ndarray, flat: np.ndarray, n: int) -> np.ndarray:
-    """out[t] = sum of values[k] over targets[k] == t, added in k order.
-
-    ``values`` is [K] or [K, w] and ``flat`` its ``scatter_index`` (for [K]
-    values, the targets themselves); rows no target names are zero. One
-    ``np.bincount``, so the sums are those of a sequential loop."""
-    shape = (n,) + values.shape[1:]
-    return np.bincount(flat, weights=values.reshape(-1),
-                       minlength=math.prod(shape)).reshape(shape)
-
-
 _GROUP = 4096  # entries whose values a jagged-diagonal sum forms at a time
 
 
@@ -572,10 +554,10 @@ class _Diagonals:
     prefix of the rows. ``order`` lists the entries diagonal by diagonal,
     ``runs`` holds each diagonal's (start, stop) in it, and ``reads`` is
     the row each listed entry reads. Every target starts at 0.0 and adds
-    its entries in k order, so the sums are ``scatter_sum``'s byte for
-    byte (up to a NaN's sign and payload), with no [K x width] index; and
-    ``sum`` forms the values a group of entries at a time, so with no
-    [K x width] array either."""
+    its entries in k order, so the sums are those of a sequential loop
+    over the entries, byte for byte (up to a NaN's sign and payload); and
+    ``sum`` forms the values a group of entries at a time, so no
+    [K x width] array or index exists."""
 
     order: np.ndarray  # [K]
     reads: np.ndarray  # [K]
@@ -637,6 +619,16 @@ class _Diagonals:
         out = np.zeros((n,) + trailing)
         block.take(self.rank, axis=0, out=out[:self.rank.size])
         return out
+
+    def product(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The sums onto the targets of weights[k] * x[reads_k] over the
+        entries k, for weights [K] and x [m, d]: [n, d]. Each group's terms
+        are its read rows, multiplied in place."""
+        def terms(span):
+            out = x.take(self.reads[span], axis=0)
+            return np.multiply(weights[self.order[span]][:, None], out, out=out)
+
+        return self.sum(terms, x.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -701,20 +693,13 @@ class CSRMatrix:
         by_row = self.pattern.by_row
         return by_row.sum(lambda span: self.data[by_row.order[span]])
 
-    def _product(self, schedule: _Diagonals, x: np.ndarray) -> np.ndarray:
-        def terms(span):
-            out = x.take(schedule.reads[span], axis=0)
-            return np.multiply(self.data[schedule.order[span]][:, None], out, out=out)
-
-        return schedule.sum(terms, x.shape[1:])
-
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
-        return self._product(self.pattern.by_row, x)
+        return self.pattern.by_row.product(self.data, x)
 
     def tdot(self, g: np.ndarray) -> np.ndarray:
         """S^T g for g [n, d]: column j sums data_k g[row_of_k] over its entries."""
-        return self._product(self.pattern.by_column, g)
+        return self.pattern.by_column.product(self.data, g)
 
 
 def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:
@@ -1095,6 +1080,9 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError("step h must lie in [1e-6, 1e-3]")
+    if max_entries_per_param is not None and max_entries_per_param < 1:
+        # a check that probes no entry must not report a pass
+        raise ValueError(f"max_entries_per_param must be at least 1, got {max_entries_per_param}")
     rng = rng or np.random.default_rng(0)
 
     store.zero_grads()

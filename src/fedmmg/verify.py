@@ -102,6 +102,8 @@ def run_gradcheck_suite(seeds: int = DEFAULT_GRAD_SEEDS, h: float = 1e-5,
     central finite differences across independent seeds."""
     if seeds < 1:  # a suite that checks nothing must not report a pass
         raise ValueError(f"seeds must be at least 1, got {seeds}")
+    if max_entries < 1:
+        raise ValueError(f"max_entries must be at least 1, got {max_entries}")
     if not set(tasks) <= set(task_ops.TASK_KINDS):
         raise ValueError(f"tasks must be among {task_ops.TASK_KINDS}, got {tasks}")
 

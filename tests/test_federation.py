@@ -311,7 +311,8 @@ class TestClientRound:
         assert max(live) - live[0] < 0.25 * 2**20
 
     def test_no_scatter_index_outlives_a_job(self):
-        # a scatter index is [nnz x width]: once the run is over a client's
+        # sums onto rows run on jagged-diagonal schedules, which need no
+        # [nnz x width] scatter index: once the run is over a client's
         # caches keep none, and the pattern's row and column schedules,
         # built by the run, keep nothing larger than the graph's arrays
         cfg = small_experiment(**{"federation.workers": 1})

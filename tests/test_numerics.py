@@ -1,6 +1,7 @@
 """Tensor engine: gradients, attention masking, conv, optimizer, layer norm."""
 
 import copy
+import math
 import pickle
 import tracemalloc
 import weakref
@@ -298,7 +299,7 @@ class TestSharedMemoryAttention:
 def bincount_bank_attention(q, k, v, slots, heads):
     """Reference for the attention of projected rows: the op that took q, k
     and v already projected, with every sum onto banks or tokens one
-    ``np.bincount`` over a per-call [U x w] index."""
+    ``scatter_sum``."""
     g_count, d = q.shape
     t_count = k.shape[0]
     dh = d // heads
@@ -311,7 +312,7 @@ def bincount_bank_attention(q, k, v, slots, heads):
 
     def scatter(values, onto_tokens, n):
         targets = slots.token if onto_tokens else slots.bank
-        return nx.scatter_sum(values, nx.scatter_index(targets, values.shape[1]), n)
+        return scatter_sum(values, targets, n)
 
     logits = np.einsum("uhd,uhd->uh", gather(qd, slots.bank), gather(kd, slots.token)) * c
     if u:
@@ -381,7 +382,12 @@ def grad_bytes(tensors):
     return [None if t.grad is None else t.grad.tobytes() for t in tensors]
 
 
-_PAIRS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=10)
+# random pairs, and pairs shaped like a hub: node 0 is in most of them, on
+# either side, and pairs repeat
+_PAIRS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=10),
+    st.lists(st.sampled_from([(0, 1), (2, 0), (0, 0), (0, 3), (5, 0), (4, 6)]),
+             min_size=1, max_size=24))
 
 
 class TestFusedOpsMatchTheirCompositions:
@@ -439,8 +445,10 @@ class TestFusedOpsMatchTheirCompositions:
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 8), width=st.integers(1, 4), pos=_PAIRS, neg=_PAIRS,
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_pair_dots(self, n, width, pos, neg, seed):
+           group=st.sampled_from([1, 3, nx._GROUP]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_pair_dots(self, n, width, pos, neg, group, seed):
+        # both sides sum on jagged-diagonal schedules (the chain through
+        # ``rows``), so test_rows_backward_is_add_at ties them to np.add.at
         pos = np.array(pos, dtype=np.int64) % n
         neg = np.array(neg, dtype=np.int64) % n
 
@@ -457,7 +465,9 @@ class TestFusedOpsMatchTheirCompositions:
                 tape.backward(loss)
             return [s_pos.data.tobytes(), s_neg.data.tobytes(), a.grad.tobytes()]
 
-        assert run(nx.pair_dots) == run(gathered_pair_dots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "_GROUP", group)
+            assert run(nx.pair_dots) == run(gathered_pair_dots)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 8), pos=_PAIRS, neg=_PAIRS, seed=st.integers(0, 2 ** 32 - 1))
@@ -967,6 +977,18 @@ class TestSparseOps:
         np.testing.assert_allclose(a.grad, expected, rtol=0, atol=1e-12)
 
 
+def scatter_sum(values, targets, n):
+    """out[t] = sum of values[k] over targets[k] == t, added in k order, for
+    [K] or [K, w] values; rows no target names are zero. One ``np.bincount``
+    over a [K x w] flat index built for the call: the kernel every sum onto
+    rows ran on before the jagged-diagonal schedule, kept as a reference."""
+    width = math.prod(values.shape[1:])
+    flat = (targets[:, None] * width + np.arange(width)).reshape(-1)
+    shape = (n,) + values.shape[1:]
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)
+
+
 def varied_normal(rng, shape, low=-8, high=8):
     """Normal draws spread over the magnitudes 10**low to 10**high, so the
     order in which they are added shows in the rounding."""
@@ -978,6 +1000,7 @@ class TestScatterKernel:
     @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=40),
            width=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
     def test_scatter_sum_is_a_sequential_loop(self, n, picks, width, seed):
+        # the reference kernel the jagged-diagonal tests compare against
         rng = np.random.default_rng(seed)
         targets = np.array([p % n for p in picks], dtype=np.intp)
         values = varied_normal(rng, (targets.size, width))
@@ -985,23 +1008,27 @@ class TestScatterKernel:
         for k, t in enumerate(targets):
             for j in range(width):
                 expected[t, j] = float(expected[t, j]) + float(values[k, j])
-        got = nx.scatter_sum(values, nx.scatter_index(targets, width), n)
+        got = scatter_sum(values, targets, n)
         assert got.shape == (n, width) and got.tobytes() == expected.tobytes()
-        flat = nx.scatter_sum(values[:, 0].copy(), targets, n)
+        flat = scatter_sum(values[:, 0].copy(), targets, n)
         assert flat.tobytes() == expected[:, 0].copy().tobytes()
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 8), picks=st.lists(st.integers(0, 7), max_size=24),
+    @given(n=st.integers(1, 8),
+           picks=st.one_of(st.lists(st.integers(0, 7), max_size=24),
+                           # a hub: row 0 picked most of the time
+                           st.lists(st.sampled_from([0, 0, 0, 2, 5]), max_size=40)),
            two_d=st.booleans(), trailing=st.sampled_from([(), (3,), (2, 3)]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_rows_backward_is_add_at(self, n, picks, two_d, trailing, seed):
+           group=st.sampled_from([1, 3, nx._GROUP]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_backward_is_add_at(self, n, picks, two_d, trailing, group, seed):
         rng = np.random.default_rng(seed)
         idx = np.array([p % n for p in picks], dtype=np.intp)
         if two_d and idx.size % 2 == 0:
             idx = idx.reshape(2, -1)
         a = nx.Tensor(rng.normal(size=(n,) + trailing), requires_grad=True)
         g = varied_normal(rng, idx.shape + trailing)
-        with Tape() as tape:
+        with pytest.MonkeyPatch.context() as mp, Tape() as tape:
+            mp.setattr(nx, "_GROUP", group)
             tape.backward(nx.total_sum(nx.mul(nx.rows(a, idx), const(g))))
         expected = np.zeros((n,) + trailing)
         np.add.at(expected, idx, g)
@@ -1028,17 +1055,12 @@ def same_sums(got, expected):
 
 
 def bincount_products(mat):
-    """The CSR products and row sums as one ``np.bincount`` over a per-call
-    [nnz x width] index each, the kernel the jagged-diagonal schedule
-    replaced: (S x, S^T g, row sums)."""
+    """The CSR products and row sums as one ``scatter_sum`` each, the kernel
+    the jagged-diagonal schedule replaced: (S x, S^T g, row sums)."""
     p = mat.pattern
-
-    def onto(targets, values):
-        return nx.scatter_sum(values, nx.scatter_index(targets, values.shape[1]), p.n)
-
-    return (lambda x: onto(p.row_of, mat.data[:, None] * x[p.indices]),
-            lambda g: onto(p.indices, mat.data[:, None] * g[p.row_of]),
-            lambda: nx.scatter_sum(mat.data, p.row_of, p.n))
+    return (lambda x: scatter_sum(mat.data[:, None] * x[p.indices], p.row_of, p.n),
+            lambda g: scatter_sum(mat.data[:, None] * g[p.row_of], p.indices, p.n),
+            lambda: scatter_sum(mat.data, p.row_of, p.n))
 
 
 def star_edges(n):
@@ -1091,8 +1113,7 @@ class TestJaggedDiagonals:
             mp.setattr(nx, "_GROUP", group)
             got = diagonals.sum(listed, values.shape[1:], n + extra)
         assert all(span.stop - span.start <= group for span in spans)
-        flat = targets if width is None else nx.scatter_index(targets, width)
-        expected = nx.scatter_sum(values, flat, n + extra)
+        expected = scatter_sum(values, targets, n + extra)
         assert same_sums(got, expected)
 
     @settings(max_examples=150, deadline=None)
@@ -1379,6 +1400,12 @@ class TestGradCheckHarness:
 
         report = grad_check(f, store, h=1e-5)
         assert report.max_rel_err < 1e-8
+
+    @pytest.mark.parametrize("entries", [0, -1])
+    def test_rejects_probing_no_entry(self, entries):
+        store = ParamStore.pack({"x": np.array([3.0])})
+        with pytest.raises(ValueError, match="^max_entries_per_param must be at least 1"):
+            grad_check(lambda s: nx.total_sum(s["x"]), store, max_entries_per_param=entries)
 
     def test_rejects_bad_step(self):
         store = ParamStore.pack({"x": np.array([1.0])})

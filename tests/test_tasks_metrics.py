@@ -44,6 +44,12 @@ class TestLossWeights:
         with pytest.raises(ValueError, match="tasks must be among"):
             verify.run_gradcheck_suite(seeds=1, tasks=("nc", "graph-level"))
 
+    @pytest.mark.parametrize("arg", ["seeds", "max_entries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_gradient_suite_that_would_probe_nothing_is_rejected(self, arg, value):
+        with pytest.raises(ValueError, match=f"^{arg} must be at least 1, got {value}$"):
+            verify.run_gradcheck_suite(**{"seeds": 1, arg: value})
+
 
 class TestRefine:
     def test_zero_conv_gives_halfshift_layer_norm(self):

@@ -170,3 +170,33 @@ def test_benchmark_gradcheck_calls_bind_to_the_suite():
         for values in workload.calls + workload.dry_calls:
             assert len(values) == len(names)
             signature.bind(**{key: values[i] for key, i in position.items()})
+
+
+def test_output_digest_prints_the_digest_of_one_untraced_child(monkeypatch, capsys):
+    # tools/output_digest.py hands perfbench's run_child the spec the
+    # benchmark's own children get, untraced and at full size, and prints
+    # the digest it returns; a failed check also sets the exit status
+    path = os.path.join(ROOT, "tools", "output_digest.py")
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for var in tool.child.THREAD_VARS:
+        monkeypatch.setenv(var, "4")  # restored after the test
+    specs = []
+
+    def run_child(child_spec):
+        specs.append(child_spec)
+        assert os.path.isdir(child_spec["workdir"])
+        assert all(os.environ[var] == "1" for var in tool.child.THREAD_VARS)
+        failures = ["final metric_1 below floor"] if len(specs) == 2 else []
+        return {"digest": f"d{len(specs)}", "failed": len(failures), "failures": failures}
+
+    monkeypatch.setattr(tool.child, "run_child", run_child)
+    assert tool.main(["scale-lp", "2027"]) == 0
+    assert capsys.readouterr().out == "d1\n"
+    assert tool.main(["smoke-nc", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "d2\n" and out.err == "final metric_1 below floor\n"
+    assert set(specs[0]) == {"workload", "seed", "trace", "dry", "run_id", "workdir"}
+    assert (specs[0]["workload"], specs[0]["seed"]) == ("scale-lp", 2027)
+    assert specs[0]["trace"] is False and specs[0]["dry"] is False
