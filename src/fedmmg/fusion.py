@@ -57,10 +57,9 @@ def expert_mix(params: ParamStore, raw_flat: Tensor, generated: Tensor,
     alone (their routing weights are unused by construction)."""
     e_obs = nx.relu(nx.linear(raw_flat, params["expert.obs.w"], params["expert.obs.b"]))
     e_rec = nx.relu(nx.linear(generated, params["expert.rec.w"], params["expert.rec.b"]))
-    w_obs = nx.rows(nx.swapaxes(weights, 0, 1), [0])  # [1, G]
-    w_rec = nx.rows(nx.swapaxes(weights, 0, 1), [1])
-    w_obs = nx.swapaxes(w_obs, 0, 1)                  # [G, 1]
-    w_rec = nx.swapaxes(w_rec, 0, 1)
+    by_expert = nx.swapaxes(weights, 0, 1)                # [2, G]
+    w_obs = nx.swapaxes(nx.rows(by_expert, [0]), 0, 1)    # [G, 1]
+    w_rec = nx.swapaxes(nx.rows(by_expert, [1]), 0, 1)
     vis = const(eff_flat.reshape(-1, 1))
     inv = const((1.0 - eff_flat).reshape(-1, 1))
     mixed = nx.add(nx.mul(w_obs, e_obs), nx.mul(w_rec, e_rec))

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import numerics as nx
-from .numerics import MASK_NEG, AttentionParams, ParamStore, Tensor, const
+from .numerics import MASK_NEG, ParamStore, Tensor, const
 
 REC_EPS = 1e-12
 
@@ -99,7 +99,7 @@ def build_query(params: ParamStore, excl_flat: Tensor, eff: np.ndarray,
     mask_embed = nx.matmul(const(eff), params["gen.mask_embed.w"])   # [N, e]
     mask_tiled = nx.concat([mask_embed] * m_count, axis=0)           # [G, e]
     ones_col = const(np.ones((n, 1)))
-    mod_rows = [nx.matmul(ones_col, nx.reshape(nx.rows(params["gen.mod_embed"], [m]), (1, -1)))
+    mod_rows = [nx.matmul(ones_col, nx.rows(params["gen.mod_embed"], [m]))
                 for m in range(m_count)]
     mod_tiled = nx.concat(mod_rows, axis=0)                          # [G, e]
     return nx.linear([excl_flat, mask_tiled, mod_tiled],
@@ -128,10 +128,10 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     """
     d = contexts[0].shape[1]
     stacked = nx.concat(list(contexts) + [const(np.zeros((1, d)))], axis=0)
-    att = AttentionParams(wq=params["gen.att.wq"], wk=params["gen.att.wk"],
-                          wv=params["gen.att.wv"], wo=params["gen.att.wo"])
-    evidence, _ = nx.attention_batched(queries, stacked, stacked, banks.slots,
-                                       heads, att)
+    ctx, _ = nx.bank_attention(queries, stacked, params["gen.att.wq"],
+                               params["gen.att.wk"], params["gen.att.wv"],
+                               banks.slots, heads)
+    evidence = nx.matmul(ctx, params["gen.att.wo"])
     return nx.gated_blend(evidence, excl_flat, anchor_flat, params["gen.self_proj.w"],
                           params["gen.gate.w"], params["gen.gate.b"],
                           params["gen.anchor_proj.w"],

@@ -406,6 +406,13 @@ def _int_list(value, what: str) -> np.ndarray:
     return np.asarray(value, dtype=np.int64)
 
 
+def _str(value, what: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string")
+    return value
+
+
 def load_graph(path: str) -> MultimodalGraph:
     """Read a schema-v1 graph file; keys it does not use are ignored."""
     try:
@@ -419,7 +426,7 @@ def load_graph(path: str) -> MultimodalGraph:
             f"(expected {GRAPH_SCHEMA_VERSION})")
     try:
         n = _int(doc["n"], "n")
-        mods = [Modality(str(m["name"]), _int(m["dim"], "dim"),
+        mods = [Modality(_str(m["name"], "modality name"), _int(m["dim"], "dim"),
                          np.asarray(m["features"], dtype=np.float64))
                 for m in doc["modalities"]]
         edges = np.asarray([_int_list(row, "edges") for row in doc["edges"]], dtype=np.int64)

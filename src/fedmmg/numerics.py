@@ -1,11 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode gradients.
 
 The operator set is deliberately small: matrix products, elementwise
-arithmetic, the usual activations, masked/temperature softmax, layer
+arithmetic, the usual activations, temperature softmax, layer
 normalization, row gathers, concatenation, a linear layer over one input
 or concatenated pieces, dot products of row pairs, products with a
 constant sparse (CSR) matrix, a mean-aggregating graph convolution,
-multi-head attention over the usable slots of padded banks, and
+multi-head attention over the usable slots of padded banks of one
+memory whose rows serve as both keys and values (``bank_attention``), and
 generation's gated warm-up blend. Most operations record onto the
 innermost open tape through one recorder, ``_record``: an op gives its
 forward value and one vector-Jacobian product (vjp) per operand, and the
@@ -41,9 +42,8 @@ from functools import cached_property
 
 import numpy as np
 
-# Additive attention-mask sentinel: an attention slot whose mask entry is
-# MASK_NEG is excluded (weight exactly 0.0). In ``softmax``, exp() of the
-# sentinel underflows to exactly 0.0 after row-max subtraction.
+# Additive-mask entry of a bank grid's padding slot: ``BankSlots.of`` drops
+# every slot whose entry is MASK_NEG, so attention gives it no weight.
 MASK_NEG = -1e30
 
 _LN_EPS = 1e-8
@@ -356,11 +356,7 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1, temperature: float = 1.0) -> Tensor:
-    """Temperature softmax with row-max subtraction.
-
-    Entries at or below the MASK_NEG sentinel come out as exact zeros
-    whenever the row contains at least one unmasked entry.
-    """
+    """Temperature softmax with row-max subtraction."""
     if temperature <= 0:
         raise ValueError("softmax temperature must be positive")
     x = a.data / temperature
@@ -729,15 +725,6 @@ def sage_conv(x: Tensor, neigh_mat: CSRMatrix, w_self: Tensor, w_neigh: Tensor,
     return out
 
 
-@dataclass
-class AttentionParams:
-    """Projection weights for multi-head attention (no biases)."""
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-
-
 @dataclass(frozen=True, eq=False)
 class BankSlots:
     """The usable slots of a bank batch, in (bank, column) order.
@@ -749,7 +736,9 @@ class BankSlots:
     schedules of sums of slot rows onto their banks (reading their tokens)
     and onto their tokens (reading their banks), each adding a target's
     slots in (bank, column) order; each is built on first use and kept with
-    the slots."""
+    the slots. ``of`` lists them from the [G, S] grid that defines the
+    banks: slot s of bank g reads row token_index[g, s], and add_mask holds
+    0 for a usable slot and MASK_NEG for an excluded one."""
 
     bank: np.ndarray
     token: np.ndarray
@@ -779,29 +768,33 @@ class BankSlots:
         return _Diagonals.of(self.token, self.bank)
 
 
-def _bank_attention(query: Tensor, keys: Tensor, values: Tensor, wq: Tensor,
-                    wk: Tensor, wv: Tensor, slots: BankSlots,
-                    heads: int) -> tuple[Tensor, np.ndarray]:
+def bank_attention(query: Tensor, memory: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                   slots: BankSlots, heads: int) -> tuple[Tensor, np.ndarray]:
     """Per-head softmax attention of each bank's query row over its usable
-    slots only.
+    slots only, whose memory rows serve as both keys and values.
 
-    The projected queries q = query wq [G, d], keys k = keys wk and values
-    v = values wv [T, d] are made here. Slot k scores q[bank_k] . k[token_k]
+    The projected queries q = query wq [G, d], keys k = memory wk and values
+    v = memory wv [T, d] are made here. Slot k scores q[bank_k] . k[token_k]
     / sqrt(d / heads) per head; each (bank, head) softmax runs over its own
     slots (max from one ``np.maximum.reduceat``), and the weighted rows
-    v[token_k] are summed onto their banks. Returns the context [G, d], zero
-    for a bank with no usable slot, and the detached weights [U, heads] of
-    the slots.
+    v[token_k] are summed onto their banks. Excluded slots cost nothing and
+    get weight exactly 0.0. Returns the context [G, d], zero for a bank with
+    no usable slot, and the detached weights [U, heads] of the slots, in
+    (bank, column) order. Callers that attend over the same banks again pass
+    the same slots.
 
     The op keeps its inputs and the weights only, and backward makes q, k
     and v again, each when it is needed. Every sum onto banks or tokens runs
     on the slots' schedules, which form the [U, d] slot rows a group at a
     time. The values and gradients are those of the three ``matmul``s and
     the per-slot attention they stand for, byte for byte: the projections'
-    gradients reach values and wv, then keys and wk, then query and wq."""
-    xq, xk, xv = query.data, keys.data, values.data
+    gradients reach memory and wv (values), then memory and wk (keys), then
+    query and wq."""
+    if wq.shape[1] % heads:
+        raise ValueError("attention width must be divisible by the head count")
+    xq, xm = query.data, memory.data
     wqd, wkd, wvd = wq.data, wk.data, wv.data
-    g_count, t_count = xq.shape[0], xk.shape[0]
+    g_count, t_count = xq.shape[0], xm.shape[0]
     d = wqd.shape[1]
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
@@ -828,53 +821,30 @@ def _bank_attention(query: Tensor, keys: Tensor, values: Tensor, wq: Tensor,
         by_bank = slots.onto_banks
         return by_bank.sum(lambda span: per_slot[by_bank.order[span]], (heads,), g_count)
 
-    logits = slot_dots(xq @ wqd, bank, xk @ wkd, token)
+    logits = slot_dots(xq @ wqd, bank, xm @ wkd, token)
     logits *= c
     if u:
         logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
     e = np.exp(logits)
     w = e / bank_sums(e)[bank]
-    data = onto(slots.onto_banks, w, xv @ wvd, g_count)
-    sq, swq, sk, swk, sv, swv = (t.slot for t in (query, wq, keys, wk, values, wv))
-    takes_v = sv is not None or swv is not None
-    takes_qk = any(slot is not None for slot in (sq, swq, sk, swk))
+    data = onto(slots.onto_banks, w, xm @ wvd, g_count)
+    sq, swq, sm, swk, swv = (t.slot for t in (query, wq, memory, wk, wv))
+    takes_v = sm is not None or swv is not None
+    takes_qk = any(slot is not None for slot in (sq, swq, sm, swk))
 
     def backward(g):
         if takes_v:
-            _matmul_grads(onto(slots.onto_tokens, w, g, t_count), xv, wvd, sv, swv)
+            _matmul_grads(onto(slots.onto_tokens, w, g, t_count), xm, wvd, sm, swv)
         if not takes_qk:
             return
-        wg = w * slot_dots(g, bank, xv @ wvd, token)
+        wg = w * slot_dots(g, bank, xm @ wvd, token)
         dlogits = (wg - w * bank_sums(wg)[bank]) * c
         del wg
-        gq = onto(slots.onto_banks, dlogits, xk @ wkd, g_count)
-        _matmul_grads(onto(slots.onto_tokens, dlogits, xq @ wqd, t_count), xk, wkd, sk, swk)
+        gq = onto(slots.onto_banks, dlogits, xm @ wkd, g_count)
+        _matmul_grads(onto(slots.onto_tokens, dlogits, xq @ wqd, t_count), xm, wkd, sm, swk)
         _matmul_grads(gq, xq, wqd, sq, swq)
 
     return _result(data, takes_qk or takes_v, backward), w
-
-
-def attention_batched(query: Tensor, keys: Tensor, values: Tensor,
-                      slots: BankSlots, heads: int,
-                      params: AttentionParams) -> tuple[Tensor, np.ndarray]:
-    """Batched masked multi-head attention over banks of shared memory rows.
-
-    query [G, dq]; keys [T, dk] and values [T, dv] are the memories, which
-    are projected once. ``slots`` is ``BankSlots.of(token_index, add_mask)``
-    of the [G, S] grid that defines the banks: slot s of bank g reads row
-    token_index[g, s], and add_mask holds 0 for a usable slot and MASK_NEG
-    for an excluded one. Attention reads the usable slots only
-    (``_bank_attention``), so excluded slots cost nothing, get weight
-    exactly 0.0, and a bank with none attends to a zero context row. Callers
-    that attend over the same banks again pass the same slots. Returns the
-    attended output [G, dout] and the detached per-head weights [U, H] of
-    the usable slots, in (bank, column) order: ``np.nonzero(add_mask == 0)``.
-    """
-    if params.wq.shape[1] % heads:
-        raise ValueError("attention width must be divisible by the head count")
-    ctx, slot_weights = _bank_attention(query, keys, values, params.wq, params.wk,
-                                        params.wv, slots, heads)
-    return matmul(ctx, params.wo), slot_weights
 
 
 def gated_blend(evidence: Tensor, self_in: Tensor, anchor_in: Tensor, w_self: Tensor,

@@ -17,7 +17,7 @@ from fedmmg.federation import (ReliabilityStats, aggregate, fedavg_zero_setup,
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
 from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
-from fedmmg.numerics import MASK_NEG, AttentionParams, BankSlots, attention_batched, const
+from fedmmg.numerics import MASK_NEG, BankSlots, bank_attention, const
 from fedmmg.verify import (run_gradcheck_suite, run_metrics_oracle,
                            run_theory_check)
 
@@ -160,14 +160,13 @@ def test_criterion_5_self_leakage():
     # a masked token has no attention slot, so its row cannot reach the output
     d = 8
     rng = np.random.default_rng(2)
-    eye = np.eye(d)
-    params = AttentionParams(*(const(eye) for _ in range(4)))
+    eye = const(np.eye(d))
     query = const(rng.normal(size=(1, d)))
     rows = rng.normal(size=(3, d))
     slots = BankSlots.of(np.arange(3).reshape(1, -1), np.array([[0.0, MASK_NEG, 0.0]]))
-    before, _ = attention_batched(query, const(rows), const(rows), slots, 2, params)
+    before, _ = bank_attention(query, const(rows), eye, eye, eye, slots, 2)
     rows[1] += 2.5
-    after, _ = attention_batched(query, const(rows), const(rows), slots, 2, params)
+    after, _ = bank_attention(query, const(rows), eye, eye, eye, slots, 2)
     no_slot = 1 not in slots.token and after.data.tobytes() == before.data.tobytes()
 
     # star graph, one conv layer: perturbation probes

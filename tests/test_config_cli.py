@@ -533,6 +533,18 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", [None, 5, ["img"]], ids=["null", "number", "list"])
+    def test_modality_name_that_is_not_a_string_exits_one(self, tmp_path, capsys, name):
+        def rename(doc):
+            doc["modalities"][0]["name"] = name
+        cfg_path = self._graph_file(tmp_path, rename)
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: malformed graph file")
+        assert err.endswith("modality name must be a string\n") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_value_error_inside_run_exits_two(self, tmp_path, capsys, monkeypatch):
         def failing_run(setup):
             raise ValueError("simulated failure inside the run")

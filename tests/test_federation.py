@@ -252,6 +252,24 @@ class TestClientRound:
         global_params = init_params(setup.model_cfg, setup.cfg.seed).snapshot()
         np.testing.assert_array_equal(store.vector, global_params)
 
+    @pytest.mark.parametrize("task, bound", [("nc", 176), ("lp", 191)])
+    def test_training_forward_records_few_ops(self, monkeypatch, task, bound):
+        # ops on the tape after one training forward plus the task loss,
+        # read as each local epoch of client 0 forms its objective. Picking
+        # each modality embedding row without a reshape and swapping the
+        # routing weights once took it from 179 to 176 (nc) and from 194
+        # to 191 (lp)
+        lengths = []
+        objective = tasks.local_objective
+
+        def counted(*args):
+            lengths.append(len(numerics._active_tape()))
+            return objective(*args)
+
+        monkeypatch.setattr(tasks, "local_objective", counted)
+        train_client_zero(assemble_run(seed3_config(task, "reliability")).setup)
+        assert lengths and max(lengths) <= bound
+
     @staticmethod
     def _missing_ratio_and_hand_count(p_mask):
         cfg = small_experiment(rounds=1)

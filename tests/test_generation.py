@@ -18,7 +18,7 @@ from fedmmg.model import (GraphCaches, ModelConfig, forward_pass, init_params,
 from fedmmg.numerics import const
 
 from test_encoding import edge_array, small_cfg, star_graph
-from test_numerics import gate_chain, projected_attention
+from test_numerics import attend, gate_chain, identity_attention, projected_attention
 
 
 @dataclass
@@ -145,7 +145,7 @@ class TestBankCut:
     def _attend(batch, rows, queries, memory, att):
         banks = batch if rows is None else batch.take(rows)
         query = queries if rows is None else nx.rows(queries, rows)
-        out, _ = nx.attention_batched(query, memory, memory, banks.slots, 4, att)
+        out, _ = attend(query, memory, banks.slots, 4, att)
         return out.data
 
     @staticmethod
@@ -154,8 +154,7 @@ class TestBankCut:
         # shape-dependent summation order stays out of the comparison
         memory = const(rng.normal(size=(g_count + 1, d)))
         queries = const(rng.normal(size=(g_count, d)))
-        att = nx.AttentionParams(*(const(np.eye(d)) for _ in range(4)))
-        return queries, memory, att
+        return queries, memory, identity_attention(d)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_BANK_CASES, pick=st.integers(0, 2 ** 32 - 1))
@@ -336,7 +335,7 @@ class TestGenerationMatchesTheOpChain:
             mp.setattr(nx, "_GROUP", group)
             fused = run()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nx, "attention_batched", projected_attention)
+            mp.setattr(nx, "bank_attention", projected_attention)
             mp.setattr(nx, "gated_blend", gate_chain)
             assert run() == fused
 
@@ -395,10 +394,10 @@ class TestGeneration:
                                             np.random.default_rng(99))
         queries = generation.build_query(params, excl_flat, masks.effective, 2)
         stacked = nx.concat(contexts + [const(np.zeros((1, 8)))], 0)
-        evidence, _ = nx.attention_batched(
-            queries, stacked, stacked, banks.slots, cfg.heads,
-            nx.AttentionParams(params["gen.att.wq"], params["gen.att.wk"],
-                               params["gen.att.wv"], params["gen.att.wo"]))
+        ctx, _ = nx.bank_attention(queries, stacked, params["gen.att.wq"],
+                                   params["gen.att.wk"], params["gen.att.wv"],
+                                   banks.slots, cfg.heads)
+        evidence = nx.matmul(ctx, params["gen.att.wo"])
         self_ctx = excl_flat.data @ params["gen.self_proj.w"].data
         gate_in = np.concatenate([evidence.data, self_ctx], axis=1)
         gate = 1.0 / (1.0 + np.exp(-(gate_in @ params["gen.gate.w"].data

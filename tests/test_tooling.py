@@ -175,7 +175,8 @@ def test_benchmark_gradcheck_calls_bind_to_the_suite():
 def test_output_digest_prints_the_digest_of_one_untraced_child(monkeypatch, capsys):
     # tools/output_digest.py hands perfbench's run_child the spec the
     # benchmark's own children get, untraced and at full size, and prints
-    # the digest it returns; a failed check also sets the exit status
+    # the digest it returns, one line per seed in turn; a failed check in
+    # any run also sets the exit status
     path = os.path.join(ROOT, "tools", "output_digest.py")
     spec = importlib.util.spec_from_file_location("output_digest", path)
     tool = importlib.util.module_from_spec(spec)
@@ -188,7 +189,7 @@ def test_output_digest_prints_the_digest_of_one_untraced_child(monkeypatch, caps
         specs.append(child_spec)
         assert os.path.isdir(child_spec["workdir"])
         assert all(os.environ[var] == "1" for var in tool.child.THREAD_VARS)
-        failures = ["final metric_1 below floor"] if len(specs) == 2 else []
+        failures = ["final metric_1 below floor"] if len(specs) in (2, 3) else []
         return {"digest": f"d{len(specs)}", "failed": len(failures), "failures": failures}
 
     monkeypatch.setattr(tool.child, "run_child", run_child)
@@ -200,3 +201,12 @@ def test_output_digest_prints_the_digest_of_one_untraced_child(monkeypatch, caps
     assert set(specs[0]) == {"workload", "seed", "trace", "dry", "run_id", "workdir"}
     assert (specs[0]["workload"], specs[0]["seed"]) == ("scale-lp", 2027)
     assert specs[0]["trace"] is False and specs[0]["dry"] is False
+    # two seeds: a failed first run still lets the second run and print
+    assert tool.main(["smoke-nc", "0", "2027"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "d3\nd4\n" and out.err == "final metric_1 below floor\n"
+    assert tool.main(["scale-lp", "1", "2"]) == 0
+    assert capsys.readouterr().out == "d5\nd6\n"
+    assert [(s["workload"], s["seed"]) for s in specs[2:]] == [
+        ("smoke-nc", 0), ("smoke-nc", 2027), ("scale-lp", 1), ("scale-lp", 2)]
+    assert len({s["run_id"] for s in specs[2:]}) == 4
