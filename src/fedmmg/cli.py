@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, run, gradcheck, theory-check, metrics-oracle.
-Exit codes: 0 success, 1 validation error, 2 run failure, 3 verification
-failure.
+Exit codes: 0 success, 1 validation error (a malformed command line
+included), 2 run failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -187,21 +187,21 @@ def cmd_metrics_oracle(args: argparse.Namespace) -> int:
     return _emit_report(report, args.out, "metrics-oracle")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors exit 1 with one line, as invalid input does."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fedmmg",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="fedmmg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_run_flags=True):
+    def common(p):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-        if with_run_flags:
-            p.add_argument("--workers", type=int, default=None,
-                           help="processes that run the client jobs, capped at the "
-                                "client and core counts; outputs do not depend on it")
-            p.add_argument("--mode", type=str, default=None, choices=RUN_MODES)
-            p.add_argument("--task", type=str, default=None, choices=TASK_KINDS)
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic graph file")
     common(p_gen)
@@ -209,6 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a federated experiment")
     common(p_run)
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="processes that run the client jobs, capped at the "
+                            "client and core counts; outputs do not depend on it")
+    p_run.add_argument("--mode", type=str, default=None, choices=RUN_MODES)
+    p_run.add_argument("--task", type=str, default=None, choices=TASK_KINDS)
     p_run.set_defaults(fn=cmd_run)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -232,9 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, GraphFileError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

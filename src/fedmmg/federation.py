@@ -130,7 +130,7 @@ def _node_splits(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def build_client_data(cid: int, graph: MultimodalGraph, task: str, seed: int) -> ClientData:
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, cid, 0x5714])
+    rng = np.random.default_rng([seed, cid, 0x5714])
     edges = graph.edges
     # the validation share stays held out, unused, so train and test keep
     # their sizes
@@ -187,7 +187,7 @@ def client_local_round(setup: FederationSetup, store: ParamStore, adam: AdamStat
 
     for epoch in range(epochs):
         rng = np.random.default_rng(
-            [cfg.seed & 0xFFFFFFFF, data.cid, round_t, epoch, _EPOCH_TAG])
+            [cfg.seed, data.cid, round_t, epoch, _EPOCH_TAG])
         if model_cfg.bypass_generation:
             masks = MaskSet.full_visibility(data.graph.natural_mask)
         else:
@@ -277,7 +277,7 @@ def evaluate_client(store: ParamStore, model_cfg: ModelConfig, data: ClientData,
                     round_t: int, seed: int
                     ) -> tuple[MetricsRow | None, int]:
     """Held-out metrics under natural visibility (no artificial masking)."""
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, data.cid, round_t, _EVAL_TAG])
+    rng = np.random.default_rng([seed, data.cid, round_t, _EVAL_TAG])
     masks = MaskSet.full_visibility(data.graph.natural_mask)
     plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
     bundle = forward_pass(store, model_cfg, plan, round_t)
@@ -402,7 +402,7 @@ def _calibrate_client(setup: FederationSetup, store: ParamStore, data: ClientDat
     cal_e: list[np.ndarray] = []
     for draw in range(_CAL_DRAWS):
         rng = np.random.default_rng(
-            [setup.cfg.seed & 0xFFFFFFFF, data.cid, round_t, draw, _CAL_TAG])
+            [setup.cfg.seed, data.cid, round_t, draw, _CAL_TAG])
         masks = sample_artificial_mask(natural, setup.cfg.missingness.p_mask, rng)
         plan = make_plan(data.graph, data.caches, masks, model_cfg, rng)
         cells = plan.recon_flat == 1.0
@@ -592,7 +592,7 @@ def run_federation(setup: FederationSetup) -> RoundHistory:
             if final:
                 selected = []
             elif server.fraction < 1.0:
-                rng = np.random.default_rng([seed & 0xFFFFFFFF, _SERVER_TAG, round_t])
+                rng = np.random.default_rng([seed, _SERVER_TAG, round_t])
                 count = max(1, int(round(server.fraction * num_clients)))
                 selected = sorted(rng.choice(num_clients, size=count, replace=False).tolist())
             else:

@@ -189,7 +189,7 @@ def monte_carlo_bound_check(variances: np.ndarray, struct_variance: float,
         raise ValueError("variances must be positive")
     if not (0.0 <= alpha_fb <= 1.0):
         raise ValueError("fallback coefficient must lie in [0, 1]")
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xB0D])
+    rng = np.random.default_rng([seed, 0xB0D])
     m_count = variances.size
     w = reliability_weights(uncertainties)
 

@@ -24,22 +24,20 @@ class BankBatch:
     """All banks of a graph. The [G, S] grid, padded to the widest bank, is
     the bank definition; attention reads only its usable slots, ``slots``,
     which are listed at the first attention over these banks and kept with
-    them for the mask draw."""
+    them for the mask draw. A bank is empty when its row of ``slots`` is."""
 
     token_index: np.ndarray    # [G, S] into the stacked context matrix
     additive_mask: np.ndarray  # [G, S]; 0 usable, MASK_NEG padding
-    empty: np.ndarray          # [G] 1.0 where the bank has no token
 
     @cached_property
-    def slots(self) -> nx.BankSlots:
-        return nx.BankSlots.of(self.token_index, self.additive_mask)
+    def slots(self) -> nx.SparsePattern:
+        return nx.SparsePattern.of_banks(self.token_index, self.additive_mask)
 
     def take(self, rows: np.ndarray) -> "BankBatch":
         """The banks of cells ``rows`` alone, in that order. Their slots
         still index the full stacked context matrix."""
         return BankBatch(token_index=self.token_index[rows],
-                         additive_mask=self.additive_mask[rows],
-                         empty=self.empty[rows])
+                         additive_mask=self.additive_mask[rows])
 
 
 def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
@@ -87,9 +85,8 @@ def build_bank_batch(neigh_mat: nx.CSRMatrix, eff: np.ndarray, cap: int,
     index[own_g, own_cols] = own_m * n + own_g % n
     index[cand_g, own_count[cand_g] + rank] = \
         cand_tokens[cand_ptr[cand_g % n] + offsets]
-    mask = np.where(index == pad_row, MASK_NEG, 0.0)
-    empty = (total == 0).astype(np.float64)
-    return BankBatch(token_index=index, additive_mask=mask, empty=empty)
+    return BankBatch(token_index=index,
+                     additive_mask=np.where(index == pad_row, MASK_NEG, 0.0))
 
 
 def build_query(params: ParamStore, excl_flat: Tensor, eff: np.ndarray,
@@ -135,7 +132,7 @@ def generate_modalities(params: ParamStore, queries: Tensor, banks: BankBatch,
     return nx.gated_blend(evidence, excl_flat, anchor_flat, params["gen.self_proj.w"],
                           params["gen.gate.w"], params["gen.gate.b"],
                           params["gen.anchor_proj.w"],
-                          (1.0 - banks.empty).reshape(-1, 1),
+                          (np.diff(banks.slots.indptr) > 0)[:, None],
                           warmup_coefficient(round_t, warmup_rounds))
 
 

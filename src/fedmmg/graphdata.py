@@ -183,7 +183,7 @@ def generate_sbm_multimodal(blocks: int, nodes_per_block: int, p_in: float,
         raise ValueError("nodes_per_block must be at least 2")
     if not (0.0 <= p_out <= p_in <= 1.0):
         raise ValueError("require 0 <= p_out <= p_in <= 1")
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x5B3])
+    rng = np.random.default_rng([seed, 0x5B3])
     n = blocks * nodes_per_block
     labels = np.repeat(np.arange(blocks), nodes_per_block)
 
@@ -234,7 +234,7 @@ def partition_dirichlet(graph: MultimodalGraph, clients: int, alpha: float,
         raise ValueError("more clients than nodes")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xD17])
+    rng = np.random.default_rng([seed, 0xD17])
     labels = graph.labels if graph.labels is not None else np.zeros(graph.n, dtype=np.int64)
 
     for _attempt in range(1000):
@@ -274,7 +274,7 @@ def apply_natural_missingness(graph: MultimodalGraph, missingness: MissingnessSe
     ceil(rate * K) subset of clients. mixed: both effects. Per-client rates,
     when given, replace the single node-level rate.
     """
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x315])
+    rng = np.random.default_rng([seed, 0x315])
     n, m = graph.n, graph.num_modalities
     mask = np.ones((n, m))
 

@@ -338,7 +338,8 @@ def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
                                     params[f"adapter.{name}.b"]))
         contexts.append(encoding._conv_stack(params, "gnn", adapted,
                                              plan.caches.neigh_mat, cfg.gnn_layers))
-    stacked = nx.reshape(_flat_cells(contexts), (m_count, n, cfg.hidden_dim))
+    expert_flat = _flat_cells(contexts)
+    stacked = nx.reshape(expert_flat, (m_count, n, cfg.hidden_dim))
     mean_ctx = nx.scale(nx.sum_axis(stacked, 0), 1.0 / m_count)
     fused = nx.layer_norm(mean_ctx, params["fuse.ln_g"], params["fuse.ln_b"])
 
@@ -346,6 +347,6 @@ def _forward_bypass(params: ParamStore, cfg: ModelConfig, plan: ForwardPlan
 
     zero = const(np.asarray(0.0))
     return ForwardBundle(
-        refined=refined, expert_flat=_flat_cells(contexts), generated=None,
+        refined=refined, expert_flat=expert_flat, generated=None,
         uncertainty=None, rec_loss=zero, align_loss=zero, route_loss=zero,
         cell_errors=None, norm_err=None)

@@ -21,9 +21,11 @@ whose values no kept vjp reads is freed as soon as the caller drops it.
 soon as that op's gradient has been passed on. Every sum onto rows runs
 on one kernel, a jagged-diagonal schedule (``_Diagonals``), which adds
 each row's terms to 0.0 in entry order and forms the summed rows a group
-at a time. The schedules of CSR products and of attention's sums onto
-banks and tokens are cached with the matrix pattern or the bank slots;
-the backward of a row gather or of row-pair dots builds one for the call.
+at a time. A CSR matrix's nonzeros and a bank batch's usable slots are
+both a ``SparsePattern``, which caches the schedules of sums onto its rows
+and onto its columns: CSR products and attention's sums onto banks and
+tokens are its products. The backward of a row gather or of row-pair dots
+builds a schedule for the call.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
@@ -36,14 +38,15 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# Additive-mask entry of a bank grid's padding slot: ``BankSlots.of`` drops
-# every slot whose entry is MASK_NEG, so attention gives it no weight.
+# Additive-mask entry of a bank grid's padding slot: ``SparsePattern.of_banks``
+# lists no slot whose entry is MASK_NEG, so attention gives it no weight.
 MASK_NEG = -1e30
 
 _LN_EPS = 1e-8
@@ -616,26 +619,33 @@ class _Diagonals:
         block.take(self.rank, axis=0, out=out[:self.rank.size])
         return out
 
-    def product(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def product(self, weights: np.ndarray, x: np.ndarray, n: int | None = None) -> np.ndarray:
         """The sums onto the targets of weights[k] * x[reads_k] over the
-        entries k, for weights [K] and x [m, d]: [n, d]. Each group's terms
-        are its read rows, multiplied in place."""
+        entries k, for x [m, d]: [n, d], n as in ``sum``. Weights [K] scale
+        whole rows; per-head weights [K, H] scale each of a row's H blocks
+        of d / H columns by that head's weight. Each group's terms are its
+        read rows, multiplied in place."""
+        blocks = weights.shape[1:] + (x.shape[1] // math.prod(weights.shape[1:]),)
+
         def terms(span):
             out = x.take(self.reads[span], axis=0)
-            return np.multiply(weights[self.order[span]][:, None], out, out=out)
+            view = out.reshape(out.shape[:1] + blocks)
+            np.multiply(weights[self.order[span], ..., None], view, out=view)
+            return out
 
-        return self.sum(terms, x.shape[1:])
+        return self.sum(terms, x.shape[1:], n)
 
 
 @dataclass(frozen=True, eq=False)
-class _CSRPattern:
-    """Sparsity pattern of a square matrix.
-
-    Entry k sits at (row_of[k], indices[k]); rows are contiguous and their
-    columns ascend. ``by_row`` and ``by_column`` are the jagged-diagonal
-    schedules of sums onto rows (reading columns) and onto columns
-    (reading rows), each built on first use and shared by every matrix
-    on the pattern."""
+class SparsePattern:
+    """Entry positions of a sparse matrix with n rows: a CSR matrix's
+    nonzeros, or a bank batch's usable slots (a bank per row, a memory row
+    per column). Entry k sits at (row_of[k], indices[k]); rows ascend, and
+    row i's entries are indptr[i]:indptr[i+1]. ``by_row`` and ``by_column``
+    are the jagged-diagonal schedules of sums onto rows (reading columns)
+    and onto columns (reading rows), built on first use and shared by every
+    product on the pattern. The column schedule spans one past the largest
+    column; a product onto columns asks for the rows it needs."""
 
     n: int
     indptr: np.ndarray
@@ -643,10 +653,25 @@ class _CSRPattern:
     indices: np.ndarray
 
     @classmethod
-    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "_CSRPattern":
+    def from_sorted(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "SparsePattern":
+        """The entries (rows[k], cols[k]), with ``rows`` ascending."""
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n=n, indptr=indptr, row_of=rows, indices=cols)
+
+    @classmethod
+    def of_banks(cls, token_index: np.ndarray, add_mask: np.ndarray) -> "SparsePattern":
+        """The usable slots of the [G, S] grid that defines a bank batch, in
+        (bank, column) order: slot s of bank g reads memory row
+        token_index[g, s], and add_mask holds 0 for a usable slot and
+        MASK_NEG for an excluded one."""
+        if token_index.shape != add_mask.shape:
+            raise ValueError("bank index and mask shapes disagree")
+        usable = add_mask == 0.0
+        if not (usable | (add_mask == MASK_NEG)).all():
+            raise ValueError("attention mask entries must be 0 or MASK_NEG")
+        bank, column = np.nonzero(usable)
+        return cls.from_sorted(add_mask.shape[0], bank, token_index[bank, column])
 
     @cached_property
     def by_row(self) -> _Diagonals:
@@ -654,7 +679,12 @@ class _CSRPattern:
 
     @cached_property
     def by_column(self) -> _Diagonals:
-        return _Diagonals.of(self.indices, self.row_of, self.n)
+        return _Diagonals.of(self.indices, self.row_of)
+
+    def row_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each row's sum of its entries' values [K] or [K, H]: [n] or [n, H]."""
+        by_row = self.by_row
+        return by_row.sum(lambda span: values[by_row.order[span]], values.shape[1:])
 
 
 class CSRMatrix:
@@ -668,7 +698,7 @@ class CSRMatrix:
 
     __slots__ = ("pattern", "data")
 
-    def __init__(self, pattern: _CSRPattern, data: np.ndarray):
+    def __init__(self, pattern: SparsePattern, data: np.ndarray):
         if data.shape != pattern.indices.shape:
             raise ValueError("CSR values and pattern sizes disagree")
         self.pattern = pattern
@@ -686,8 +716,7 @@ class CSRMatrix:
         return CSRMatrix(self.pattern, np.asarray(data, dtype=np.float64))
 
     def row_sums(self) -> np.ndarray:
-        by_row = self.pattern.by_row
-        return by_row.sum(lambda span: self.data[by_row.order[span]])
+        return self.pattern.row_sums(self.data)
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         """S x for x [n, d]: row i sums data_k x[indices_k] over row i's entries."""
@@ -695,7 +724,7 @@ class CSRMatrix:
 
     def tdot(self, g: np.ndarray) -> np.ndarray:
         """S^T g for g [n, d]: column j sums data_k g[row_of_k] over its entries."""
-        return self.pattern.by_column.product(self.data, g)
+        return self.pattern.by_column.product(self.data, g, self.pattern.n)
 
 
 def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:
@@ -706,7 +735,7 @@ def neighbor_mean_matrix(n: int, edges: np.ndarray) -> CSRMatrix:
     keys = np.unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
                                      edges[:, 1] * n + edges[:, 0]]))
     rows, cols = keys // n, keys % n
-    pattern = _CSRPattern.from_sorted(n, rows, cols)
+    pattern = SparsePattern.from_sorted(n, rows, cols)
     deg = np.diff(pattern.indptr)
     return CSRMatrix(pattern, 1.0 / deg[rows])
 
@@ -725,80 +754,39 @@ def sage_conv(x: Tensor, neigh_mat: CSRMatrix, w_self: Tensor, w_neigh: Tensor,
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BankSlots:
-    """The usable slots of a bank batch, in (bank, column) order.
-
-    Slot k sits in bank ``bank[k]`` and reads memory row ``token[k]``. A
-    bank's slots are contiguous: ``starts`` holds where each nonempty bank's
-    run begins and ``run[k]`` the run slot k is in. Each array has U entries
-    or fewer. ``onto_banks`` and ``onto_tokens`` are the jagged-diagonal
-    schedules of sums of slot rows onto their banks (reading their tokens)
-    and onto their tokens (reading their banks), each adding a target's
-    slots in (bank, column) order; each is built on first use and kept with
-    the slots. ``of`` lists them from the [G, S] grid that defines the
-    banks: slot s of bank g reads row token_index[g, s], and add_mask holds
-    0 for a usable slot and MASK_NEG for an excluded one."""
-
-    bank: np.ndarray
-    token: np.ndarray
-    starts: np.ndarray
-    run: np.ndarray
-
-    @classmethod
-    def of(cls, token_index: np.ndarray, add_mask: np.ndarray) -> "BankSlots":
-        if token_index.shape != add_mask.shape:
-            raise ValueError("bank index and mask shapes disagree")
-        usable = add_mask == 0.0
-        if not (usable | (add_mask == MASK_NEG)).all():
-            raise ValueError("attention mask entries must be 0 or MASK_NEG")
-        bank, column = np.nonzero(usable)
-        counts = np.bincount(bank, minlength=add_mask.shape[0])
-        counts = counts[counts > 0]
-        return cls(bank=bank, token=token_index[bank, column],
-                   starts=np.cumsum(counts) - counts,
-                   run=np.repeat(np.arange(counts.size), counts))
-
-    @cached_property
-    def onto_banks(self) -> _Diagonals:
-        return _Diagonals.of(self.bank, self.token)
-
-    @cached_property
-    def onto_tokens(self) -> _Diagonals:
-        return _Diagonals.of(self.token, self.bank)
-
-
 def bank_attention(query: Tensor, memory: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                   slots: BankSlots, heads: int) -> tuple[Tensor, np.ndarray]:
+                   slots: SparsePattern, heads: int) -> tuple[Tensor, np.ndarray]:
     """Per-head softmax attention of each bank's query row over its usable
-    slots only, whose memory rows serve as both keys and values.
+    slots only, whose memory rows serve as both keys and values. ``slots``
+    is the banks' ``SparsePattern.of_banks``: row g lists bank g's slots and
+    the memory rows they read.
 
     The projected queries q = query wq [G, d], keys k = memory wk and values
-    v = memory wv [T, d] are made here. Slot k scores q[bank_k] . k[token_k]
-    / sqrt(d / heads) per head; each (bank, head) softmax runs over its own
-    slots (max from one ``np.maximum.reduceat``), and the weighted rows
-    v[token_k] are summed onto their banks. Excluded slots cost nothing and
-    get weight exactly 0.0. Returns the context [G, d], zero for a bank with
-    no usable slot, and the detached weights [U, heads] of the slots, in
-    (bank, column) order. Callers that attend over the same banks again pass
-    the same slots.
+    v = memory wv [T, d] are made here. Slot k, in bank row_of[k] and
+    reading token indices[k], scores q[bank_k] . k[token_k] / sqrt(d / heads)
+    per head; each (bank, head) softmax runs over its own slots (max from
+    one ``np.maximum.reduceat`` at the nonempty rows' ``indptr``), and the
+    weighted rows v[token_k] are summed onto their banks. Excluded slots
+    cost nothing and get weight exactly 0.0. Returns the context [G, d],
+    zero for a bank with no usable slot, and the detached weights
+    [U, heads] of the slots, in (bank, column) order. Callers that attend
+    over the same banks again pass the same slots.
 
     The op keeps its inputs and the weights only, and backward makes q, k
-    and v again, each when it is needed. Every sum onto banks or tokens runs
-    on the slots' schedules, which form the [U, d] slot rows a group at a
-    time. The values and gradients are those of the three ``matmul``s and
-    the per-slot attention they stand for, byte for byte: the projections'
-    gradients reach memory and wv (values), then memory and wk (keys), then
-    query and wq."""
+    and v again, each when it is needed. Every sum onto banks or tokens is a
+    product or row sum on the slots' schedules, which form the [U, d] slot
+    rows a group at a time. The values and gradients are those of the three
+    ``matmul``s and the per-slot attention they stand for, byte for byte:
+    the projections' gradients reach memory and wv (values), then memory and
+    wk (keys), then query and wq."""
     if wq.shape[1] % heads:
         raise ValueError("attention width must be divisible by the head count")
     xq, xm = query.data, memory.data
     wqd, wkd, wvd = wq.data, wk.data, wv.data
-    g_count, t_count = xq.shape[0], xm.shape[0]
-    d = wqd.shape[1]
-    dh = d // heads
+    t_count = xm.shape[0]
+    dh = wqd.shape[1] // heads
     c = 1.0 / np.sqrt(dh)
-    bank, token, u = slots.bank, slots.token, slots.bank.size
+    bank, token, u = slots.row_of, slots.indices, slots.indices.size
 
     def slot_dots(a, at_a, b, at_b):
         """Per (slot, head) dot of rows a[at_a] and b[at_b], a group at a time."""
@@ -809,39 +797,30 @@ def bank_attention(query: Tensor, memory: Tensor, wq: Tensor, wk: Tensor, wv: Te
                                   b[at_b[span]].reshape(-1, heads, dh))
         return out
 
-    def onto(schedule, weights, x, n):
-        """Sum onto ``schedule``'s targets of the slot rows weights[k] * x[read_k]
-        per head: [n, d]."""
-        order, reads = schedule.order, schedule.reads
-        return schedule.sum(lambda span: (weights[order[span], :, None] *
-                                          x[reads[span]].reshape(-1, heads, dh)
-                                          ).reshape(-1, d), (d,), n)
-
-    def bank_sums(per_slot):
-        by_bank = slots.onto_banks
-        return by_bank.sum(lambda span: per_slot[by_bank.order[span]], (heads,), g_count)
-
     logits = slot_dots(xq @ wqd, bank, xm @ wkd, token)
     logits *= c
     if u:
-        logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
+        counts = np.diff(slots.indptr)
+        nonempty = counts > 0
+        top = np.maximum.reduceat(logits, slots.indptr[:-1][nonempty], axis=0)
+        logits = logits - np.repeat(top, counts[nonempty], axis=0)
     e = np.exp(logits)
-    w = e / bank_sums(e)[bank]
-    data = onto(slots.onto_banks, w, xm @ wvd, g_count)
+    w = e / slots.row_sums(e)[bank]
+    data = slots.by_row.product(w, xm @ wvd)
     sq, swq, sm, swk, swv = (t.slot for t in (query, wq, memory, wk, wv))
     takes_v = sm is not None or swv is not None
     takes_qk = any(slot is not None for slot in (sq, swq, sm, swk))
 
     def backward(g):
         if takes_v:
-            _matmul_grads(onto(slots.onto_tokens, w, g, t_count), xm, wvd, sm, swv)
+            _matmul_grads(slots.by_column.product(w, g, t_count), xm, wvd, sm, swv)
         if not takes_qk:
             return
         wg = w * slot_dots(g, bank, xm @ wvd, token)
-        dlogits = (wg - w * bank_sums(wg)[bank]) * c
+        dlogits = (wg - w * slots.row_sums(wg)[bank]) * c
         del wg
-        gq = onto(slots.onto_banks, dlogits, xm @ wkd, g_count)
-        _matmul_grads(onto(slots.onto_tokens, dlogits, xq @ wqd, t_count), xm, wkd, sm, swk)
+        gq = slots.by_row.product(dlogits, xm @ wkd)
+        _matmul_grads(slots.by_column.product(dlogits, xq @ wqd, t_count), xm, wkd, sm, swk)
         _matmul_grads(gq, xq, wqd, sq, swq)
 
     return _result(data, takes_qk or takes_v, backward), w
@@ -1097,7 +1076,7 @@ def grad_check(fn, store: ParamStore, h: float = 1e-5,
 
 def param_rng(seed: int, name: str) -> np.random.Generator:
     """Per-parameter stream so init is independent of creation order."""
-    return np.random.default_rng([seed & 0xFFFFFFFF, zlib.crc32(name.encode())])
+    return np.random.default_rng([seed, zlib.crc32(name.encode())])
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from fedmmg.federation import (ReliabilityStats, aggregate, fedavg_zero_setup,
 from fedmmg.fusion import monte_carlo_bound_check
 from fedmmg.graphdata import MaskSet, sample_artificial_mask
 from fedmmg.model import GraphCaches, forward_pass, init_params, make_plan
-from fedmmg.numerics import MASK_NEG, BankSlots, bank_attention, const
+from fedmmg.numerics import MASK_NEG, SparsePattern, bank_attention, const
 from fedmmg.verify import (run_gradcheck_suite, run_metrics_oracle,
                            run_theory_check)
 
@@ -163,11 +163,12 @@ def test_criterion_5_self_leakage():
     eye = const(np.eye(d))
     query = const(rng.normal(size=(1, d)))
     rows = rng.normal(size=(3, d))
-    slots = BankSlots.of(np.arange(3).reshape(1, -1), np.array([[0.0, MASK_NEG, 0.0]]))
+    slots = SparsePattern.of_banks(np.arange(3).reshape(1, -1),
+                                   np.array([[0.0, MASK_NEG, 0.0]]))
     before, _ = bank_attention(query, const(rows), eye, eye, eye, slots, 2)
     rows[1] += 2.5
     after, _ = bank_attention(query, const(rows), eye, eye, eye, slots, 2)
-    no_slot = 1 not in slots.token and after.data.tobytes() == before.data.tobytes()
+    no_slot = 1 not in slots.indices and after.data.tobytes() == before.data.tobytes()
 
     # star graph, one conv layer: perturbation probes
     from test_encoding import small_cfg, star_graph

@@ -695,6 +695,51 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["max_rel_err"] <= 1e-3
 
+    def test_seeds_two_to_the_32_apart_give_different_runs(self, tmp_path):
+        # every RNG stream takes the whole seed, not its low 32 bits
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_small_cfg_doc()))
+        csv = []
+        for seed in (0, 2 ** 32):
+            out = tmp_path / str(seed)
+            assert main(["run", "--config", str(cfg_path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            csv.append((out / "metrics.csv").read_bytes())
+        assert csv[0] != csv[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["theory-check", "--configs", "1", "--trials", "1000", "--seed", "-1"],
+        ["metrics-oracle", "--instances", "2", "--seed", "-1"],
+    ])
+    def test_negative_verification_seed_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "abc"],
+        ["run", "--mode", "nope"],
+        ["run", "--bogus"],
+        [],
+        ["gen-data", "--workers", "3"],
+        ["gen-data", "--task", "lp"],
+        ["gen-data", "--mode", "fedavg"],
+    ])
+    def test_malformed_command_line_exits_one(self, capsys, argv):
+        # a parser error is invalid input: one line and exit 1, not the
+        # usage dump and the run-failure code; gen-data takes no run flags
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0 and "usage: fedmmg" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [
         ["theory-check", "--configs", "0"],
         ["gradcheck", "--seeds", "0"],

@@ -723,7 +723,7 @@ def full_forward_calibration(setup: FederationSetup, data: ClientData,
     cal_u, cal_e = [], []
     for draw in range(8):
         rng = np.random.default_rng(
-            [setup.cfg.seed & 0xFFFFFFFF, data.cid, round_t, draw,
+            [setup.cfg.seed, data.cid, round_t, draw,
              federation._CAL_TAG])
         masks = sample_artificial_mask(data.graph.natural_mask,
                                        setup.cfg.missingness.p_mask, rng)
@@ -741,6 +741,10 @@ def full_forward_calibration(setup: FederationSetup, data: ClientData,
 class TestCalibration:
     @pytest.mark.parametrize("task", ["nc", "lp", "mr"])
     def test_matches_the_full_forward_reference(self, task):
+        """The exact comparison assumes that a product over some rows equals
+        those rows of the full product, byte for byte. That holds for the
+        SkylakeX and Sandybridge OpenBLAS kernels, not for Haswell or
+        Nehalem."""
         setup = assemble_run(seed3_config(task, "reliability")).setup
         history = run_federation(setup)
         rounds = setup.cfg.federation.rounds

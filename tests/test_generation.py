@@ -48,6 +48,11 @@ def build_context_bank(node: int, target: int, neigh_mat: nx.CSRMatrix,
     return ContextBank(tokens=tokens, empty=len(tokens) == 0)
 
 
+def empty_banks(batch):
+    """Whether each bank has no usable slot: its row of the slot pattern is empty."""
+    return np.diff(batch.slots.indptr) == 0
+
+
 class TestContextBank:
     def test_self_tokens_only_when_no_neighbors(self):
         eff = np.ones((1, 2))
@@ -104,7 +109,7 @@ class TestContextBank:
                                               batch.additive_mask[g]) if mk == 0.0]
                 expect = [mm * n + jj for jj, mm in bank.tokens]
                 assert got == expect
-                assert bool(batch.empty[g]) == bank.empty
+                assert bool(empty_banks(batch)[g]) == bank.empty
 
 
 _BANK_CASES = st.tuples(st.integers(1, 14), st.integers(1, 3)).flatmap(
@@ -136,7 +141,7 @@ class TestBankBatchMatchesPerCellBanks:
         np.testing.assert_array_equal(batch.token_index, index)
         np.testing.assert_array_equal(batch.additive_mask,
                                       np.where(index == n * m_count, nx.MASK_NEG, 0.0))
-        np.testing.assert_array_equal(batch.empty, [float(b.empty) for b in banks])
+        np.testing.assert_array_equal(empty_banks(batch), [b.empty for b in banks])
         assert rng_batch.random() == rng_cells.random()
 
 
@@ -169,14 +174,15 @@ class TestBankCut:
         rows = np.flatnonzero(np.random.default_rng(pick).random(n * m_count) < 0.5)
         cut = self._attend(batch, rows, queries, memory, att)
         assert cut.tobytes() == full[rows].tobytes()
-        np.testing.assert_array_equal(batch.take(rows).empty, batch.empty[rows])
+        np.testing.assert_array_equal(empty_banks(batch.take(rows)),
+                                      empty_banks(batch)[rows])
 
     def test_cut_with_empty_banks_and_with_no_rows(self):
         # node 2 is isolated with nothing visible: both its banks are empty
         eff = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         neigh_mat = nx.neighbor_mean_matrix(4, edge_array([(0, 1)]))
         batch = build_bank_batch(neigh_mat, eff, 4, np.random.default_rng(5))
-        assert batch.empty[[2, 6]].tolist() == [1.0, 1.0]
+        assert empty_banks(batch)[[2, 6]].tolist() == [True, True]
         queries, memory, att = self._operands(8, np.random.default_rng(6))
         full = self._attend(batch, None, queries, memory, att)
         for rows in ([0, 2, 5, 6, 7], [2, 6], []):

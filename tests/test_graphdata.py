@@ -497,7 +497,7 @@ def _induced_edges_loop(edges, nodes):
 
 
 def _partition_loop(labels, clients, alpha, seed):
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0xD17])
+    rng = np.random.default_rng([seed, 0xD17])
     n = labels.size
     for _attempt in range(1000):
         assign = np.full(n, -1, dtype=np.int64)
@@ -607,7 +607,7 @@ class TestArrayFormsMatchLoops:
 
 def _sbm_one_shot(blocks, nodes_per_block, p_in, p_out, d_img, d_txt, noise,
                   seed, latent_dim=16):
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 0x5B3])
+    rng = np.random.default_rng([seed, 0x5B3])
     n = blocks * nodes_per_block
     labels = np.repeat(np.arange(blocks), nodes_per_block)
     centers = rng.normal(size=(blocks, latent_dim))

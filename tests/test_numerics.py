@@ -46,7 +46,8 @@ def attend(query, memory, slots, heads, params):
 def attend_one_bank(query, memory, mask, heads, params):
     """``attend`` over one bank whose slot s reads row s of ``memory``;
     returns the output, the weights and the bank's slots."""
-    slots = nx.BankSlots.of(np.arange(memory.shape[0]).reshape(1, -1), mask.reshape(1, -1))
+    slots = nx.SparsePattern.of_banks(np.arange(memory.shape[0]).reshape(1, -1),
+                                      mask.reshape(1, -1))
     out, weights = attend(query, memory, slots, heads, params)
     return out, weights, slots
 
@@ -80,7 +81,7 @@ class TestAttention:
         mask = np.array([0.0, MASK_NEG])
         out, weights, slots = attend_one_bank(query, const(rows), mask, heads=2,
                                               params=identity_attention(d))
-        assert slots.token.tolist() == [0]
+        assert slots.indices.tolist() == [0]
         np.testing.assert_allclose(weights, 1.0)
         rows[1] += 2.5
         moved, _, _ = attend_one_bank(query, const(rows), mask, heads=2,
@@ -181,7 +182,8 @@ class TestSharedMemoryAttention:
         memory = np.vstack([rng.normal(size=(7, 6)), np.zeros((1, 6))])
         index, mask = shared_memory_banks(rng, 7, 9, 5)
         query = rng.normal(size=(9, 5))
-        out, weights = attend(const(query), const(memory), nx.BankSlots.of(index, mask),
+        out, weights = attend(const(query), const(memory),
+                              nx.SparsePattern.of_banks(index, mask),
                               2, params)
         ref_out, ref_weights = gathered_attention(query, memory, index, mask, 2, params)
         np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
@@ -203,7 +205,7 @@ class TestSharedMemoryAttention:
 
         def f(s):
             stacked = nx.concat([s["memory"], pad_row], axis=0)
-            out, _ = attend(query, stacked, nx.BankSlots.of(index, mask), 2, store)
+            out, _ = attend(query, stacked, nx.SparsePattern.of_banks(index, mask), 2, store)
             return nx.total_sum(nx.mul(out, probe))
 
         report = grad_check(f, store, h=1e-5)
@@ -221,7 +223,7 @@ class TestSharedMemoryAttention:
         with Tape() as tape:
             stacked = nx.concat([memory, pad_row], axis=0)
             if slots is None:
-                slots = nx.BankSlots.of(index, mask)
+                slots = nx.SparsePattern.of_banks(index, mask)
             out, weights = attend(query, stacked, slots, 2, params)
             probe = np.arange(out.data.size, dtype=np.float64).reshape(out.shape)
             tape.backward(nx.total_sum(nx.mul(out, const(np.sin(probe)))))
@@ -277,8 +279,7 @@ class TestSharedMemoryAttention:
         _, params, memory, pad_row, query, index, mask = self._setup(13)
 
         def batch():
-            return BankBatch(token_index=index, additive_mask=mask,
-                             empty=(mask != 0.0).all(axis=1).astype(np.float64))
+            return BankBatch(token_index=index, additive_mask=mask)
 
         def run(banks):
             out, weights, grads = self._run(params, memory, pad_row, query, index,
@@ -301,37 +302,42 @@ def scatter_sum_attention(q, k, v, slots, heads):
     t_count = k.shape[0]
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
-    u = slots.bank.size
+    bank, token = slots.row_of, slots.indices
+    u = bank.size
     qd, kd, vd = q.data, k.data, v.data
 
     def gather(x, at):
         return x[at].reshape(u, heads, dh)
 
-    def scatter(values, onto_tokens, n):
-        targets = slots.token if onto_tokens else slots.bank
+    def scatter(values, to_tokens, n):
+        targets = token if to_tokens else bank
         return scatter_sum(values, targets, n)
 
-    logits = np.einsum("uhd,uhd->uh", gather(qd, slots.bank), gather(kd, slots.token)) * c
-    if u:
-        logits = logits - np.maximum.reduceat(logits, slots.starts, axis=0)[slots.run]
+    logits = np.einsum("uhd,uhd->uh", gather(qd, bank), gather(kd, token)) * c
+    # each slot's bank max, over the bank's slots: its row of the pattern
+    top = np.empty_like(logits)
+    for lo, hi in zip(slots.indptr[:-1], slots.indptr[1:]):
+        if hi > lo:
+            top[lo:hi] = logits[lo:hi].max(axis=0)
+    logits = logits - top
     e = np.exp(logits)
-    w = e / scatter(e, False, g_count)[slots.bank]
-    data = scatter((w[:, :, None] * gather(vd, slots.token)).reshape(u, d), False, g_count)
+    w = e / scatter(e, False, g_count)[bank]
+    data = scatter((w[:, :, None] * gather(vd, token)).reshape(u, d), False, g_count)
     sq, sk, sv = q.slot, k.slot, v.slot
 
     def backward(g):
-        gs = gather(g, slots.bank)
+        gs = gather(g, bank)
         if sv is not None:
             sv.accumulate(scatter((w[:, :, None] * gs).reshape(u, d), True, t_count))
         if sq is None and sk is None:
             return
-        wg = w * np.einsum("uhd,uhd->uh", gs, gather(vd, slots.token))
-        dlogits = (wg - w * scatter(wg, False, g_count)[slots.bank]) * c
+        wg = w * np.einsum("uhd,uhd->uh", gs, gather(vd, token))
+        dlogits = (wg - w * scatter(wg, False, g_count)[bank]) * c
         if sq is not None:
-            sq.accumulate(scatter((dlogits[:, :, None] * gather(kd, slots.token))
+            sq.accumulate(scatter((dlogits[:, :, None] * gather(kd, token))
                                   .reshape(u, d), False, g_count))
         if sk is not None:
-            sk.accumulate(scatter((dlogits[:, :, None] * gather(qd, slots.bank))
+            sk.accumulate(scatter((dlogits[:, :, None] * gather(qd, bank))
                                   .reshape(u, d), True, t_count))
 
     return nx._result(data, any(s is not None for s in (sq, sk, sv)), backward), w
@@ -516,7 +522,7 @@ class TestFusedOpsMatchTheirCompositions:
                 early = nx.total_sum(nx.mul(memory, memory))
                 stacked = nx.concat([memory, pad], axis=0)
                 out, weights = attention(query, stacked, wq, wk, wv,
-                                         nx.BankSlots.of(index, mask), heads)
+                                         nx.SparsePattern.of_banks(index, mask), heads)
                 loss = nx.add(nx.add(early, nx.total_sum(nx.mul(out, probe))),
                               nx.add(nx.total_sum(nx.mul(stacked, late)),
                                      nx.total_sum(nx.mul(query, query))))
@@ -1123,6 +1129,36 @@ class TestJaggedDiagonals:
                 assert same_sums(m.dot(x), dot(x))
                 assert same_sums(m.tdot(x), tdot(x))
                 assert m.row_sums().tobytes() == row_sums().tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_SHAPED_GRAPHS, heads=st.integers(1, 3), dh=st.integers(1, 3),
+           special=st.booleans(), group=st.sampled_from([1, 3, nx._GROUP]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_per_head_products_match_scatter_sum(self, graph, heads, dh, special, group,
+                                                 seed):
+        # weights [K, H] scale each of a read row's H blocks of dh columns
+        # by their own head's weight, as attention's sums onto banks and
+        # tokens do; the row sums of [K, H] values are per head
+        n, edges = graph
+        rng = np.random.default_rng(seed)
+        p = neighbor_mean_matrix(n, edges).pattern
+        k = p.indices.size
+        weights = varied_normal(rng, (k, heads))
+        x = varied_normal(rng, (n, heads * dh))
+        if special:
+            x = with_special_values(rng, x)
+
+        def terms(read):
+            return (weights[:, :, None] * x[read].reshape(k, heads, dh)).reshape(k, heads * dh)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nx, "_GROUP", group)
+            assert same_sums(p.by_row.product(weights, x),
+                             scatter_sum(terms(p.indices), p.row_of, n))
+            assert same_sums(p.by_column.product(weights, x, n + 1),
+                             scatter_sum(terms(p.row_of), p.indices, n + 1))
+            assert p.row_sums(weights).tobytes() == \
+                scatter_sum(weights, p.row_of, n).tobytes()
 
 
 def out_of_place_adam_step(store: ParamStore, state: AdamState, grad: np.ndarray,

@@ -7,6 +7,12 @@ lines of their ``metrics.csv`` and ``rounds.jsonl`` must equal those in
 ``fixtures/seed3_outputs.json``. Their ``summary.json`` calibration Pearson
 must match it to a relative 1e-12.
 
+The bytes depend on the platform as well as on the code: on the kernel
+numpy's bundled OpenBLAS picked for the CPU and on numpy's active SIMD
+dispatch targets, either of which can change how a sum is rounded. The
+fixture records both (``platform_signature``), and a mismatch names the
+fixture's platform and this one's.
+
 A change that alters these outputs on purpose regenerates the fixture in the
 same commit, and says which outputs moved and why. From the root of the
 repository:
@@ -14,6 +20,7 @@ repository:
     PYTHONPATH=src python tests/test_pinned_outputs.py
 """
 
+import ctypes
 import json
 import os
 
@@ -33,6 +40,25 @@ _OVERRIDES = {
     "federation.rounds": 3, "federation.workers": 1,
     "model.hidden_dim": 8, "model.warmup_rounds": 2,
 }
+
+
+def platform_signature() -> dict:
+    """The OpenBLAS core type and numpy's active dispatch targets (None
+    where this numpy does not say)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return {"openblas_core": None, "numpy_dispatch": None}
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        core = None
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return {"openblas_core": core,
+            "numpy_dispatch": [target for target in umath.__cpu_dispatch__
+                               if umath.__cpu_features__.get(target)]}
 
 
 def seed3_config(task: str, mode: str) -> ExperimentConfig:
@@ -59,18 +85,20 @@ def pinned() -> dict:
 def test_outputs_match_the_pinned_lines(pinned, task, mode):
     outputs = run_outputs(task, mode)
     expected = pinned[f"{task}/{mode}"]
+    here = platform_signature()
+    where = f"pinned on {({key: pinned[key] for key in here})}, running on {here}"
     for name in ("metrics.csv", "rounds.jsonl"):
-        assert outputs[name] == expected[name], f"{task}/{mode} {name}"
+        assert outputs[name] == expected[name], f"{task}/{mode} {name}; {where}"
     if expected["calibration_pearson"] is None:
         assert outputs["calibration_pearson"] is None
     else:
         assert outputs["calibration_pearson"] == pytest.approx(
-            expected["calibration_pearson"], rel=1e-12, abs=0.0)
+            expected["calibration_pearson"], rel=1e-12, abs=0.0), where
 
 
 if __name__ == "__main__":
     doc = {f"{task}/{mode}": run_outputs(task, mode)
-           for task in TASKS for mode in MODES}
+           for task in TASKS for mode in MODES} | platform_signature()
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     with open(FIXTURE, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
