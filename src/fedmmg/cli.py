@@ -187,6 +187,18 @@ def cmd_metrics_oracle(args: argparse.Namespace) -> int:
     return _emit_report(report, args.out, "metrics-oracle")
 
 
+def _verification_seed(text: str) -> int:
+    """A verification command's ``--seed``. numpy seeds no generator with a
+    negative integer, so one is refused here, by the flag's name."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors exit 1 with one line, as invalid input does."""
 
@@ -224,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory = sub.add_parser("theory-check", help="fusion bound Monte Carlo sweep")
     p_theory.add_argument("--configs", type=int, default=1000)
     p_theory.add_argument("--trials", type=int, default=10000)
-    p_theory.add_argument("--seed", type=int, default=0)
+    p_theory.add_argument("--seed", type=_verification_seed, default=0)
     p_theory.add_argument("--out", type=str, default=None)
     p_theory.set_defaults(fn=cmd_theory_check)
 
     p_oracle = sub.add_parser("metrics-oracle", help="metric implementations vs brute force")
     p_oracle.add_argument("--instances", type=int, default=100)
-    p_oracle.add_argument("--seed", type=int, default=0)
+    p_oracle.add_argument("--seed", type=_verification_seed, default=0)
     p_oracle.add_argument("--out", type=str, default=None)
     p_oracle.set_defaults(fn=cmd_metrics_oracle)
     return parser

@@ -25,7 +25,9 @@ at a time. A CSR matrix's nonzeros and a bank batch's usable slots are
 both a ``SparsePattern``, which caches the schedules of sums onto its rows
 and onto its columns: CSR products and attention's sums onto banks and
 tokens are its products. The backward of a row gather or of row-pair dots
-builds a schedule for the call.
+builds a schedule for the call. Row-pair dots, with or without a tape, are
+scored ``_GROUP`` pairs at a time (``pair_scores``), so no [pairs x width]
+gather exists.
 Values are never mutated in place, except a ``ParamStore``'s parameters
 (views into the vector it is laid over), which only ``ParamStore.load``,
 ``adam_step`` and ``grad_check`` probes write, never while a tape is open.
@@ -50,6 +52,10 @@ import numpy as np
 MASK_NEG = -1e30
 
 _LN_EPS = 1e-8
+
+# rows a grouped computation forms at a time: a jagged-diagonal sum's
+# entries, attention's slots, the pairs of a row-pair score
+_GROUP = 4096
 
 
 def _pin_blas_to_one_thread() -> bool:
@@ -452,13 +458,29 @@ def rows(a: Tensor, index) -> Tensor:
     return _record(a.data[idx], (a, vjp))
 
 
+def pair_scores(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """x[i] . x[j] for each index pair (i, j) of ``pairs`` [B, 2], as [B].
+    The pairs are scored ``_GROUP`` at a time, so beyond the pairs the
+    working memory is one group's gathered rows, whatever B. Each score is
+    one numpy sum over its row of products, as in the one-shot
+    ``(x[i] * x[j]).sum(axis=1)``, whose bytes it gives."""
+    scores = np.empty(pairs.shape[0])
+    for lo in range(0, pairs.shape[0], _GROUP):
+        left, right = pairs[lo:lo + _GROUP].T
+        terms = x[left]
+        terms *= x[right]
+        scores[lo:lo + _GROUP] = terms.sum(axis=1)
+    return scores
+
+
 def pair_dots(a: Tensor, pairs) -> Tensor:
     """Dot products a[i] . a[j] of the rows of each index pair (i, j) of
-    ``pairs`` [B, 2], as a [B, 1] column. Backward sums each pair's score
-    gradient times one row onto the other, on a schedule built for the
-    call, onto the j rows before the i rows: the order of the
-    ``rows``/``rows``/``mul``/``sum_axis`` chain, whose gradient this equals
-    byte for byte."""
+    ``pairs`` [B, 2], as a [B, 1] column, scored by ``pair_scores`` one
+    group of pairs at a time. Backward sums each pair's score gradient
+    times one row onto the other, on a schedule built for the call, onto
+    the j rows before the i rows: the order of the
+    ``rows``/``rows``/``mul``/``sum_axis`` chain, whose values and gradient
+    this equals byte for byte."""
     pairs = np.asarray(pairs, dtype=np.intp)
     left, right = pairs[:, 0], pairs[:, 1]
     ad, slot = a.data, a.slot
@@ -469,8 +491,7 @@ def pair_dots(a: Tensor, pairs) -> Tensor:
         slot.accumulate(_Diagonals.of(right, left, n).product(g, ad))
         slot.accumulate(_Diagonals.of(left, right, n).product(g, ad))
 
-    return _result((ad[left] * ad[right]).sum(axis=-1, keepdims=True),
-                   slot is not None, backward)
+    return _result(pair_scores(ad, pairs)[:, None], slot is not None, backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -536,9 +557,6 @@ def cosine_rows(a: Tensor, b: Tensor, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 # Graph convolution and attention
 # ---------------------------------------------------------------------------
-
-
-_GROUP = 4096  # entries whose values a jagged-diagonal sum forms at a time
 
 
 @dataclass(frozen=True, eq=False)

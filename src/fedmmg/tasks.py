@@ -107,10 +107,12 @@ def draw_non_edges(graph: MultimodalGraph, rows: int, at_least: int,
 def sample_hard_negatives(refined_detached: np.ndarray, graph: MultimodalGraph,
                           batch: int, rng: np.random.Generator) -> np.ndarray:
     """Top-scoring non-edges of ``graph`` from a random pool of
-    max(HARD_NEGATIVE_MIN_POOL, HARD_NEGATIVE_SCALE * B) pairs."""
+    max(HARD_NEGATIVE_MIN_POOL, HARD_NEGATIVE_SCALE * B) pairs. The pool is
+    scored by ``numerics.pair_scores``, one group of pairs at a time, so its
+    gathered rows never exist all at once."""
     pool_size = max(HARD_NEGATIVE_MIN_POOL, int(HARD_NEGATIVE_SCALE * batch))
     pool = draw_non_edges(graph, 2 * pool_size, 1, rng)[:pool_size]
-    scores = (refined_detached[pool[:, 0]] * refined_detached[pool[:, 1]]).sum(axis=1)
+    scores = nx.pair_scores(refined_detached, pool)
     order = np.argsort(-scores, kind="stable")[:batch]
     return pool[np.sort(order)]
 

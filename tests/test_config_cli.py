@@ -712,10 +712,12 @@ class TestCli:
         ["metrics-oracle", "--instances", "2", "--seed", "-1"],
     ])
     def test_negative_verification_seed_exits_one(self, capsys, argv):
+        # the one line names the flag and the value, as a run names its key
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
+        assert "--seed" in captured.err and "-1" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["run", "--seed", "abc"],

@@ -470,6 +470,19 @@ class TestFusedOpsMatchTheirCompositions:
             mp.setattr(nx, "_GROUP", group)
             assert run(nx.pair_dots) == run(gathered_pair_dots)
 
+    @pytest.mark.parametrize("width", [1, 8, 32])
+    @pytest.mark.parametrize("count", [0, 1, nx._GROUP - 1, nx._GROUP, nx._GROUP + 1,
+                                       2 * nx._GROUP + 3])
+    def test_pair_scores_are_the_one_shot_sums(self, count, width):
+        # scoring a group of pairs at a time sums each pair's row of
+        # products as the sum over the whole [count x width] gather does
+        rng = np.random.default_rng([count, width])
+        x = varied_normal(rng, (97, width))
+        pairs = rng.integers(0, 97, size=(count, 2))
+        expected = (x[pairs[:, 0]] * x[pairs[:, 1]]).sum(axis=1)
+        got = nx.pair_scores(x, pairs)
+        assert got.shape == (count,) and got.tobytes() == expected.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 8), pos=_PAIRS, neg=_PAIRS, seed=st.integers(0, 2 ** 32 - 1))
     def test_link_loss_through_lp_scores(self, n, pos, neg, seed):
@@ -626,6 +639,22 @@ def at_each_backward(monkeypatch, setup, inspect, after=None):
     run_federation(setup)
 
 
+def benchmark_lp_first_step():
+    """The link-prediction benchmark's set-up, its larger client (2,043
+    nodes) and fresh parameters for that client's first step."""
+    cfg = ExperimentConfig.from_dict({
+        "task": "lp",
+        "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 1000,
+                 "p_in": 0.01, "p_out": 0.001, "d_img": 512, "d_txt": 768},
+        "missingness": {"rate": 0.3, "mode": "node", "p_mask": 0.3},
+        "federation": {"clients": 2, "alpha": 1000.0, "rounds": 1,
+                       "mode": "reliability", "workers": 1},
+        "model": {"hidden_dim": 32, "local_epochs": 1}})
+    setup = assemble_run(cfg).setup
+    data = max(setup.clients, key=lambda c: c.graph.n)
+    return setup, data, init_params(setup.model_cfg, cfg.seed)
+
+
 def held_objects(value):
     """``value`` and, recursively, the items of the lists and tuples in it
     and the contents of the closure cells of the functions in it."""
@@ -770,17 +799,7 @@ class TestTapeLifetime:
         # q, k and v and summed [U x d] slot rows with one bincount each
         # peaked at 45.9 MiB in generation's backward; recomputing the
         # projections and forming slot rows a group at a time, 38.5 MiB
-        cfg = ExperimentConfig.from_dict({
-            "task": "lp",
-            "data": {"kind": "sbm", "blocks": 4, "nodes_per_block": 1000,
-                     "p_in": 0.01, "p_out": 0.001, "d_img": 512, "d_txt": 768},
-            "missingness": {"rate": 0.3, "mode": "node", "p_mask": 0.3},
-            "federation": {"clients": 2, "alpha": 1000.0, "rounds": 1,
-                           "mode": "reliability", "workers": 1},
-            "model": {"hidden_dim": 32, "local_epochs": 1}})
-        setup = assemble_run(cfg).setup
-        data = max(setup.clients, key=lambda c: c.graph.n)
-        store = init_params(setup.model_cfg, cfg.seed)
+        setup, data, store = benchmark_lp_first_step()
         inside, peaks = [False], []
         real_generate, real_record = generation.generate_modalities, Tape.record
 
@@ -811,6 +830,39 @@ class TestTapeLifetime:
             tracemalloc.stop()
         assert len(peaks) == 4  # the memory rows' concat, attention, wo, the blend
         assert max(peaks) < 40 * 2**20
+
+    def test_training_step_peak_stays_small(self, monkeypatch):
+        # the same first step, traced whole: from the training tape's entry
+        # through backward, so a transient of the forward or the loss shows,
+        # which the guards above, reset at backward entry, cannot see.
+        # Scoring the hard-negative pool of about 13,000 pairs with whole
+        # [pool x 32] gathers peaked there, at 44.0 MiB; scoring it one
+        # group of pairs at a time leaves the peak to the gated blend's
+        # backward and refine, at 38.3 MiB. (At the quarter-size config of
+        # test_training_tape_stays_small_at_backward_entry the pool is about
+        # 1,100 pairs, and the step peaks in backward, at 10.2 MiB, either
+        # way.)
+        setup, data, store = benchmark_lp_first_step()
+        real_enter, real_backward = Tape.__enter__, Tape.backward
+        peaks = []
+
+        def enter(tape):
+            tracemalloc.reset_peak()
+            return real_enter(tape)
+
+        def backward(tape, loss):
+            real_backward(tape, loss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(Tape, "__enter__", enter)
+        monkeypatch.setattr(Tape, "backward", backward)
+        tracemalloc.start()
+        try:
+            client_local_round(setup, store, AdamState.for_params(store), data, 0)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < 39.5 * 2**20
 
 
 def masked_sigmoid(x):

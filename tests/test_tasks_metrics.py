@@ -1,5 +1,7 @@
 """Stage-4 heads/losses/objective and the evaluation metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,16 @@ from test_graphdata import _bare_graph
 
 def link_graph(n, edges):
     return _bare_graph(n, sorted(edges))
+
+
+def one_shot_hard_negatives(refined, graph, batch, rng):
+    """``sample_hard_negatives`` scoring its whole pool at once, from two
+    [pool x d] row gathers: the composition the grouped scoring replaced."""
+    pool_size = max(tasks.HARD_NEGATIVE_MIN_POOL, int(tasks.HARD_NEGATIVE_SCALE * batch))
+    pool = tasks.draw_non_edges(graph, 2 * pool_size, 1, rng)[:pool_size]
+    scores = (refined[pool[:, 0]] * refined[pool[:, 1]]).sum(axis=1)
+    order = np.argsort(-scores, kind="stable")[:batch]
+    return pool[np.sort(order)]
 
 
 class TestLossWeights:
@@ -139,6 +151,38 @@ class TestLosses:
                     assert (min(u, v), max(u, v)) not in edges
                     assert u != v
 
+    def test_hard_negatives_match_one_shot_scoring(self):
+        # a pool of 6,000 pairs spans two groups; the second half of the
+        # rows repeats the first, so many scores tie and the stable order
+        # of the ties decides which pairs are kept
+        n, batch = 300, 1500
+        assert tasks.HARD_NEGATIVE_SCALE * batch > nx._GROUP
+        refined = np.random.default_rng(12).normal(size=(n, 32))
+        refined[n // 2:] = refined[:n // 2]
+        graph = link_graph(n, {(u, u + 1) for u in range(n - 1)})
+        got = tasks.sample_hard_negatives(refined, graph, batch, np.random.default_rng(13))
+        want = one_shot_hard_negatives(refined, graph, batch, np.random.default_rng(13))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_hard_negative_scoring_needs_one_group_of_rows(self):
+        # 20,000 nodes at width 32 and a batch of 10,000, so a pool of
+        # 40,000 pairs: scoring it from whole [pool x 32] gathers peaked at
+        # 20.8 MiB, and one group of pairs at a time at 4.4 MiB, most of it
+        # the drawn candidate pairs
+        n, width, batch = 20000, 32, 10000
+        rng = np.random.default_rng(14)
+        refined = rng.normal(size=(n, width))
+        graph = link_graph(n, {(u, u + 1) for u in range(n - 1)})
+        pool = int(tasks.HARD_NEGATIVE_SCALE * batch)
+        drawn = 2 * pool * 2 * 8  # the [2 x pool, 2] candidate pairs
+        group = 2 * nx._GROUP * width * 8  # one group's two gathered row blocks
+        tracemalloc.start()
+        try:
+            tasks.sample_hard_negatives(refined, graph, batch, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * drawn + group
 
     def test_hard_negatives_need_a_non_edge(self):
         complete = link_graph(3, [(0, 1), (1, 2), (0, 2)])
